@@ -25,8 +25,6 @@ from .weights import (
     RegularizedLogWeight,
     Weight,
     clamp_max,
-    cutoff_eval,
-    eval_weight,
     sampled_laplacian_min,
     twisted_derivative,
 )
@@ -46,7 +44,6 @@ from .extension import (
     ExtensionReport,
     Jet,
     branch_restriction,
-    decompose_cross,
     extend_cross,
     extend_jet_direct,
     extend_jet_recursive,
@@ -71,8 +68,6 @@ __all__ = [
     "RegularizedLogWeight",
     "CutoffFamily",
     "clamp_max",
-    "cutoff_eval",
-    "eval_weight",
     "twisted_derivative",
     "sampled_laplacian_min",
     "BergmanModel",
@@ -91,7 +86,6 @@ __all__ = [
     "extend_jet_recursive",
     "rhs_estimate_jet",
     "extend_cross",
-    "decompose_cross",
     "rhs_estimate_cross",
     "branch_restriction",
 ]

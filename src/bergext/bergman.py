@@ -6,23 +6,27 @@ under quadrature, and an orthonormalizing factorization.  All kernel
 quantities (B_0(z,w), the higher-order kernels B_k(0), the Bergman metric at
 the origin) are linear algebra on the Gram matrix.
 
-The bidisk uses the full tensor grid z1^m z2^n with m,n <= D so that cross
-constraints are exactly expressible.  For weights invariant under the
-simultaneous rotation (z1,z2) -> (e^{ia}z1, e^{ia}z2) the Gram is computed by
-exact angular reduction: entries vanish unless m+n = m'+n', and the surviving
-ones are a one-dimensional radial integral of inner-disk moment matrices.
+Every Gram matrix follows the convention G[a,b] = int conj(e_a) e_b e^{-phi}
+and comes from one moment kernel, ``_moments``: e^{-phi} on a polar tensor
+grid, one FFT over the angles (exact for every Fourier offset), and a matrix
+product with the radial moments.  The disk Gram is the kernel on the disk
+rule's grid.  The bidisk uses the full tensor grid z1^m z2^n with m,n <= D so
+that cross constraints are exactly expressible; its Gram applies the kernel to
+the inner factor at every outer node and sums the outer angles with a second
+FFT.  For weights invariant under the simultaneous rotation
+(z1,z2) -> (e^{ia}z1, e^{ia}z2) the outer angular integral is exact: entries
+vanish unless m+n = m'+n', and only the outer angle 0 is evaluated.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 import sympy as sp
 
 from .errors import COND_LIMIT, DegeneracyError, ParameterError
-from .quadrature import BidiskRule, bidisk_rule, disk_rule, refine
+from .quadrature import BidiskRule, bidisk_rule, disk_rule
 from . import weights as wmod
 
 
@@ -55,7 +59,6 @@ class BergmanModel:
         self._scale = d
         Gs = G / d[:, None] / d[None, :]
         lam, U = np.linalg.eigh(Gs)
-        self.min_eigenvalue = float(lam[0] * np.min(d) ** 2)  # crude lower scale
         if lam[0] <= 0 or not np.isfinite(lam[-1]):
             raise DegeneracyError(
                 "Gram matrix numerically singular (min eigenvalue %.3e); "
@@ -163,84 +166,72 @@ def _check_integrable(weight, degree, domain):
                     "vanishing on a curve; model degenerate" % (t.f_str, t.r))
 
 
-def _disk_gram(weight, degree, rule):
-    wts = rule.weights * np.exp(-np.asarray(weight.evaluate(rule.nodes), dtype=float))
-    if not np.all(np.isfinite(wts)):
+def _moments(T, rule, degree):
+    """M[..., n, n'] = sum over the nodes of w conj(z^n) z^n' T.
+
+    ``T`` holds e^{-phi} on the rule's radii x angles grid (any leading batch
+    axes).  One FFT over the angles gives every Fourier offset d = n'-n at
+    once (the trapezoid sum is a DFT, aliasing included); the radial sum is a
+    matrix product with the moments w r^{1+s}, s = n+n'.
+    """
+    if not np.all(np.isfinite(T)):
         raise DegeneracyError("weight produced non-finite e^{-phi} at quadrature nodes")
-    G = np.zeros((degree + 1, degree + 1), dtype=complex)
-    n = rule.nodes.size
-    powers = np.arange(degree + 1)
-    step = max(1, 2_000_000 // (degree + 1))
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        V = rule.nodes[lo:hi, None] ** powers[None, :]
-        G += V.conj().T @ (wts[lo:hi, None] * V)
-    return G
-
-
-def _inner_moments(weight, r, inner, degree):
-    """I_r[n,n'] = int_disk zeta^n conj(zeta)^{n'} e^{-phi(r,zeta)} dlam(zeta)
-    via the tensor structure: one FFT per inner radius handles the angular sum
-    for every Fourier offset d = n - n' exactly (trapezoid = DFT)."""
-    nb = degree + 1
-    na = inner.angular_order
-    if na <= 2 * degree:
-        raise ParameterError(
-            "inner angular order %d aliases Fourier offsets up to %d" % (na, degree))
-    grid = inner.radii[:, None] * inner._phases[None, :]
-    phi = np.asarray(weight.evaluate(np.full(1, r + 0j), grid), dtype=float)
-    T = np.exp(-phi)
-    F = np.fft.fft(T, axis=1)
-    # columns for d = -degree..degree: sum_j T_j e^{+i d theta_j} = F[(na-d) % na]
+    na = rule.angular_order
     d = np.arange(-degree, degree + 1)
-    Fd = F[:, (na - d) % na]
-    pw = inner.radial_weights * inner.radii
-    P = pw[:, None] * inner.radii[:, None] ** np.arange(2 * degree + 1)[None, :]
-    K = (2.0 * np.pi / na) * (P.T @ Fd)  # K[s, d+degree], s = n+n'
-    n = np.arange(nb)
-    return K[n[:, None] + n[None, :], n[:, None] - n[None, :] + degree]
+    # sum_k T_k (phase_0 e^{i theta_k})^d = phase_0^d F[-d mod na]
+    Fd = np.fft.fft(T, axis=-1)[..., (-d) % na] * rule._phases[0] ** d
+    pw = (2.0 * np.pi / na) * rule.radial_weights * rule.radii
+    P = pw[:, None] * rule.radii[:, None] ** np.arange(2 * degree + 1)[None, :]
+    K = P.T @ Fd  # K[..., s, d + degree]
+    n = np.arange(degree + 1)
+    return K[..., n[:, None] + n[None, :], n[None, :] - n[:, None] + degree]
 
 
-def _bidisk_gram_reduced(weight, degree, rule):
-    """Angular-reduction Gram for diagonally rotation-invariant weights."""
+def _bidisk_gram(weight, degree, rule):
+    """Gram of z1^m z2^n (m, n <= degree), one outer radius at a time.
+
+    At each outer radius the inner moments come from ``_moments`` at every
+    outer angle, in chunks of about 2^20 points to bound memory; the outer
+    angular sum is one FFT at the offset m'-m (plus n'-n when the inner rule
+    turns with the outer phase, as under diagonal grading).  For diagonally
+    invariant weights the outer angular integral is exact: only the outer
+    angle 0 is evaluated, entries with m+n != m'+n' vanish and the rest are
+    multiplied by 2 pi.
+    """
     D = degree
     nb = D + 1
-    radii = rule.rule1.radii
-    rw = rule.rule1.radial_weights
-    # inner moment matrices I_r[n,n'] and radial moments r^{m+m'+1}
-    I = np.zeros((radii.size, nb, nb), dtype=complex)
-    for i, r in enumerate(radii):
-        inner = rule._inner_for_radius(r) if rule.diagonal_grading else rule.rule2
-        I[i] = _inner_moments(weight, r, inner, D)
-    P = (rw * radii)[:, None] * radii[:, None] ** np.arange(2 * D + 1)[None, :]
-    mons = [(m, n) for m in range(nb) for n in range(nb)]
-    G = np.zeros((len(mons), len(mons)), dtype=complex)
-    S = np.einsum("rs,rnk->snk", P, I)  # s = m+m' radial moment index
-    for a, (m, n) in enumerate(mons):
-        for b, (mp, np_) in enumerate(mons):
-            if m + n != mp + np_:
-                continue
-            G[a, b] = 2.0 * np.pi * S[m + mp, n, np_]
-    return mons, G
+    invariant = bool(getattr(weight, "diagonal_rotation_invariant", False))
+    na2 = rule.rule2.angular_order
+    if invariant and na2 <= 2 * D:
+        raise ParameterError(
+            "inner angular order %d aliases Fourier offsets up to %d" % (na2, D))
+    outer = rule.rule1
+    phases = np.ones(1, dtype=complex) if invariant else outer._phases
+    diag = rule.diagonal_grading
+    turn = diag and not invariant
+    s = np.arange(2 * D + 1)
+    S = np.zeros((s.size, phases.size, nb, nb), dtype=complex)
+    for r, w in zip(outer.radii, outer.radial_weights):
+        inner = rule._inner_for_radius(r) if diag else rule.rule2
+        grid = inner.grid
+        step = max(1, (1 << 20) // grid.size)
+        M = []
+        for lo in range(0, phases.size, step):
+            ph = phases[lo:lo + step, None, None]
+            phi = weight.evaluate(r * ph, ph * grid if turn else grid[None])
+            M.append(_moments(np.exp(-np.asarray(phi, dtype=float)), inner, D))
+        S += (w * r ** (s + 1))[:, None, None, None] * np.concatenate(M)
+    A = np.fft.fft(S, axis=1) * (2.0 * np.pi / phases.size)
+    m, n, mp, np_ = np.ogrid[:nb, :nb, :nb, :nb]
+    e = (mp - m) + turn * (np_ - n)
+    G = A[m + mp, (-e) % phases.size, n, np_] * phases[0] ** e
+    if invariant:
+        G = np.where(m + n == mp + np_, G, 0.0)
+    mons = [(a, b) for a in range(nb) for b in range(nb)]
+    return mons, G.reshape(nb * nb, nb * nb)
 
 
-def _bidisk_gram_generic(weight, degree, rule):
-    nb = degree + 1
-    mons = [(m, n) for m in range(nb) for n in range(nb)]
-    powers = np.arange(nb)
-    G = np.zeros((len(mons), len(mons)), dtype=complex)
-    for z1, w1, z2, w2 in rule.iter_blocks():
-        phi = np.asarray(weight.evaluate(np.full_like(z2, z1), z2), dtype=float)
-        t = w2 * np.exp(-phi)
-        V2 = z2[:, None] ** powers[None, :]
-        g = V2.conj().T @ (t[:, None] * V2)  # (n, n') moments at this z1
-        a = z1**powers
-        A = np.outer(a.conj(), a)           # (m, m'): row index conjugated
-        G += w1 * np.einsum("mk,nl->mnkl", A, g).reshape(len(mons), len(mons))
-    return mons, G
-
-
-def default_rule(domain, weight=None, degree=24):
+def default_rule(domain, weight=None):
     if domain == "disk":
         return disk_rule(radial_order=48, angular_order=128, grading_levels=16)
     diag = bool(getattr(weight, "diagonal_rotation_invariant", False))
@@ -253,7 +244,7 @@ def default_rule(domain, weight=None, degree=24):
     )
 
 
-def build_model(domain, weight, degree, rule=None, check_convergence=False):
+def build_model(domain, weight, degree, rule=None):
     """Assemble the truncated model: Gram matrix, factorization, diagnostics."""
     if degree < 1:
         raise ParameterError("degree must be >= 1, got %r" % degree)
@@ -263,32 +254,17 @@ def build_model(domain, weight, degree, rule=None, check_convergence=False):
             % (getattr(weight, "domain", None), domain))
     _check_integrable(weight, degree, domain)
     if rule is None:
-        rule = default_rule(domain, weight, degree)
+        rule = default_rule(domain, weight)
     if domain == "disk":
-        G = _disk_gram(weight, degree, rule)
+        phi = np.asarray(weight.evaluate(rule.grid), dtype=float)
+        G = _moments(np.exp(-phi), rule, degree)
         mons = list(range(degree + 1))
     elif domain == "bidisk":
         if not isinstance(rule, BidiskRule):
             raise ParameterError("bidisk model needs a bidisk rule")
-        if getattr(weight, "diagonal_rotation_invariant", False):
-            mons, G = _bidisk_gram_reduced(weight, degree, rule)
-        else:
-            mons, G = _bidisk_gram_generic(weight, degree, rule)
+        mons, G = _bidisk_gram(weight, degree, rule)
     else:
         raise ParameterError("unknown domain %r" % domain)
-    if check_convergence:
-        fine = refine(rule)
-        if domain == "disk":
-            G2 = _disk_gram(weight, degree, fine)
-        elif getattr(weight, "diagonal_rotation_invariant", False):
-            _, G2 = _bidisk_gram_reduced(weight, degree, fine)
-        else:
-            _, G2 = _bidisk_gram_generic(weight, degree, fine)
-        drift = np.abs(G2 - G).max()
-        if drift > 1e-8 * np.abs(G).max():
-            warnings.warn(
-                "Gram entries not converged: doubling orders moves them by "
-                "%.2e (rel %.2e)" % (drift, drift / np.abs(G).max()))
     return BergmanModel(domain, weight, degree, mons, G, rule)
 
 

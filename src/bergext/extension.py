@@ -103,15 +103,12 @@ def _jet_constraints(model, jet):
 def _level_breakdown(model, coeffs, N):
     """Project a solution onto the one-dimensional ladders E_k (-) E_{k+1}."""
     levels = []
-    hs = []
     for k in range(N):
         ek = unit_ek(model, k)
         ekk0 = math.factorial(k) * ek[model.index[k]]
         Bk = abs(ekk0) ** 2
         amp = complex(np.vdot(ek, model.gram @ coeffs))  # <h, e_k>_G
-        hk = amp * ek
         bk = complex(ekk0 * amp)  # h_k^{(k)}(0)
-        hs.append(hk)
         levels.append((k, bk, float(Bk), float(abs(amp) ** 2)))
     return levels
 
@@ -248,7 +245,7 @@ def extend_cross(model, cross):
     else:
         stationarity = 0.0
     norm_sq = float(np.real(np.vdot(coeffs, G @ coeffs)))
-    h0, h1, parts = _cross_decomposition(model, cross, coeffs)
+    parts = _cross_parts(model, cross, coeffs)
     report = ExtensionReport(
         coefficients=coeffs,
         monomials=model.monomials,
@@ -265,7 +262,8 @@ def extend_cross(model, cross):
     return report
 
 
-def _cross_decomposition(model, cross, coeffs):
+def _cross_parts(model, cross, coeffs):
+    """(|h0|^2, |h1|^2) for h0 = (a0/e_0(0)) e_0 and h1 the remainder."""
     e0 = unit_ek(model, 0)
     e00 = e0[model.index[(0, 0)]]
     h0 = (cross.a0 / e00) * e0 if e00 != 0 else np.zeros_like(e0)
@@ -273,15 +271,7 @@ def _cross_decomposition(model, cross, coeffs):
     G = model.gram
     n0 = float(np.real(np.vdot(h0, G @ h0)))
     n1 = float(np.real(np.vdot(h1, G @ h1)))
-    return h0, h1, (n0, n1)
-
-
-def decompose_cross(model, cross):
-    """(h0, h1) with h0 = (a0/e_0(0)) e_0 and h1 the remainder of the
-    minimal extension; |h|^2 = |h0|^2 + |h1|^2 by orthogonality."""
-    rep = extend_cross(model, cross)
-    h0, h1, parts = _cross_decomposition(model, cross, rep.coefficients)
-    return h0, h1, rep
+    return n0, n1
 
 
 def branch_restriction(model, coeffs, branch):

@@ -53,7 +53,6 @@ class NormSpec:
     epsilon: float | None = None
     region: str = "full"
     r_sing: float = 0.1
-    sections: tuple = ("z1", "z2")
     section_normalization: float = 1.0
     conic_k: int | None = None
     variant: str = "theorem"

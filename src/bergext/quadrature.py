@@ -16,6 +16,8 @@ disk rule).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
@@ -53,10 +55,13 @@ class DiskRule:
 
     Attributes
     ----------
-    nodes : complex ndarray, shape (N,)
+    grid : complex ndarray, shape (radii, angles), the node layout
+    nodes : complex ndarray, shape (N,), the flattened grid
     weights : positive float ndarray, shape (N,)
-    radii, radial_weights : the underlying radial composite rule (the node
-        layout is the tensor grid radii x angles; kept for structured reuse).
+    radii, radial_weights : the underlying radial composite rule.
+
+    ``nodes`` and ``weights`` are built on first use; the Gram assembly reads
+    only the radial rule and the angular phases.
     """
 
     domain = "disk"
@@ -67,27 +72,33 @@ class DiskRule:
         self.angular_order = int(angular_order)
         theta = 2.0 * np.pi * np.arange(self.angular_order) / self.angular_order
         self._phases = np.exp(1j * theta)
-        w_theta = 2.0 * np.pi / self.angular_order
-        self.nodes = (radii[:, None] * self._phases[None, :]).ravel()
-        self.weights = (
-            (radial_weights * radii)[:, None]
-            * np.full(self.angular_order, w_theta)[None, :]
-        ).ravel()
         self.metadata = dict(metadata)
 
+    @property
+    def grid(self):
+        return self.radii[:, None] * self._phases[None, :]
+
+    @functools.cached_property
+    def nodes(self):
+        return self.grid.ravel()
+
+    @functools.cached_property
+    def weights(self):
+        w_theta = 2.0 * np.pi / self.angular_order
+        return (
+            (self.radial_weights * self.radii)[:, None]
+            * np.full(self.angular_order, w_theta)[None, :]
+        ).ravel()
+
     def __len__(self):
-        return self.nodes.size
+        return self.radii.size * self.angular_order
 
     def rotated(self, phase):
         """Same rule with every node multiplied by a unit phase."""
-        out = object.__new__(DiskRule)
-        out.radii = self.radii
-        out.radial_weights = self.radial_weights
-        out.angular_order = self.angular_order
+        out = DiskRule(self.radii, self.radial_weights, self.angular_order,
+                       dict(self.metadata, rotation=complex(phase)))
         out._phases = self._phases * phase
-        out.nodes = self.nodes * phase
         out.weights = self.weights
-        out.metadata = dict(self.metadata, rotation=complex(phase))
         return out
 
     def integrate(self, f):

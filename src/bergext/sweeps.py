@@ -19,13 +19,13 @@ import numpy as np
 
 from . import __version__
 from .errors import BergextError, ParameterError
-from .bergman import build_model, default_rule, higher_kernel, bergman_metric_at_zero
+from .bergman import build_model, higher_kernel, bergman_metric_at_zero
 from .extension import CrossData, Jet, extend_cross, extend_jet_direct
 from .functionals import derivative_norm_on_Y
 from .quadrature import bidisk_rule, disk_rule, refine
 from .weights import RegularizedLogWeight, Weight, clamp_max
 
-_EXPERIMENTS = ("claim1", "claim2", "claim34", "lemmas", "kernel-table", "extend")
+_EXPERIMENTS = ("claim1", "claim2", "claim34", "lemmas")
 
 _COLUMNS = {
     "claim1": ["m", "degree", "norm", "ratio", "condition", "converged"],

@@ -362,11 +362,6 @@ class RegularizedLogWeight:
         return "reglog(%s, eps=%g, %s)" % (self.direction, self.epsilon, self.style)
 
 
-def eval_weight(weight, *zs):
-    """phi at the given point(s); -inf where singular."""
-    return weight.evaluate(*zs)
-
-
 def twisted_derivative(weight, f_coeffs, z):
     """d^phi f = f'(z) - f(z) dphi(z) for a one-variable polynomial f.
 
@@ -463,10 +458,6 @@ class CutoffFamily:
         wt = 0.5 * w
         vals = _rho_prime(t - lo + 1.0) ** 2 * np.exp(-t)
         return float(4.0 * np.pi * np.dot(wt, vals))
-
-
-def cutoff_eval(family, *zs, mode="value"):
-    return family.evaluate(*zs, mode=mode)
 
 
 def sampled_laplacian_min(weight, n=50, h=1e-3, box=0.9):

@@ -15,7 +15,52 @@ from bergext import (
     unit_ek,
 )
 from bergext.bergman import model_summary_json
-from bergext.quadrature import bidisk_rule
+from bergext.quadrature import bidisk_rule, disk_rule
+
+
+def _node_gram(weight, degree, rule):
+    """Disk Gram as a direct sum over the rule's nodes."""
+    z = rule.nodes
+    V = z[:, None] ** np.arange(degree + 1)[None, :]
+    t = rule.weights * np.exp(-np.asarray(weight.evaluate(z), dtype=float))
+    return V.conj().T @ (t[:, None] * V)
+
+
+def _brute_bidisk_gram(weight, degree, rule):
+    """G[(m,n),(m',n')] = rule.integrate(conj(z1^m z2^n) z1^m' z2^n' e^{-phi}),
+    one quadrature per entry."""
+    mons = [(m, n) for m in range(degree + 1) for n in range(degree + 1)]
+    G = np.zeros((len(mons), len(mons)), dtype=complex)
+    for a, (m, n) in enumerate(mons):
+        for b, (mp, q) in enumerate(mons):
+            G[a, b] = rule.integrate(
+                lambda z1, z2: np.conj(z1**m * z2**n) * z1**mp * z2**q
+                * np.exp(-np.asarray(weight.evaluate(z1, z2), dtype=float)))
+    return G
+
+
+def _rel(A, B):
+    return np.abs(A - B).max() / np.abs(B).max()
+
+
+class _NotInvariant:
+    """Hides a weight's diagonal rotation invariance from build_model."""
+
+    domain = "bidisk"
+    diagonal_rotation_invariant = False
+    is_subharmonic = True
+
+    def __init__(self, weight):
+        self.evaluate = weight.evaluate
+
+    def describe(self):
+        return "wrapped"
+
+
+# small diagonal-graded rule: cheap enough for one quadrature per Gram entry,
+# outer and inner angular orders above 2*degree so no Fourier offset aliases
+_SMALL_DIAG = dict(radial_order=(4, 4), angular_order=(8, 16), grading_levels=4,
+                   diagonal_grading=True, diagonal_levels=4)
 
 
 @pytest.fixture(scope="module")
@@ -126,19 +171,57 @@ def test_bidisk_reduced_vs_generic():
     rule = bidisk_rule(radial_order=(8, 8), angular_order=(16, 96),
                        grading_levels=6, diagonal_grading=True, diagonal_levels=8)
     m_fast = build_model("bidisk", w, 4, rule=rule)
-
-    class NotInvariant:
-        domain = "bidisk"
-        diagonal_rotation_invariant = False
-        is_subharmonic = True
-        evaluate = staticmethod(w.evaluate)
-
-        def describe(self):
-            return "wrapped"
-
-    m_slow = build_model("bidisk", NotInvariant(), 4, rule=rule)
+    m_slow = build_model("bidisk", _NotInvariant(w), 4, rule=rule)
     scale = np.abs(m_fast.gram).max()
     assert np.abs(m_fast.gram - m_slow.gram).max() < 1e-8 * scale
+    # both paths share the moment kernel, so each is also held against a
+    # per-entry quadrature on a small rule
+    small = bidisk_rule(**_SMALL_DIAG)
+    ref = _brute_bidisk_gram(w, 2, small)
+    assert _rel(build_model("bidisk", w, 2, rule=small).gram, ref) < 1e-12
+    assert _rel(build_model("bidisk", _NotInvariant(w), 2, rule=small).gram,
+                ref) < 1e-12
+
+
+def test_bidisk_invariant_gram_complex_moments():
+    # log|z1 - i z2|^2 is invariant under the diagonal rotation but its Gram
+    # is not real; the reduced path must not return the conjugate
+    w = Weight([(0.5, "z1 - 1j*z2")], "0", "bidisk",
+               diagonal_rotation_invariant=True)
+    rule = bidisk_rule(**_SMALL_DIAG)
+    G = build_model("bidisk", w, 2, rule=rule).gram
+    ref = _brute_bidisk_gram(w, 2, rule)
+    assert np.abs(ref.imag).max() > 1e-2 * np.abs(ref).max()
+    assert _rel(G, ref) < 1e-12
+
+
+def test_bidisk_generic_gram_matches_node_sum():
+    # weight depending on both angles, without diagonal grading
+    w = Weight([(0.5, "2 + z1 - 1j*z2")], "0.5*x1*y2 - y1", "bidisk")
+    rule = bidisk_rule(radial_order=(4, 4), angular_order=(8, 12),
+                       grading_levels=4)
+    ref = _brute_bidisk_gram(w, 2, rule)
+    assert _rel(build_model("bidisk", w, 2, rule=rule).gram, ref) < 1e-12
+
+
+@pytest.mark.parametrize("phase, degree", [(1.0, 12), (np.exp(0.3j), 12),
+                                           (1.0, 20)])
+def test_disk_gram_matches_node_sum(phase, degree):
+    # degree 20 on 32 angles aliases Fourier offsets: the Gram is still the
+    # node sum of the rule, as before
+    w = Weight.halfplane(1.5)
+    rule = disk_rule(radial_order=8, angular_order=32).rotated(phase)
+    G = build_model("disk", w, degree, rule=rule).gram
+    assert _rel(G, _node_gram(w, degree, rule)) < 1e-13
+
+
+def test_gram_assembly_builds_no_nodes():
+    rule = disk_rule(radial_order=8, angular_order=32)
+    build_model("disk", Weight.halfplane(1.0), 8, rule=rule)
+    br = bidisk_rule(**_SMALL_DIAG)
+    build_model("bidisk", RegularizedLogWeight(0.3, "z1-z2"), 2, rule=br)
+    assert "nodes" not in vars(rule) and "nodes" not in vars(br.rule2)
+    assert len(rule) == rule.nodes.size == rule.weights.size
 
 
 def test_summary_json(unweighted_disk):
