@@ -7,15 +7,18 @@ quantities (B_0(z,w), the higher-order kernels B_k(0), the Bergman metric at
 the origin) are linear algebra on the Gram matrix.
 
 Every Gram matrix follows the convention G[a,b] = int conj(e_a) e_b e^{-phi}
-and comes from one moment kernel, ``_moments``: e^{-phi} on a polar tensor
-grid, one FFT over the angles (exact for every Fourier offset), and a matrix
-product with the radial moments.  The disk Gram is the kernel on the disk
-rule's grid.  The bidisk uses the full tensor grid z1^m z2^n with m,n <= D so
-that cross constraints are exactly expressible; its Gram applies the kernel to
-the inner factor at every outer node and sums the outer angles with a second
-FFT.  For weights invariant under the simultaneous rotation
-(z1,z2) -> (e^{ia}z1, e^{ia}z2) the outer angular integral is exact: entries
-vanish unless m+n = m'+n', and only the outer angle 0 is evaluated.
+and comes from one entry, ``_gram``, over one moment kernel, ``_moments``:
+e^{-phi} on a polar tensor grid, one FFT over the angles (exact for every
+Fourier offset), and a matrix product with the radial moments.  The disk Gram
+is the kernel on the disk rule's grid.  The bidisk uses the full tensor grid
+z1^m z2^n with m,n <= D so that cross constraints are exactly expressible;
+its Gram applies the kernel to the inner factor at every outer node and sums
+the outer angles with a second FFT.  For weights invariant under the
+simultaneous rotation (z1,z2) -> (e^{ia}z1, e^{ia}z2) the outer angular
+integral is exact: entries vanish unless m+n = m'+n', and only the outer
+angle 0 is evaluated.
+Quadratic functionals (the bulk norm, branch integrals of polynomials) are
+Gram forms q^H G q from ``_gram``, with any radial density in the weights.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 import sympy as sp
 
 from .errors import COND_LIMIT, DegeneracyError, ParameterError
-from .quadrature import BidiskRule, bidisk_rule, disk_rule
+from .quadrature import bidisk_rule, disk_rule
 from . import weights as wmod
 
 
@@ -132,38 +135,35 @@ def _solve_hermitian(G, B):
 def _check_integrable(weight, degree, domain):
     """Reject weights whose log terms make low monomials non-integrable.
 
-    A zero of total log-order s at the origin kills z^n for n < s; a zero of
-    order >= 1 elsewhere (point or curve) kills every represented monomial.
+    Log orders add up per zero across terms: per root inside the disk, per
+    irreducible factor (with multiplicity) on the bidisk.  A zero of total
+    log-order s at the origin kills z^n for n < s; a zero of order >= 1
+    elsewhere (point or curve) kills every represented monomial.
     """
     if not isinstance(weight, wmod.Weight):
         return
-    z = sp.symbols("z")
-    if domain == "disk":
-        order0 = 0.0
-        for t in weight.log_terms:
-            poly = sp.Poly(t.expr, z)
-            roots = sp.roots(poly)
-            for root, mult in roots.items():
-                a = complex(root)
-                if abs(a) >= 1.0 - 1e-12:
-                    continue
-                if abs(a) < 1e-12:
-                    order0 += t.r * mult
-                elif t.r * mult >= 1.0:
-                    raise DegeneracyError(
-                        "weight forces vanishing at z=%r; every monomial is "
-                        "non-integrable" % a, list(range(degree + 1)))
-        if order0 >= 1.0:
-            killed = [n for n in range(degree + 1) if n < order0]
+    orders = {}
+    for t in weight.log_terms:
+        if domain == "disk":
+            zeros = [(np.round(complex(a), 9), m)
+                     for a, m in sp.roots(sp.Poly(t.expr, wmod._Z)).items()
+                     if abs(complex(a)) < 1.0 - 1e-12]
+        else:
+            zeros = sp.factor_list(t.expr, wmod._Z1, wmod._Z2)[1]
+        for zero, mult in zeros:
+            orders[zero] = orders.get(zero, 0.0) + t.r * mult
+    order0 = orders.pop(0j, 0.0)
+    for zero, order in orders.items():
+        if order >= 1.0:
             raise DegeneracyError(
-                "weight's multiplier ideal kills monomials %s "
-                "(log order %.3g at the origin)" % (killed, order0), killed)
-    else:
-        for t in weight.log_terms:
-            if t.r >= 1.0:
-                raise DegeneracyError(
-                    "bidisk log term %r with coefficient %.3g >= 1 forces "
-                    "vanishing on a curve; model degenerate" % (t.f_str, t.r))
+                "weight's log order %.3g at %s forces vanishing there; every "
+                "monomial is non-integrable" % (order, zero),
+                list(range(degree + 1)) if domain == "disk" else None)
+    if order0 >= 1.0:
+        killed = [n for n in range(degree + 1) if n < order0]
+        raise DegeneracyError(
+            "weight's multiplier ideal kills monomials %s "
+            "(log order %.3g at the origin)" % (killed, order0), killed)
 
 
 def _moments(T, rule, degree):
@@ -187,7 +187,16 @@ def _moments(T, rule, degree):
     return K[..., n[:, None] + n[None, :], n[None, :] - n[:, None] + degree]
 
 
-def _bidisk_gram(weight, degree, rule):
+def _exp_weight(weight, zs, rho=None):
+    """e^{-phi(zs)}, times the density rho when given; phi is not used where
+    rho is 0, so excluded nodes contribute exactly 0."""
+    phi = np.asarray(weight.evaluate(*zs), dtype=float)
+    if rho is None:
+        return np.exp(-phi)
+    return rho * np.exp(-np.where(rho > 0, phi, 0.0))
+
+
+def _bidisk_gram(weight, degree, rule, density=None):
     """Gram of z1^m z2^n (m, n <= degree), one outer radius at a time.
 
     At each outer radius the inner moments come from ``_moments`` at every
@@ -196,30 +205,33 @@ def _bidisk_gram(weight, degree, rule):
     turns with the outer phase, as under diagonal grading).  For diagonally
     invariant weights the outer angular integral is exact: only the outer
     angle 0 is evaluated, entries with m+n != m'+n' vanish and the rest are
-    multiplied by 2 pi.
+    multiplied by 2 pi.  That needs an inner angular order above 2*degree;
+    below it the node-exact generic sum is taken instead.  Outer radii where
+    the radial ``density`` is 0 are skipped.
     """
     D = degree
     nb = D + 1
-    invariant = bool(getattr(weight, "diagonal_rotation_invariant", False))
-    na2 = rule.rule2.angular_order
-    if invariant and na2 <= 2 * D:
-        raise ParameterError(
-            "inner angular order %d aliases Fourier offsets up to %d" % (na2, D))
+    invariant = bool(getattr(weight, "diagonal_rotation_invariant", False)) \
+        and rule.rule2.angular_order > 2 * D
     outer = rule.rule1
     phases = np.ones(1, dtype=complex) if invariant else outer._phases
-    diag = rule.diagonal_grading
-    turn = diag and not invariant
+    turn = rule.diagonal_grading and not invariant
     s = np.arange(2 * D + 1)
     S = np.zeros((s.size, phases.size, nb, nb), dtype=complex)
     for r, w in zip(outer.radii, outer.radial_weights):
-        inner = rule._inner_for_radius(r) if diag else rule.rule2
+        if density is not None:
+            w = w * density(r)
+            if w == 0:
+                continue
+        inner = rule._inner_for_radius(r)
+        rho = None if density is None else density(inner.radii)[:, None]
         grid = inner.grid
         step = max(1, (1 << 20) // grid.size)
         M = []
         for lo in range(0, phases.size, step):
             ph = phases[lo:lo + step, None, None]
-            phi = weight.evaluate(r * ph, ph * grid if turn else grid[None])
-            M.append(_moments(np.exp(-np.asarray(phi, dtype=float)), inner, D))
+            T = _exp_weight(weight, (r * ph, ph * grid if turn else grid[None]), rho)
+            M.append(_moments(T, inner, D))
         S += (w * r ** (s + 1))[:, None, None, None] * np.concatenate(M)
     A = np.fft.fft(S, axis=1) * (2.0 * np.pi / phases.size)
     m, n, mp, np_ = np.ogrid[:nb, :nb, :nb, :nb]
@@ -229,6 +241,18 @@ def _bidisk_gram(weight, degree, rule):
         G = np.where(m + n == mp + np_, G, 0.0)
     mons = [(a, b) for a in range(nb) for b in range(nb)]
     return mons, G.reshape(nb * nb, nb * nb)
+
+
+def _gram(weight, degree, rule, density=None):
+    """(monomials, G), G[a,b] = sum of w conj(e_a) e_b rho e^{-phi} over the
+    rule's nodes, for z^n on a disk rule or z1^m z2^n on a bidisk rule (all
+    exponents <= degree); rho(r) is an optional radial density, applied as
+    rho(|z1|) rho(|z2|) on the bidisk."""
+    if rule.domain == "bidisk":
+        return _bidisk_gram(weight, degree, rule, density)
+    rho = None if density is None else density(rule.radii)[:, None]
+    G = _moments(_exp_weight(weight, (rule.grid,), rho), rule, degree)
+    return list(range(degree + 1)), G
 
 
 def default_rule(domain, weight=None):
@@ -246,6 +270,8 @@ def default_rule(domain, weight=None):
 
 def build_model(domain, weight, degree, rule=None):
     """Assemble the truncated model: Gram matrix, factorization, diagnostics."""
+    if domain not in ("disk", "bidisk"):
+        raise ParameterError("unknown domain %r" % domain)
     if degree < 1:
         raise ParameterError("degree must be >= 1, got %r" % degree)
     if getattr(weight, "domain", domain) != domain:
@@ -255,16 +281,9 @@ def build_model(domain, weight, degree, rule=None):
     _check_integrable(weight, degree, domain)
     if rule is None:
         rule = default_rule(domain, weight)
-    if domain == "disk":
-        phi = np.asarray(weight.evaluate(rule.grid), dtype=float)
-        G = _moments(np.exp(-phi), rule, degree)
-        mons = list(range(degree + 1))
-    elif domain == "bidisk":
-        if not isinstance(rule, BidiskRule):
-            raise ParameterError("bidisk model needs a bidisk rule")
-        mons, G = _bidisk_gram(weight, degree, rule)
-    else:
-        raise ParameterError("unknown domain %r" % domain)
+    if rule.domain != domain:
+        raise ParameterError("%s model needs a %s rule" % (domain, domain))
+    mons, G = _gram(weight, degree, rule)
     return BergmanModel(domain, weight, degree, mons, G, rule)
 
 
@@ -275,38 +294,30 @@ def kernel(model, z, w):
     ) else model.kernel(z, w)
 
 
-def _ek_subspace(model, k):
-    """Indices of the monomials spanning E_k."""
+def _representer(model, k):
+    """(idx, v, B_k(0)): the monomial indices spanning E_k, the representer
+    v = G_k^{-1} u of f -> f^{(k)}(0) on E_k in those coordinates, and its
+    squared norm u* v (u: the entry k! at z^k, which leads idx).
+
+    E_k is spanned by z^n, n >= k, on the disk; the bidisk defines only E_0.
+    """
+    if k < 0 or k > model.degree:
+        raise ParameterError("k must satisfy 0 <= k <= degree, got %r" % k)
     if model.domain == "disk":
-        return list(range(k, model.degree + 1))
-    if k == 0:
-        return list(range(len(model.monomials)))
-    if k == 1:
-        return [i for i, mn in enumerate(model.monomials) if mn != (0, 0)]
-    if k == 2:
-        return [i for i, (m, n) in enumerate(model.monomials) if m >= 1 and n >= 1]
-    raise ParameterError("bidisk model defines E_k only for k <= 2")
+        idx = list(range(k, model.degree + 1))
+    elif k == 0:
+        idx = list(range(len(model.monomials)))
+    else:
+        raise ParameterError("bidisk higher kernels beyond k=0 are not defined here")
+    u = np.zeros(len(idx), dtype=complex)
+    u[0] = math.factorial(k)
+    v = _solve_hermitian(model.gram[np.ix_(idx, idx)], u)
+    return idx, v, float(np.real(np.vdot(u, v)))
 
 
 def higher_kernel(model, k):
-    """B_k(0): squared norm of f -> f^{(k)}(0) restricted to E_k.
-
-    Equals u* G_k^{-1} u with u the functional's coefficient vector (a single
-    entry k! at the monomial z^k) in the E_k monomial coordinates."""
-    if k < 0 or k > model.degree:
-        raise ParameterError("k must satisfy 0 <= k <= degree, got %r" % k)
-    idx = _ek_subspace(model, k)
-    Gk = model.gram[np.ix_(idx, idx)]
-    u = np.zeros(len(idx), dtype=complex)
-    target = k if model.domain == "disk" else (k, 0) if k else (0, 0)
-    if model.domain == "disk":
-        u[idx.index(model.index[k])] = math.factorial(k)
-    else:
-        if k > 0:
-            raise ParameterError("bidisk higher kernels beyond k=0 are not defined here")
-        u[idx.index(model.index[(0, 0)])] = 1.0
-    x = _solve_hermitian(Gk, u)
-    return float(np.real(np.vdot(u, x)))
+    """B_k(0): squared norm of f -> f^{(k)}(0) restricted to E_k."""
+    return _representer(model, k)[2]
 
 
 def bergman_metric_at_zero(model):
@@ -333,15 +344,7 @@ def log_kernel_gradient_at_zero(model):
 def unit_ek(model, k):
     """Unit-norm element of E_k orthogonal to E_{k+1}, as a full coefficient
     vector: the normalized representer of f -> f^{(k)}(0) inside E_k."""
-    idx = _ek_subspace(model, k)
-    Gk = model.gram[np.ix_(idx, idx)]
-    u = np.zeros(len(idx), dtype=complex)
-    if model.domain == "disk":
-        u[idx.index(model.index[k])] = math.factorial(k)
-    else:
-        u[idx.index(model.index[(0, 0)])] = 1.0
-    v = _solve_hermitian(Gk, u)
-    nrm2 = float(np.real(np.vdot(u, v)))  # = |functional|^2 norm on E_k
+    idx, v, nrm2 = _representer(model, k)
     if nrm2 <= 0:
         raise DegeneracyError("representer of the derivative functional degenerate")
     full = np.zeros(len(model.monomials), dtype=complex)

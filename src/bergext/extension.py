@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DegeneracyError, EvaluationError, ParameterError
 from .bergman import (
+    _gram,
     _solve_hermitian,
     bergman_metric_at_zero,
     higher_kernel,
@@ -262,11 +263,16 @@ def extend_cross(model, cross):
     return report
 
 
-def _cross_parts(model, cross, coeffs):
-    """(|h0|^2, |h1|^2) for h0 = (a0/e_0(0)) e_0 and h1 the remainder."""
+def _h0(model, a0):
+    """(a0/e_0(0)) e_0: the multiple of e_0 that takes the value a0 at 0."""
     e0 = unit_ek(model, 0)
     e00 = e0[model.index[(0, 0)]]
-    h0 = (cross.a0 / e00) * e0 if e00 != 0 else np.zeros_like(e0)
+    return (a0 / e00) * e0 if e00 != 0 else np.zeros_like(e0)
+
+
+def _cross_parts(model, cross, coeffs):
+    """(|h0|^2, |h1|^2) for h0 = (a0/e_0(0)) e_0 and h1 the remainder."""
+    h0 = _h0(model, cross.a0)
     h1 = coeffs - h0
     G = model.gram
     n0 = float(np.real(np.vdot(h0, G @ h0)))
@@ -286,16 +292,15 @@ def branch_restriction(model, coeffs, branch):
 
 def rhs_estimate_cross(model, cross, rule_on_V=None, tol=1e-8):
     """|a0|^2/B_0(0) plus the V-integral of |f - h0|^2/|z|^2 e^{-phi},
-    computed branch by branch as one-variable disk integrals."""
+    computed branch by branch as Gram forms q^H G q of q = (f - h0)/z over
+    the branch disk Gram on ``rule_on_V``."""
     if model.domain != "bidisk":
         raise ParameterError("needs a bidisk model")
     if rule_on_V is None:
         rule_on_V = disk_rule(radial_order=32, angular_order=64, grading_levels=14)
     b0 = higher_kernel(model, 0)
     term0 = abs(cross.a0) ** 2 / b0
-    e0 = unit_ek(model, 0)
-    e00 = e0[model.index[(0, 0)]]
-    h0 = (cross.a0 / e00) * e0 if e00 != 0 else np.zeros_like(e0)
+    h0 = _h0(model, cross.a0)
     total_v = 0.0
     parts = []
     for branch, data in ((1, cross.f1), (2, cross.f2)):
@@ -310,9 +315,8 @@ def rhs_estimate_cross(model, cross, rule_on_V=None, tol=1e-8):
                 "vanish within tolerance" % (branch, diff[0]))
         q = diff[1:]  # (f - h0)/z, the singularity is removable
         wb = model.weight.restrict_to_branch(branch)
-        phi = np.asarray(wb.evaluate(rule_on_V.nodes), dtype=float)
-        qv = np.polynomial.polynomial.polyval(rule_on_V.nodes, q) if q.size else 0.0
-        val = float(np.dot(rule_on_V.weights, np.abs(qv) ** 2 * np.exp(-phi)))
+        G = _gram(wb, q.size - 1, rule_on_V)[1]
+        val = float(np.real(np.vdot(q, G @ q)))
         parts.append(val)
         total_v += val
     return {

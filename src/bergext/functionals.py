@@ -1,12 +1,16 @@
 """Norm functionals on the cross geometry.
 
-Three families of quadratic functionals evaluated on the model:
+Three families of functionals evaluated on the model:
 
 * ``log_weighted_bulk_norm`` -- the bulk integral with the
   1/(|z1 z2|^2 log^2|z1|^2 log^2|z2|^2) density,
 * ``gamma_branch_norm``      -- the branch integrals with exponent 2/(1+gamma),
 * ``derivative_norm_on_Y``   -- the twisted-derivative integral with the
   log^2(max |z_j|^2) factor.
+
+The bulk norm is a Gram form q^H G q (``bergman._gram``), its density radial
+in each variable; the branch norm (power 2/(1+gamma)) and the twisted-
+derivative integral are not squared polynomials and stay node sums.
 
 Divergent integrals are reported as a tagged +inf (:class:`DivergentNorm`)
 carrying the observed growth rate under mesh refinement, never as a raw
@@ -19,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bergman import _gram
 from .errors import EvaluationError, ParameterError
 from .quadrature import bidisk_rule, disk_rule
 from .weights import RegularizedLogWeight, twisted_derivative
@@ -72,10 +77,6 @@ class NormSpec:
             raise ParameterError("conic_k must be 2 or 3 when given")
 
 
-def _vanishes_on_cross(U):
-    return not (np.abs(U[0, :]).max() > 0 or np.abs(U[:, 0]).max() > 0)
-
-
 def log_weighted_bulk_norm(U, weight, spec=None, rule=None):
     """int |U|^2 / (|z1 z2|^2 log^2(e^{-d}|z1|^2) log^2(e^{-d}|z2|^2)) e^{-phi}.
 
@@ -93,34 +94,23 @@ def log_weighted_bulk_norm(U, weight, spec=None, rule=None):
         rule = bidisk_rule(radial_order=(24, 24), angular_order=(48, 48),
                            grading_levels=14)
     delta = float(spec.section_normalization)
-    divisible = _vanishes_on_cross(U)
+    divisible = not (np.abs(U[0, :]).max() or np.abs(U[:, 0]).max())
     if not divisible and spec.region != "exclude_sing":
         raise EvaluationError(
             "U does not vanish on the cross: the bulk density is "
             "non-integrable on the full domain; use region='exclude_sing'")
-    if divisible:
-        Q = U[1:, 1:]
-
-        def f(z1, z2):
-            q = np.polynomial.polynomial.polyval2d(z1, z2, Q) if Q.size else 0.0
-            den = (np.log(np.abs(z1) ** 2) - delta) ** 2 \
-                * (np.log(np.abs(z2) ** 2) - delta) ** 2
-            phi = np.asarray(weight.evaluate(z1, z2), dtype=float)
-            return np.abs(q) ** 2 / den * np.exp(-phi)
+    if divisible:  # |U|^2/|z1 z2|^2 = |Q|^2
+        Q, r0, power = U[1:, 1:], 0.0, 0
     else:
-        r0 = spec.r_sing
+        Q, r0, power = U, spec.r_sing, 2
 
-        def f(z1, z2):
-            keep = (np.abs(z1) > r0) & (np.abs(z2) > r0)
-            u = np.polynomial.polynomial.polyval2d(z1, z2, U)
-            den = np.abs(z1 * z2) ** 2 \
-                * (np.log(np.abs(z1) ** 2) - delta) ** 2 \
-                * (np.log(np.abs(z2) ** 2) - delta) ** 2
-            phi = np.asarray(weight.evaluate(z1, z2), dtype=float)
-            vals = np.where(keep, np.abs(u) ** 2 / np.where(keep, den, 1.0), 0.0)
-            return vals * np.exp(-np.where(keep, phi, 0.0))
+    def density(r):
+        return np.where(r > r0, r ** -power / (np.log(r**2) - delta) ** 2, 0.0)
 
-    return float(np.real(rule.integrate(f)))
+    n = max(Q.shape)
+    q = np.pad(Q, [(0, n - Q.shape[0]), (0, n - Q.shape[1])]).ravel()
+    G = _gram(weight, n - 1, rule, density)[1]
+    return float(np.real(np.vdot(q, G @ q)))
 
 
 def _branch_integral(u, weight, power, w_exponent, conic_k, rule):
@@ -182,26 +172,20 @@ def derivative_norm_on_Y(data, weight, rule=None, include_log=True):
     if rule is None:
         rule = disk_rule(radial_order=32, angular_order=64, grading_levels=16)
     total = 0.0
-    parts = []
     for branch, coeffs in ((1, data.f1), (2, data.f2)):
         c = np.asarray(coeffs, dtype=complex)
         if not c.size or not np.abs(c).max():
-            parts.append(0.0)
             continue
         wb = weight.restrict_to_branch(branch) if weight.domain == "bidisk" else weight
-        td = twisted_derivative(wb, c, rule.nodes)
-        td2 = np.abs(td) ** 2
-        phi = np.asarray(wb.evaluate(rule.nodes), dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.where(td2 == 0.0, 0.0, td2 * np.exp(-phi))
-        if include_log:
-            vals = vals * np.log(np.abs(rule.nodes) ** 2) ** 2
-        if not np.all(np.isfinite(vals)):
-            raise EvaluationError(
-                "twisted-derivative integrand non-finite on branch %d" % branch)
-        val = float(np.dot(rule.weights, vals))
-        parts.append(val)
-        total += val
+
+        def f(z):
+            td2 = np.abs(twisted_derivative(wb, c, z)) ** 2
+            phi = np.asarray(wb.evaluate(z), dtype=float)
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = np.where(td2 == 0.0, 0.0, td2 * np.exp(-phi))
+            return vals * np.log(np.abs(z) ** 2) ** 2 if include_log else vals
+
+        total += float(np.real(rule.integrate(f)))
     return total
 
 

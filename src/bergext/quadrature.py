@@ -5,13 +5,16 @@ uniform trapezoid (periodic) rule in the angle.  The radial mesh is
 geometrically refined toward prescribed grading centers so that integrable
 singularities (log|z|^2, |z|^{-2a} with a<1, 1/(eps^2+|z|^2)) converge as the
 orders grow.  Nodes are strictly interior: Gauss-Legendre nodes never touch
-cell endpoints, so singular centers are automatically avoided.
+cell endpoints, so a disk rule has no node at the origin or on the circle of
+a grading center's radius.
 
 Bidisk rules are tensor products of two disk rules.  With
-``diagonal_grading=True`` the second-factor rule is rebuilt per outer node:
-graded toward the radius |z1| and rotated by arg(z1), which concentrates
-nodes near the diagonal {z1 = z2} (rotating a disk rule is again a valid
-disk rule).
+``diagonal_grading=True`` the second-factor rule is rebuilt per outer radius:
+graded toward that radius and rotated by each outer node's phase, which
+concentrates nodes near the diagonal {z1 = z2} without putting any on it
+(rotating a disk rule is again a valid disk rule).  Plain tensor rules do not
+avoid singular curves: when both factors share radii and angles, nodes lie
+(to rounding) on curves z1 = c z2 with |c| = 1, the diagonal included.
 """
 
 from __future__ import annotations
@@ -84,11 +87,8 @@ class DiskRule:
 
     @functools.cached_property
     def weights(self):
-        w_theta = 2.0 * np.pi / self.angular_order
-        return (
-            (self.radial_weights * self.radii)[:, None]
-            * np.full(self.angular_order, w_theta)[None, :]
-        ).ravel()
+        w = self.radial_weights * self.radii * (2.0 * np.pi / self.angular_order)
+        return np.repeat(w, self.angular_order)
 
     def __len__(self):
         return self.radii.size * self.angular_order
@@ -158,8 +158,8 @@ class BidiskRule:
 
     Node pairs are enumerated lazily through :meth:`iter_blocks`; each block
     is (z1 value, w1, z2 nodes, z2 weights).  With diagonal grading the
-    second-factor rule is regenerated per outer node (cached by radius,
-    rotated by the outer node's phase).
+    second-factor rule is built once per outer radius and rotated by the
+    outer node's phase.
     """
 
     domain = "bidisk"
@@ -169,7 +169,6 @@ class BidiskRule:
         self.rule2 = rule2
         self.diagonal_grading = bool(diagonal_grading)
         self.diagonal_levels = int(diagonal_levels)
-        self._inner_cache = {}
         self.metadata = {
             "factor1": rule1.metadata,
             "factor2": rule2.metadata,
@@ -177,35 +176,29 @@ class BidiskRule:
         }
 
     def _inner_for_radius(self, r):
-        key = round(float(r), 15)
-        rule = self._inner_cache.get(key)
-        if rule is None:
-            m = self.rule2.metadata
-            rule = disk_rule(
-                m["radial_order"],
-                m["angular_order"],
-                grading_centers=(r,),
-                grading_ratio=m["grading_ratio"],
-                grading_levels=self.diagonal_levels,
-            )
-            # outer radii rarely repeat; keep the cache tiny to bound memory
-            if len(self._inner_cache) >= 4:
-                self._inner_cache.pop(next(iter(self._inner_cache)))
-            self._inner_cache[key] = rule
-        return rule
+        """Second-factor rule at outer radius r, before the outer phase turns
+        it (the plain second factor without diagonal grading)."""
+        if not self.diagonal_grading:
+            return self.rule2
+        m = self.rule2.metadata
+        return disk_rule(
+            m["radial_order"],
+            m["angular_order"],
+            grading_centers=(r,),
+            grading_ratio=m["grading_ratio"],
+            grading_levels=self.diagonal_levels,
+        )
 
     def iter_blocks(self):
-        """Yield (z1, w1, z2_nodes, z2_weights) with z1 scalar."""
-        if not self.diagonal_grading:
-            z2, w2 = self.rule2.nodes, self.rule2.weights
-            for z1, w1 in zip(self.rule1.nodes, self.rule1.weights):
-                yield z1, w1, z2, w2
-        else:
-            for z1, w1 in zip(self.rule1.nodes, self.rule1.weights):
-                r = abs(z1)
-                inner = self._inner_for_radius(r)
-                phase = z1 / r if r > 0 else 1.0
-                yield z1, w1, inner.nodes * phase, inner.weights
+        """Yield (z1, w1, z2_nodes, z2_weights) with z1 scalar, outer radius
+        by outer radius."""
+        outer = self.rule1
+        w1 = outer.radial_weights * outer.radii * (2.0 * np.pi / outer.angular_order)
+        for r, w in zip(outer.radii, w1):
+            inner = self._inner_for_radius(r)
+            for phase in outer._phases:
+                z2 = inner.nodes * phase if self.diagonal_grading else inner.nodes
+                yield r * phase, w, z2, inner.weights
 
     def integrate(self, f):
         total = 0.0 + 0.0j
@@ -220,13 +213,6 @@ class BidiskRule:
                 )
             total += w1 * np.dot(w2, vals)
         return complex(total)
-
-    def total_weight(self):
-        if not self.diagonal_grading:
-            return self.rule1.weights.sum() * self.rule2.weights.sum()
-        return sum(
-            w1 * w2.sum() for _, w1, _, w2 in self.iter_blocks()
-        )
 
 
 def bidisk_rule(

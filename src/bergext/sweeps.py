@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .errors import BergextError, ParameterError
-from .bergman import build_model, higher_kernel, bergman_metric_at_zero
+from .bergman import _gram, build_model, higher_kernel, bergman_metric_at_zero
 from .extension import CrossData, Jet, extend_cross, extend_jet_direct
 from .functionals import derivative_norm_on_Y
 from .quadrature import bidisk_rule, disk_rule, refine
@@ -265,11 +265,8 @@ def _claim34_row(args):
     rule = _claim34_rule(eps, degree)
     norm, cond = _claim34_norm(w, degree, rule)
     branch_rule = disk_rule(radial_order=32, angular_order=64, grading_levels=16)
-    wb = w.restrict_to_branch(2)
-    phi = np.asarray(wb.evaluate(branch_rule.nodes), dtype=float)
-    # f = (0, z1): the data integral lives on V_2 only
-    rhs_data = float(np.dot(branch_rule.weights,
-                            np.abs(branch_rule.nodes) ** 2 * np.exp(-phi)))
+    # f = (0, z1): the data integral lives on V_2 only, int |z|^2 e^{-phi}
+    rhs_data = float(_gram(w.restrict_to_branch(2), 1, branch_rule)[1][1, 1].real)
     rhs_full = rhs_data + derivative_norm_on_Y(
         CrossData((0.0,), (0.0, 1.0)), w, rule=branch_rule, include_log=False)
     converged = True

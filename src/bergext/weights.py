@@ -85,11 +85,33 @@ class _SmoothPart:
         return np.broadcast_to(np.asarray(out, dtype=float), ref.shape).copy()
 
 
+def _diagonally_invariant(log_terms, smooth):
+    """Whether phi(e^{ia} z1, e^{ia} z2) = phi(z1, z2) for every a.
+
+    True when every log factor is homogeneous in (z1, z2) and every monomial
+    of the smooth part, written in z_j and conj(z_j), has equal z and conj(z)
+    degree.  A non-polynomial part counts as not invariant.
+    """
+    w1, w2 = sp.symbols("w1 w2")  # conj(z1), conj(z2)
+    to_z = {_X1: (_Z1 + w1) / 2, _Y1: (_Z1 - w1) / (2 * sp.I),
+            _X2: (_Z2 + w2) / 2, _Y2: (_Z2 - w2) / (2 * sp.I)}
+    try:
+        if not all(sp.Poly(t.expr, _Z1, _Z2).is_homogeneous for t in log_terms):
+            return False
+        psi = sp.Poly(sp.expand(smooth.expr.subs(to_z)), _Z1, _Z2, w1, w2)
+    except sp.PolynomialError:
+        return False
+    return all(a + b == c + d for a, b, c, d in psi.monoms())
+
+
 class Weight:
-    """Structured weight phi = sum r_j log|f_j|^2 + psi on disk or bidisk."""
+    """Structured weight phi = sum r_j log|f_j|^2 + psi on disk or bidisk.
+
+    A bidisk weight's ``diagonal_rotation_invariant`` is inferred from its
+    expressions (``_diagonally_invariant``)."""
 
     def __init__(self, log_terms=(), smooth="0", domain="disk",
-                 subharmonic=False, tag=None, diagonal_rotation_invariant=False):
+                 subharmonic=False, tag=None):
         if domain not in ("disk", "bidisk"):
             raise ParameterError("domain must be 'disk' or 'bidisk', got %r" % domain)
         self.domain = domain
@@ -100,14 +122,14 @@ class Weight:
         self.smooth = _SmoothPart(smooth, domain)
         self.is_subharmonic = bool(subharmonic)
         self.tag = tag
-        self.diagonal_rotation_invariant = bool(diagonal_rotation_invariant)
+        self.diagonal_rotation_invariant = domain == "bidisk" and \
+            _diagonally_invariant(self.log_terms, self.smooth)
 
     # -- constructors for the weights actually used by the experiments -------
 
     @classmethod
     def zero(cls, domain="disk"):
-        return cls([], "0", domain, subharmonic=True, tag="zero",
-                   diagonal_rotation_invariant=(domain == "bidisk"))
+        return cls([], "0", domain, subharmonic=True, tag="zero")
 
     @classmethod
     def halfplane(cls, m, domain="disk"):
@@ -124,7 +146,7 @@ class Weight:
     def diagonal_log(cls):
         """phi = log|z1-z2|^2 on the bidisk (unregularized)."""
         return cls([(1.0, "z1-z2")], "0", "bidisk", subharmonic=True,
-                   tag="diagonal_log", diagonal_rotation_invariant=True)
+                   tag="diagonal_log")
 
     # -- evaluation ----------------------------------------------------------
 

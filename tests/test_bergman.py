@@ -14,7 +14,8 @@ from bergext import (
     log_kernel_gradient_at_zero,
     unit_ek,
 )
-from bergext.bergman import model_summary_json
+from bergext.bergman import default_rule, model_summary_json
+from bergext.cli import parse_weight
 from bergext.quadrature import bidisk_rule, disk_rule
 
 
@@ -186,8 +187,7 @@ def test_bidisk_reduced_vs_generic():
 def test_bidisk_invariant_gram_complex_moments():
     # log|z1 - i z2|^2 is invariant under the diagonal rotation but its Gram
     # is not real; the reduced path must not return the conjugate
-    w = Weight([(0.5, "z1 - 1j*z2")], "0", "bidisk",
-               diagonal_rotation_invariant=True)
+    w = Weight([(0.5, "z1 - 1j*z2")], "0", "bidisk")
     rule = bidisk_rule(**_SMALL_DIAG)
     G = build_model("bidisk", w, 2, rule=rule).gram
     ref = _brute_bidisk_gram(w, 2, rule)
@@ -222,6 +222,51 @@ def test_gram_assembly_builds_no_nodes():
     build_model("bidisk", RegularizedLogWeight(0.3, "z1-z2"), 2, rule=br)
     assert "nodes" not in vars(rule) and "nodes" not in vars(br.rule2)
     assert len(rule) == rule.nodes.size == rule.weights.size
+
+
+def test_diagonal_invariance_inferred():
+    # the same weight written three ways takes the same (invariant) path
+    ws = [parse_weight("zero:bidisk"),
+          parse_weight('{"domain": "bidisk", "smooth": "0"}'),
+          Weight([], "0", "bidisk")]
+    assert all(w.diagonal_rotation_invariant for w in ws)
+    assert all(default_rule("bidisk", w).diagonal_grading for w in ws)
+    grams = [build_model("bidisk", w, 2).gram for w in ws]
+    for G in grams[1:]:
+        assert _rel(G, grams[0]) < 1e-12
+    assert Weight([(0.5, "z1 - 1j*z2")], "x1**2 + y1**2 + x1*x2 + y1*y2",
+                  "bidisk").diagonal_rotation_invariant
+    for w in (Weight([], "0.3*x1 + 0.2*y1", "bidisk"),
+              Weight([(0.5, "2 + z1 - 1j*z2")], "0", "bidisk"),
+              Weight([], "exp(x1**2 + y1**2)", "bidisk")):
+        assert not w.diagonal_rotation_invariant
+
+
+def test_log_orders_add_per_zero():
+    # log orders sharing a zero add up across terms, as in a single term
+    for terms in ([(1.2, "z-0.5")], [(0.6, "z-0.5"), (0.6, "z-0.5")],
+                  [(0.6, "z-0.5"), (0.6, "2*z-1")]):
+        with pytest.raises(DegeneracyError):
+            build_model("disk", Weight(terms), 8)
+    build_model("disk", Weight([(0.3, "z-0.5"), (0.3, "z-0.5")]), 8)
+    # order 0.6 on (z1-z2)^2 is order 1.2 on the diagonal; refused even on a
+    # rule that puts no node on it
+    rule = bidisk_rule(**_SMALL_DIAG)
+    for terms in ([(0.6, "(z1-z2)**2")], [(0.6, "z1-z2"), (0.6, "z2-z1")]):
+        with pytest.raises(DegeneracyError, match="order 1.2"):
+            build_model("bidisk", Weight(terms, "0", "bidisk"), 2, rule=rule)
+    build_model("bidisk", Weight([(0.4, "(z1-z2)**2")], "0", "bidisk"), 2,
+                rule=rule)
+
+
+def test_invariant_weight_aliasing_rule_accepted():
+    # inner angular order <= 2*degree: the invariant weight takes the
+    # node-exact generic sum instead of being refused
+    w = RegularizedLogWeight(0.3, "z1-z2")
+    rule = bidisk_rule(radial_order=(4, 4), angular_order=(8, 4),
+                       grading_levels=4)
+    G = build_model("bidisk", w, 2, rule=rule).gram
+    assert _rel(G, _brute_bidisk_gram(w, 2, rule)) < 1e-12
 
 
 def test_summary_json(unweighted_disk):

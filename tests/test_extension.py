@@ -17,9 +17,10 @@ from bergext import (
     extend_jet_recursive,
     rhs_estimate_cross,
     rhs_estimate_jet,
+    unit_ek,
 )
 from bergext.extension import branch_restriction
-from bergext.quadrature import bidisk_rule
+from bergext.quadrature import bidisk_rule, disk_rule
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +167,32 @@ def test_cross_rhs_estimate(flat_bidisk):
     assert rhs["a0_term"] == pytest.approx(math.pi**2, rel=1e-10)
     assert rhs["v_integral"] == pytest.approx(math.pi, rel=1e-10)
     assert rhs["total"] == pytest.approx(math.pi**2 + math.pi, rel=1e-10)
+
+
+@pytest.mark.parametrize("weight", [
+    RegularizedLogWeight(0.1, "z1-z2", style="shifted"),
+    Weight([(0.3, "z1 - z2")], "0.3*x1 + 0.2*y2", "bidisk"),
+])
+def test_cross_v_integral_matches_node_sum(weight):
+    # the V-integral is a branch Gram form; hold it against the node sum
+    rule = bidisk_rule(radial_order=(4, 4), angular_order=(8, 32),
+                       grading_levels=6, diagonal_grading=True,
+                       diagonal_levels=6)
+    model = build_model("bidisk", weight, 4, rule=rule)
+    cd = CrossData((1 + 1j, 0.5, -0.3j), (1 + 1j, 0.1, 2.0, 0.4))
+    rule_v = disk_rule(radial_order=16, angular_order=32, grading_levels=10)
+    parts = rhs_estimate_cross(model, cd, rule_on_V=rule_v)["v_parts"]
+    e0 = unit_ek(model, 0)
+    h0 = cd.a0 / e0[model.index[(0, 0)]] * e0
+    for branch, data, part in ((1, cd.f1, parts[0]), (2, cd.f2, parts[1])):
+        f = np.zeros(model.degree + 1, dtype=complex)
+        f[: len(data)] = data
+        q = (f - branch_restriction(model, h0, branch))[1:]
+        wb = weight.restrict_to_branch(branch)
+        ref = rule_v.integrate(
+            lambda z: np.abs(np.polynomial.polynomial.polyval(z, q)) ** 2
+            * np.exp(-wb.evaluate(z))).real
+        assert part == pytest.approx(ref, rel=1e-12)
 
 
 def test_cross_rhs_divergence_guard(flat_bidisk):

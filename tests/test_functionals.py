@@ -14,7 +14,7 @@ from bergext.functionals import (
     gamma_branch_norm,
     log_weighted_bulk_norm,
 )
-from bergext.quadrature import disk_rule
+from bergext.quadrature import bidisk_rule, disk_rule
 
 
 def test_norm_spec_validation():
@@ -57,6 +57,64 @@ def test_bulk_norm_nondivisible_guard():
     spec = NormSpec("log_weighted_bulk", region="exclude_sing", r_sing=0.3)
     val = log_weighted_bulk_norm(U, Weight.zero("bidisk"), spec)
     assert np.isfinite(val) and val > 0
+
+
+def _bulk_node_sum(U, weight, spec, rule):
+    """The bulk norm as a sum over the rule's nodes (BidiskRule.integrate)."""
+    delta = spec.section_normalization
+    r0 = spec.r_sing if spec.region == "exclude_sing" else 0.0
+
+    def f(z1, z2):
+        a1, a2 = np.abs(z1), np.abs(z2)
+        keep = (a1 > r0) & (a2 > r0)
+        u = np.polynomial.polynomial.polyval2d(z1, z2, U)
+        den = np.abs(z1 * z2) ** 2 * (np.log(a1**2) - delta) ** 2 \
+            * (np.log(a2**2) - delta) ** 2
+        phi = np.where(keep, np.asarray(weight.evaluate(z1, z2), float), 0.0)
+        return np.where(keep, np.abs(u) ** 2 / den, 0.0) * np.exp(-phi)
+
+    return rule.integrate(f).real
+
+
+_BULK_RULES = {
+    "tensor": dict(radial_order=(4, 4), angular_order=(8, 16), grading_levels=8),
+    "diagonal": dict(radial_order=(4, 4), angular_order=(8, 16),
+                     grading_levels=6, diagonal_grading=True, diagonal_levels=6),
+    # inner angular order 4 <= 2*degree: the invariant Gram would alias
+    "aliasing": dict(radial_order=(4, 4), angular_order=(8, 4), grading_levels=6),
+}
+_BULK_WEIGHTS = {
+    "zero": lambda: Weight.zero("bidisk"),
+    "convolution": lambda: RegularizedLogWeight(0.1, "z1-z2"),
+    "shifted": lambda: RegularizedLogWeight(0.07, "z1-z2", style="shifted"),
+    "tilted": lambda: Weight([], "0.3*x1 + 0.2*y1", "bidisk"),
+}
+
+
+@pytest.mark.parametrize("rule_name", sorted(_BULK_RULES))
+@pytest.mark.parametrize("weight_name", sorted(_BULK_WEIGHTS))
+@pytest.mark.parametrize("region", ["full", "exclude_sing"])
+def test_bulk_norm_matches_node_sum(rule_name, weight_name, region):
+    rng = np.random.default_rng(5)
+    # degree 2 in each variable: U divisible by z1 z2 on the full region
+    U = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    if region == "full":
+        U[0, :] = U[:, 0] = 0.0
+    else:
+        U = U[:3, :3]
+    spec = NormSpec("log_weighted_bulk", region=region, r_sing=0.2)
+    w = _BULK_WEIGHTS[weight_name]()
+    val = log_weighted_bulk_norm(U, w, spec, bidisk_rule(**_BULK_RULES[rule_name]))
+    ref = _bulk_node_sum(U, w, spec, bidisk_rule(**_BULK_RULES[rule_name]))
+    assert val == pytest.approx(ref, rel=1e-12)
+
+
+def test_bulk_norm_builds_no_nodes():
+    rule = bidisk_rule(**_BULK_RULES["tensor"])
+    U = np.zeros((3, 3), complex)
+    U[1, 1] = U[2, 1] = 1.0
+    log_weighted_bulk_norm(U, RegularizedLogWeight(0.1, "z1-z2"), rule=rule)
+    assert "nodes" not in vars(rule.rule1) and "nodes" not in vars(rule.rule2)
 
 
 def test_gamma_branch_closed_forms():

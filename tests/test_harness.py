@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bergext import ParameterError, Weight, build_model, extend_jet_direct, Jet
+from bergext import RegularizedLogWeight, disk_rule
 from bergext import cli, sweeps
 from bergext.weights import clamp_max
 
@@ -74,6 +75,11 @@ def test_claim34_row_content():
     row = res.rows[0]
     assert row["rhs_full"] > row["rhs_data"] > 0
     assert row["ratio_full"] == pytest.approx(row["norm"] / row["rhs_full"])
+    # rhs_data is a branch Gram entry; hold it against the node sum
+    rule = disk_rule(radial_order=32, angular_order=64, grading_levels=16)
+    wb = RegularizedLogWeight(0.2, "z1-z2").restrict_to_branch(2)
+    ref = rule.integrate(lambda z: np.abs(z) ** 2 * np.exp(-wb.evaluate(z)))
+    assert row["rhs_data"] == pytest.approx(ref.real, rel=1e-12)
 
 
 def test_lemma_suite_all_pass():

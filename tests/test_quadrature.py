@@ -65,11 +65,15 @@ def test_nodes_strictly_interior():
     assert a.min() > 0 and a.max() < 1
 
 
+def _area(br):
+    return br.integrate(lambda z1, z2: np.ones_like(z2, dtype=float)).real
+
+
 def test_bidisk_product_value():
     br = bidisk_rule(radial_order=(8, 8), angular_order=(8, 8))
     val = br.integrate(lambda z1, z2: np.abs(z1) ** 2 * np.ones_like(z2, dtype=float))
     assert val.real == pytest.approx(math.pi / 2 * math.pi, rel=1e-12)
-    assert br.total_weight() == pytest.approx(math.pi**2, rel=1e-12)
+    assert _area(br) == pytest.approx(math.pi**2, rel=1e-12)
 
 
 def test_diagonal_grading_blocks():
@@ -80,7 +84,11 @@ def test_diagonal_grading_blocks():
     assert np.isscalar(z1) or z1.shape == ()
     # inner rule is a valid disk rule: area preserved
     assert w2.sum() == pytest.approx(math.pi, rel=1e-12)
-    assert br.total_weight() == pytest.approx(math.pi**2, rel=1e-10)
+    assert _area(br) == pytest.approx(math.pi**2, rel=1e-10)
+    # radius-major: the outer radius changes only every angular_order blocks
+    radii = [abs(b[0]) for b in blocks]
+    na = br.rule1.angular_order
+    assert np.allclose(radii, np.repeat(br.rule1.radii, na), rtol=1e-15)
 
 
 def test_refine_doubles_orders():
