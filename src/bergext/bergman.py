@@ -205,14 +205,17 @@ def _bidisk_gram(weight, degree, rule, density=None):
     turns with the outer phase, as under diagonal grading).  For diagonally
     invariant weights the outer angular integral is exact: only the outer
     angle 0 is evaluated, entries with m+n != m'+n' vanish and the rest are
-    multiplied by 2 pi.  That needs an inner angular order above 2*degree;
-    below it the node-exact generic sum is taken instead.  Outer radii where
-    the radial ``density`` is 0 are skipped.
+    multiplied by 2 pi.  That needs an inner angular order above 2*degree,
+    and inner angles closed under the outer rotations (diagonal grading, or
+    an inner angular order that is a multiple of the outer one); otherwise
+    the node-exact generic sum is taken instead.  Outer radii where the
+    radial ``density`` is 0 are skipped.
     """
     D = degree
     nb = D + 1
+    n1, n2 = rule.rule1.angular_order, rule.rule2.angular_order
     invariant = bool(getattr(weight, "diagonal_rotation_invariant", False)) \
-        and rule.rule2.angular_order > 2 * D
+        and n2 > 2 * D and (rule.diagonal_grading or n2 % n1 == 0)
     outer = rule.rule1
     phases = np.ones(1, dtype=complex) if invariant else outer._phases
     turn = rule.diagonal_grading and not invariant

@@ -144,7 +144,6 @@ def _build_parser():
     c34.add_argument("--no-check", action="store_true")
 
     lm = add("lemmas", help="kernel-inequality suite over a weight family")
-    lm.add_argument("--family", default="default")
     lm.add_argument("--degree", type=int, default=24)
     lm.add_argument("--no-check", action="store_true")
 
@@ -164,13 +163,9 @@ def _build_parser():
     return p, registry
 
 
-def _apply_config(args, registry):
+def _apply_config(args, doc, registry):
     """Fill config values in for every option still at its parser default
     (explicit CLI flags win over the config file)."""
-    if not args.config:
-        return args
-    with open(args.config) as fh:
-        doc = json.load(fh)
     if doc.get("schema", 1) != 1:
         raise ParameterError("unsupported config schema %r" % doc.get("schema"))
     sub = registry.get(args.command)
@@ -184,7 +179,6 @@ def _apply_config(args, registry):
         default = sub.get_default(attr) if sub else None
         if getattr(args, attr) == default:
             setattr(args, attr, val)
-    return args
 
 
 def _emit(text, out):
@@ -236,7 +230,7 @@ def _run(args):
         return 0
 
     if cmd in ("claim1", "claim2", "claim34", "lemmas"):
-        check = not getattr(args, "no_check", False)
+        check = not args.no_check
         if cmd == "claim1":
             res = sweeps.run_claim1(parse_grid(args.m), check_convergence=check)
         elif cmd == "claim2":
@@ -246,8 +240,6 @@ def _run(args):
             res = sweeps.run_claim34(parse_grid(args.eps), degree=args.degree,
                                      style=args.style, check_convergence=check)
         else:
-            if args.family != "default":
-                raise ParameterError("unknown weight family %r" % args.family)
             res = sweeps.run_lemma_suite(degree=args.degree,
                                          check_convergence=check)
         if args.out:
@@ -295,14 +287,18 @@ def main(argv=None):
     parser, registry = _build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        # a config file may name the experiment; inject it as the subcommand
-        if "--config" in argv and not any(a in registry for a in argv):
-            with open(argv[argv.index("--config") + 1]) as fh:
-                exp = json.load(fh).get("experiment")
-            if exp in registry:
-                argv.append(exp)
         args = parser.parse_args(argv)
-        args = _apply_config(args, registry)
+        if args.config:
+            with open(args.config) as fh:
+                doc = json.load(fh)
+            params = doc.get("params", {}) if isinstance(doc, dict) else None
+            if not isinstance(params, dict):
+                raise ParameterError("config %s must be a JSON object with an "
+                                     "object 'params'" % args.config)
+            # a config file may name the experiment: run it as the subcommand
+            if args.command is None and doc.get("experiment") in registry:
+                args = parser.parse_args(argv + [doc["experiment"]])
+            _apply_config(args, doc, registry)
         return _run(args)
     except DegeneracyError as exc:
         msg = "degeneracy: %s" % exc

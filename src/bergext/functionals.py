@@ -99,10 +99,9 @@ def log_weighted_bulk_norm(U, weight, spec=None, rule=None):
         raise EvaluationError(
             "U does not vanish on the cross: the bulk density is "
             "non-integrable on the full domain; use region='exclude_sing'")
-    if divisible:  # |U|^2/|z1 z2|^2 = |Q|^2
-        Q, r0, power = U[1:, 1:], 0.0, 0
-    else:
-        Q, r0, power = U, spec.r_sing, 2
+    r0 = spec.r_sing if spec.region == "exclude_sing" else 0.0
+    # divisible: |U|^2/|z1 z2|^2 = |Q|^2
+    Q, power = (U[1:, 1:], 0) if divisible else (U, 2)
 
     def density(r):
         return np.where(r > r0, r ** -power / (np.log(r**2) - delta) ** 2, 0.0)

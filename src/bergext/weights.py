@@ -135,12 +135,13 @@ class Weight:
     def halfplane(cls, m, domain="disk"):
         """phi(z) = -2m Re(z) (harmonic, hence subharmonic)."""
         return cls([], "%r*x" % (-2.0 * m), domain, subharmonic=True,
-                   tag="halfplane(m=%g)" % m)
+                   tag="halfplane(m=%r)" % float(m))
 
     @classmethod
     def point_log(cls, r=1.0):
         """phi(z) = r log|z|^2 on the disk."""
-        return cls([(r, "z")], "0", "disk", subharmonic=True, tag="point_log")
+        return cls([(r, "z")], "0", "disk", subharmonic=True,
+                   tag="point_log(r=%r)" % float(r))
 
     @classmethod
     def diagonal_log(cls):
@@ -202,7 +203,12 @@ class Weight:
         return BranchWeight(self, branch)
 
     def describe(self):
-        return self.tag or ("weight(%d log terms)" % len(self.log_terms))
+        """The tag, or every log term and the smooth part at repr precision."""
+        if self.tag:
+            return self.tag
+        terms = ["%r*log|%s|^2" % (t.r, t.f_str) for t in self.log_terms]
+        return "weight(%s: %s)" % (
+            self.domain, " + ".join(terms + [self.smooth.expr_str]))
 
     # -- serialization (External Interface schema) ---------------------------
 
@@ -302,7 +308,7 @@ class ClampedWeight:
         return float(np.exp((-self.floor - phi0) / (2.0 * self.eps_coeff)))
 
     def describe(self):
-        return "max(%s + %g*log|z|^2, %g)" % (
+        return "max(%s + %r*log|z|^2, %r)" % (
             self.base.describe(), self.eps_coeff, -self.floor)
 
 
@@ -381,7 +387,7 @@ class RegularizedLogWeight:
         return RegularizedLogWeight(self.epsilon, "z", self.style)
 
     def describe(self):
-        return "reglog(%s, eps=%g, %s)" % (self.direction, self.epsilon, self.style)
+        return "reglog(%s, eps=%r, %s)" % (self.direction, self.epsilon, self.style)
 
 
 def twisted_derivative(weight, f_coeffs, z):

@@ -82,6 +82,9 @@ _BULK_RULES = {
                      grading_levels=6, diagonal_grading=True, diagonal_levels=6),
     # inner angular order 4 <= 2*degree: the invariant Gram would alias
     "aliasing": dict(radial_order=(4, 4), angular_order=(8, 4), grading_levels=6),
+    # inner angles not closed under the outer rotations
+    "misaligned": dict(radial_order=(4, 4), angular_order=(8, 12),
+                       grading_levels=6),
 }
 _BULK_WEIGHTS = {
     "zero": lambda: Weight.zero("bidisk"),
@@ -93,12 +96,14 @@ _BULK_WEIGHTS = {
 
 @pytest.mark.parametrize("rule_name", sorted(_BULK_RULES))
 @pytest.mark.parametrize("weight_name", sorted(_BULK_WEIGHTS))
-@pytest.mark.parametrize("region", ["full", "exclude_sing"])
-def test_bulk_norm_matches_node_sum(rule_name, weight_name, region):
+@pytest.mark.parametrize("region, divisible", [
+    ("full", True), ("exclude_sing", False), ("exclude_sing", True)],
+    ids=["full", "exclude_sing", "exclude_sing-divisible"])
+def test_bulk_norm_matches_node_sum(rule_name, weight_name, region, divisible):
     rng = np.random.default_rng(5)
-    # degree 2 in each variable: U divisible by z1 z2 on the full region
+    # degree 2 in each variable, divided by z1 z2 or not
     U = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    if region == "full":
+    if divisible:
         U[0, :] = U[:, 0] = 0.0
     else:
         U = U[:3, :3]

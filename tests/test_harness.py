@@ -88,6 +88,16 @@ def test_lemma_suite_all_pass():
     assert [r["weight"] for r in res.rows] == sorted(r["weight"] for r in res.rows)
 
 
+def test_lemma_provenance_names_weight_parameters():
+    # the config hash must tell apart weights that differ only in a parameter
+    runs = [sweeps.run_lemma_suite([w], degree=4, check_convergence=False)
+            for w in (Weight.point_log(0.5), Weight.point_log(0.9),
+                      Weight([(0.5, "z")], "0", "disk"),
+                      Weight([(0.5, "z - 0.5")], "0", "disk"))]
+    assert len({r.provenance["config_hash"] for r in runs}) == 4
+    assert len({r.rows[0]["weight"] for r in runs}) == 4
+
+
 def test_lemma_suite_negative_control():
     # a deliberately under-resolved quadrature must lose the converged flag:
     # the kernel/metric identity itself is structural (it holds for any
@@ -145,8 +155,13 @@ def test_cli_extend_cross(capsys):
     assert doc["norm_sq"] == pytest.approx(math.pi**2 * 1.5, rel=1e-8)
 
 
-def test_cli_exit_codes(capsys):
+def test_cli_exit_codes(capsys, tmp_path):
     assert cli.main(["no-such-command"]) == 1
+    assert cli.main(["--config"]) == 1
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[1, 2]")
+    assert cli.main(["--config", str(cfg)]) == 1
+    assert "error:" in capsys.readouterr().err
     assert cli.main(["extend-jet", "--jet", "1,0",
                      "--weight", "point_log:1"]) == 2
     err = capsys.readouterr().err
