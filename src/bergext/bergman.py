@@ -8,15 +8,17 @@ the origin) are linear algebra on the Gram matrix.
 
 Every Gram matrix follows the convention G[a,b] = int conj(e_a) e_b e^{-phi}
 and comes from one entry, ``_gram``, over one moment kernel, ``_moments``:
-e^{-phi} on a polar tensor grid, one FFT over the angles (exact for every
-Fourier offset), and a matrix product with the radial moments.  The disk Gram
-is the kernel on the disk rule's grid.  The bidisk uses the full tensor grid
-z1^m z2^n with m,n <= D so that cross constraints are exactly expressible;
-its Gram applies the kernel to the inner factor at every outer node and sums
-the outer angles with a second FFT.  For weights invariant under the
-simultaneous rotation (z1,z2) -> (e^{ia}z1, e^{ia}z2) the outer angular
-integral is exact: entries vanish unless m+n = m'+n', and only the outer
-angle 0 is evaluated.
+e^{-phi} on a polar tensor grid, contracted over the radii first (a real
+matrix product with the radial moments, leaving 2D+1 rows per angle), then
+one rfft of those rows over the angles (exact for every Fourier offset).
+Conjugation-symmetric weights, phi(conj z) = phi(z), are evaluated on half
+the angles of an unrotated rule.  The disk Gram is the kernel on the disk
+rule's grid.  The bidisk uses the full tensor grid z1^m z2^n with m,n <= D
+so that cross constraints are exactly expressible; its Gram applies the
+kernel to the inner factor at every outer node and sums the outer angles
+with a second FFT.  For weights invariant under the simultaneous rotation
+(z1,z2) -> (e^{ia}z1, e^{ia}z2) the outer angular integral is exact: entries
+vanish unless m+n = m'+n', and only the outer angle 0 is evaluated.
 Quadratic functionals (the bulk norm, branch integrals of polynomials) are
 Gram forms q^H G q from ``_gram``, with any radial density in the weights.
 """
@@ -166,33 +168,63 @@ def _check_integrable(weight, degree, domain):
             "(log order %.3g at the origin)" % (killed, order0), killed)
 
 
-def _moments(T, rule, degree):
-    """M[..., n, n'] = sum over the nodes of w conj(z^n) z^n' T.
+# e^{-phi} is evaluated on blocks of about this many nodes: the grid block and
+# the temporaries of weight evaluation then stay cache-sized (256 KB of
+# complex values), where whole-grid arrays are bound by memory traffic
+_BLOCK = 1 << 14
 
-    ``T`` holds e^{-phi} on the rule's radii x angles grid (any leading batch
-    axes).  One FFT over the angles gives every Fourier offset d = n'-n at
-    once (the trapezoid sum is a DFT, aliasing included); the radial sum is a
-    matrix product with the moments w r^{1+s}, s = n+n'.
+
+def _moments(exp_phi, rule, degree, symmetric, batch=1):
+    """M[..., n, n'] = sum over the nodes of w conj(z^n) z^n' e^{-phi}.
+
+    ``exp_phi(z, r)`` returns e^{-phi} on a block z = r x angles of the rule's
+    polar grid (r a run of its radii), with any leading batch axes of total
+    size ``batch``.  The radial sum comes first: each block is contracted
+    with the moments w r^{1+s}, s = n+n', by a real matrix product into
+    2*degree+1 rows per angle.  When e^{-phi} is even in the angle
+    (``symmetric``: phi(conj z) = phi(z) at these nodes) on an unrotated rule
+    with an even angular order na, angle na-k is the conjugate of angle k:
+    only the angles 0..na/2 are evaluated, and the rows are mirrored back to
+    all na angles.  One rfft of the rows gives every Fourier offset d = n'-n
+    at once (the trapezoid sum is a DFT, aliasing included); offsets past
+    na/2 are conjugates, since the rows are real.
     """
-    if not np.all(np.isfinite(T)):
-        raise DegeneracyError("weight produced non-finite e^{-phi} at quadrature nodes")
     na = rule.angular_order
-    d = np.arange(-degree, degree + 1)
-    # sum_k T_k (phase_0 e^{i theta_k})^d = phase_0^d F[-d mod na]
-    Fd = np.fft.fft(T, axis=-1)[..., (-d) % na] * rule._phases[0] ** d
+    ph = rule._phases
+    if symmetric and ph[0] == 1 and na % 2 == 0:
+        ph = ph[:na // 2 + 1]
     pw = (2.0 * np.pi / na) * rule.radial_weights * rule.radii
     P = pw[:, None] * rule.radii[:, None] ** np.arange(2 * degree + 1)[None, :]
-    K = P.T @ Fd  # K[..., s, d + degree]
+    step = max(1, _BLOCK // (batch * ph.size))
+    R = 0.0  # R[..., s, angle]
+    for lo in range(0, rule.radii.size, step):
+        r = rule.radii[lo:lo + step]
+        T = exp_phi(r[:, None] * ph[None, :], r)
+        if not np.all(np.isfinite(T)):
+            raise DegeneracyError(
+                "weight produced non-finite e^{-phi} at quadrature nodes")
+        R = R + P[lo:lo + step].T @ T
+    if ph.size < na:
+        R = np.concatenate([R, R[..., -2:0:-1]], axis=-1)
+    F = np.fft.rfft(R, axis=-1)
+    # sum_k R_k (phase_0 e^{i theta_k})^d = phase_0^d F[-d mod na], and
+    # F[k] = conj(F[na - k]) for the real R
+    d = np.arange(-degree, degree + 1)
+    k = (-d) % na
+    K = F[..., np.minimum(k, na - k)]
+    K = np.where(k <= na // 2, K, K.conj()) * rule._phases[0] ** d
     n = np.arange(degree + 1)
     return K[..., n[:, None] + n[None, :], n[None, :] - n[:, None] + degree]
 
 
-def _exp_weight(weight, zs, rho=None):
-    """e^{-phi(zs)}, times the density rho when given; phi is not used where
-    rho is 0, so excluded nodes contribute exactly 0."""
+def _exp_weight(weight, zs, r, density=None):
+    """e^{-phi(zs)}, times density(r) along the radial (second to last) axis
+    when given; phi is not used where the density is 0, so excluded nodes
+    contribute exactly 0."""
     phi = np.asarray(weight.evaluate(*zs), dtype=float)
-    if rho is None:
+    if density is None:
         return np.exp(-phi)
+    rho = density(r)[:, None]
     return rho * np.exp(-np.where(rho > 0, phi, 0.0))
 
 
@@ -200,16 +232,18 @@ def _bidisk_gram(weight, degree, rule, density=None):
     """Gram of z1^m z2^n (m, n <= degree), one outer radius at a time.
 
     At each outer radius the inner moments come from ``_moments`` at every
-    outer angle, in chunks of about 2^20 points to bound memory; the outer
-    angular sum is one FFT at the offset m'-m (plus n'-n when the inner rule
-    turns with the outer phase, as under diagonal grading).  For diagonally
-    invariant weights the outer angular integral is exact: only the outer
-    angle 0 is evaluated, entries with m+n != m'+n' vanish and the rest are
-    multiplied by 2 pi.  That needs an inner angular order above 2*degree,
-    and inner angles closed under the outer rotations (diagonal grading, or
-    an inner angular order that is a multiple of the outer one); otherwise
-    the node-exact generic sum is taken instead.  Outer radii where the
-    radial ``density`` is 0 are skipped.
+    outer angle at once; the outer angular sum is one FFT at the offset m'-m
+    (plus n'-n when the inner rule turns with the outer phase, as under
+    diagonal grading).  For diagonally invariant weights the outer angular
+    integral is exact: only the outer angle 0 is evaluated, entries with
+    m+n != m'+n' vanish and the rest are multiplied by 2 pi.  That needs an
+    inner angular order above 2*degree, and inner angles closed under the
+    outer rotations (diagonal grading, or an inner angular order that is a
+    multiple of the outer one); otherwise the node-exact generic sum is taken
+    instead.  On the invariant path z1 is real and the inner rule unturned,
+    so a conjugation-symmetric weight is evaluated on the inner angles
+    0..n2/2 only; the generic path evaluates every angle.  Outer radii where
+    the radial ``density`` is 0 are skipped.
     """
     D = degree
     nb = D + 1
@@ -218,24 +252,22 @@ def _bidisk_gram(weight, degree, rule, density=None):
         and n2 > 2 * D and (rule.diagonal_grading or n2 % n1 == 0)
     outer = rule.rule1
     phases = np.ones(1, dtype=complex) if invariant else outer._phases
+    ph = phases[:, None, None]
     turn = rule.diagonal_grading and not invariant
+    # at the real z1 = r of the invariant path, phi(r, conj z2) = phi(r, z2)
+    symmetric = invariant and bool(getattr(weight, "conjugation_symmetric", False))
     s = np.arange(2 * D + 1)
     S = np.zeros((s.size, phases.size, nb, nb), dtype=complex)
-    for r, w in zip(outer.radii, outer.radial_weights):
+    for r1, w in zip(outer.radii, outer.radial_weights):
         if density is not None:
-            w = w * density(r)
+            w = w * density(r1)
             if w == 0:
                 continue
-        inner = rule._inner_for_radius(r)
-        rho = None if density is None else density(inner.radii)[:, None]
-        grid = inner.grid
-        step = max(1, (1 << 20) // grid.size)
-        M = []
-        for lo in range(0, phases.size, step):
-            ph = phases[lo:lo + step, None, None]
-            T = _exp_weight(weight, (r * ph, ph * grid if turn else grid[None]), rho)
-            M.append(_moments(T, inner, D))
-        S += (w * r ** (s + 1))[:, None, None, None] * np.concatenate(M)
+        M = _moments(
+            lambda z2, r2: _exp_weight(
+                weight, (r1 * ph, ph * z2 if turn else z2[None]), r2, density),
+            rule._inner_for_radius(r1), D, symmetric, phases.size)
+        S += (w * r1 ** (s + 1))[:, None, None, None] * M
     A = np.fft.fft(S, axis=1) * (2.0 * np.pi / phases.size)
     m, n, mp, np_ = np.ogrid[:nb, :nb, :nb, :nb]
     e = (mp - m) + turn * (np_ - n)
@@ -253,8 +285,8 @@ def _gram(weight, degree, rule, density=None):
     rho(|z1|) rho(|z2|) on the bidisk."""
     if rule.domain == "bidisk":
         return _bidisk_gram(weight, degree, rule, density)
-    rho = None if density is None else density(rule.radii)[:, None]
-    G = _moments(_exp_weight(weight, (rule.grid,), rho), rule, degree)
+    G = _moments(lambda z, r: _exp_weight(weight, (z,), r, density), rule, degree,
+                 bool(getattr(weight, "conjugation_symmetric", False)))
     return list(range(degree + 1)), G
 
 

@@ -98,7 +98,6 @@ class DiskRule:
         out = DiskRule(self.radii, self.radial_weights, self.angular_order,
                        dict(self.metadata, rotation=complex(phase)))
         out._phases = self._phases * phase
-        out.weights = self.weights
         return out
 
     def integrate(self, f):

@@ -101,6 +101,8 @@ def _json_default(x):
 
 
 def _csv_cell(v):
+    if isinstance(v, np.generic):
+        v = v.item()  # numpy 2 reprs scalars as np.float64(...)
     if isinstance(v, float):
         return repr(v)
     return v

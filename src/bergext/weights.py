@@ -104,11 +104,33 @@ def _diagonally_invariant(log_terms, smooth):
     return all(a + b == c + d for a, b, c, d in psi.monoms())
 
 
+def _conjugation_symmetric(log_terms, smooth, domain):
+    """Whether phi(conj z) = phi(z), jointly in (z1, z2) on the bidisk.
+
+    True when every log factor has real coefficients (then |f(conj z)| =
+    |f(z)|) and psi is even in y (jointly in y1 and y2).  A non-polynomial
+    part counts as not symmetric.
+    """
+    zs = (_Z,) if domain == "disk" else (_Z1, _Z2)
+    # real coordinates ordered (x, y) or (x1, y1, x2, y2): y exponents sit at
+    # the odd positions of each monomial
+    xy = (_DISK_SMOOTH if domain == "disk" else _BIDISK_SMOOTH).values()
+    try:
+        if any(sp.im(c) != 0 for t in log_terms
+               for c in sp.Poly(t.expr, *zs).coeffs()):
+            return False
+        psi = sp.Poly(smooth.expr, *xy)
+    except sp.PolynomialError:
+        return False
+    return all(sum(m[1::2]) % 2 == 0 for m in psi.monoms())
+
+
 class Weight:
     """Structured weight phi = sum r_j log|f_j|^2 + psi on disk or bidisk.
 
-    A bidisk weight's ``diagonal_rotation_invariant`` is inferred from its
-    expressions (``_diagonally_invariant``)."""
+    A bidisk weight's ``diagonal_rotation_invariant`` and any weight's
+    ``conjugation_symmetric`` are inferred from its expressions
+    (``_diagonally_invariant``, ``_conjugation_symmetric``)."""
 
     def __init__(self, log_terms=(), smooth="0", domain="disk",
                  subharmonic=False, tag=None):
@@ -124,6 +146,8 @@ class Weight:
         self.tag = tag
         self.diagonal_rotation_invariant = domain == "bidisk" and \
             _diagonally_invariant(self.log_terms, self.smooth)
+        self.conjugation_symmetric = _conjugation_symmetric(
+            self.log_terms, self.smooth, domain)
 
     # -- constructors for the weights actually used by the experiments -------
 
@@ -246,6 +270,8 @@ class BranchWeight:
         self.parent = parent
         self.branch = branch
         self.is_subharmonic = getattr(parent, "is_subharmonic", False)
+        # phi(0, conj z) = phi(0, z) when phi is jointly conjugation symmetric
+        self.conjugation_symmetric = getattr(parent, "conjugation_symmetric", False)
 
     def evaluate(self, z):
         z = np.asarray(z, dtype=complex)
@@ -282,6 +308,7 @@ class ClampedWeight:
         self.eps_coeff = float(eps_coeff)
         self.floor = float(floor)
         self.is_subharmonic = getattr(base, "is_subharmonic", False)
+        self.conjugation_symmetric = getattr(base, "conjugation_symmetric", False)
 
     def evaluate(self, z):
         z = np.asarray(z, dtype=complex)
@@ -343,6 +370,7 @@ class RegularizedLogWeight:
         self.domain = "disk" if direction == "z" else "bidisk"
         self.is_subharmonic = True
         self.diagonal_rotation_invariant = direction == "z1-z2"
+        self.conjugation_symmetric = True  # phi_eps depends on |zeta| only
 
     def _zeta(self, *zs):
         if self.direction == "z":

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -19,24 +20,21 @@ from bergext.cli import parse_weight
 from bergext.quadrature import bidisk_rule, disk_rule
 
 
-def _node_gram(weight, degree, rule):
-    """Disk Gram as a direct sum over the rule's nodes."""
-    z = rule.nodes
-    V = z[:, None] ** np.arange(degree + 1)[None, :]
-    t = rule.weights * np.exp(-np.asarray(weight.evaluate(z), dtype=float))
-    return V.conj().T @ (t[:, None] * V)
+def _brute_gram(weight, degree, rule):
+    """G[a,b] = rule.integrate(conj(e_a) e_b e^{-phi}), one quadrature per
+    entry, for z^n on a disk rule or z1^m z2^n on a bidisk rule."""
+    mons = list(itertools.product(range(degree + 1),
+                                  repeat=1 if rule.domain == "disk" else 2))
 
+    def mono(zs, e):
+        return np.prod([z**k for z, k in zip(zs, e)], axis=0)
 
-def _brute_bidisk_gram(weight, degree, rule):
-    """G[(m,n),(m',n')] = rule.integrate(conj(z1^m z2^n) z1^m' z2^n' e^{-phi}),
-    one quadrature per entry."""
-    mons = [(m, n) for m in range(degree + 1) for n in range(degree + 1)]
     G = np.zeros((len(mons), len(mons)), dtype=complex)
-    for a, (m, n) in enumerate(mons):
-        for b, (mp, q) in enumerate(mons):
+    for a, ea in enumerate(mons):
+        for b, eb in enumerate(mons):
             G[a, b] = rule.integrate(
-                lambda z1, z2: np.conj(z1**m * z2**n) * z1**mp * z2**q
-                * np.exp(-np.asarray(weight.evaluate(z1, z2), dtype=float)))
+                lambda *zs: np.conj(mono(zs, ea)) * mono(zs, eb)
+                * np.exp(-np.asarray(weight.evaluate(*zs), dtype=float)))
     return G
 
 
@@ -178,7 +176,7 @@ def test_bidisk_reduced_vs_generic():
     # both paths share the moment kernel, so each is also held against a
     # per-entry quadrature on a small rule
     small = bidisk_rule(**_SMALL_DIAG)
-    ref = _brute_bidisk_gram(w, 2, small)
+    ref = _brute_gram(w, 2, small)
     assert _rel(build_model("bidisk", w, 2, rule=small).gram, ref) < 1e-12
     assert _rel(build_model("bidisk", _NotInvariant(w), 2, rule=small).gram,
                 ref) < 1e-12
@@ -190,7 +188,7 @@ def test_bidisk_invariant_gram_complex_moments():
     w = Weight([(0.5, "z1 - 1j*z2")], "0", "bidisk")
     rule = bidisk_rule(**_SMALL_DIAG)
     G = build_model("bidisk", w, 2, rule=rule).gram
-    ref = _brute_bidisk_gram(w, 2, rule)
+    ref = _brute_gram(w, 2, rule)
     assert np.abs(ref.imag).max() > 1e-2 * np.abs(ref).max()
     assert _rel(G, ref) < 1e-12
 
@@ -200,7 +198,7 @@ def test_bidisk_generic_gram_matches_node_sum():
     w = Weight([(0.5, "2 + z1 - 1j*z2")], "0.5*x1*y2 - y1", "bidisk")
     rule = bidisk_rule(radial_order=(4, 4), angular_order=(8, 12),
                        grading_levels=4)
-    ref = _brute_bidisk_gram(w, 2, rule)
+    ref = _brute_gram(w, 2, rule)
     assert _rel(build_model("bidisk", w, 2, rule=rule).gram, ref) < 1e-12
 
 
@@ -208,11 +206,49 @@ def test_bidisk_generic_gram_matches_node_sum():
                                            (1.0, 20)])
 def test_disk_gram_matches_node_sum(phase, degree):
     # degree 20 on 32 angles aliases Fourier offsets: the Gram is still the
-    # node sum of the rule, as before
-    w = Weight.halfplane(1.5)
+    # node sum of the rule, as before.  The conjugation-symmetric halfplane
+    # weight takes the half-angle path on the unrotated rule, the tilted one
+    # the full grid
     rule = disk_rule(radial_order=8, angular_order=32).rotated(phase)
-    G = build_model("disk", w, degree, rule=rule).gram
-    assert _rel(G, _node_gram(w, degree, rule)) < 1e-13
+    for w in (Weight.halfplane(1.5), Weight([], "-3*x + 2*y")):
+        G = build_model("disk", w, degree, rule=rule).gram
+        assert _rel(G, _brute_gram(w, degree, rule)) < 1e-13
+
+
+def test_bidisk_half_angle_gram_matches_node_sum():
+    # invariant, conjugation-symmetric weights evaluate half the inner angles
+    rule = bidisk_rule(**_SMALL_DIAG)
+    for w in (RegularizedLogWeight(0.3, "z1-z2", "shifted"),
+              Weight([(0.5, "z1-z2")], "x1*x2 + y1*y2", "bidisk")):
+        assert w.diagonal_rotation_invariant and w.conjugation_symmetric
+        G = build_model("bidisk", w, 2, rule=rule).gram
+        assert _rel(G, _brute_gram(w, 2, rule)) < 1e-12
+
+
+def _angles_seen(weight, domain, rule):
+    """Angular sizes of the grids that Gram assembly evaluates phi on."""
+    seen = set()
+    evaluate = weight.evaluate
+
+    def counting(*zs):
+        seen.add(np.broadcast(*zs).shape[-1])
+        return evaluate(*zs)
+
+    weight.evaluate = counting
+    build_model(domain, weight, 4, rule=rule)
+    return seen
+
+
+def test_half_angle_evaluation_count():
+    rule = disk_rule(radial_order=4, angular_order=32, grading_levels=4)
+    assert _angles_seen(Weight.halfplane(1.0), "disk", rule) == {17}
+    assert _angles_seen(Weight([], "x*y"), "disk", rule) == {32}
+    assert _angles_seen(Weight.halfplane(1.0), "disk",
+                        rule.rotated(np.exp(0.3j))) == {32}
+    br = bidisk_rule(**_SMALL_DIAG)
+    assert _angles_seen(RegularizedLogWeight(0.3, "z1-z2"), "bidisk", br) == {9}
+    assert _angles_seen(Weight([(0.5, "z1 - 1j*z2")], "0", "bidisk"),
+                        "bidisk", br) == {16}
 
 
 def test_gram_assembly_builds_no_nodes():
@@ -266,7 +302,7 @@ def test_invariant_weight_aliasing_rule_accepted():
     rule = bidisk_rule(radial_order=(4, 4), angular_order=(8, 4),
                        grading_levels=4)
     G = build_model("bidisk", w, 2, rule=rule).gram
-    assert _rel(G, _brute_bidisk_gram(w, 2, rule)) < 1e-12
+    assert _rel(G, _brute_gram(w, 2, rule)) < 1e-12
 
 
 def test_summary_json(unweighted_disk):

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -36,6 +37,23 @@ def test_claim1_rows_sorted_and_flagged(tmp_path):
     text = (tmp_path / "c1.csv").read_text()
     assert text.splitlines()[0].startswith("#")
     assert "m,degree,norm,ratio,condition,converged" in text
+
+
+def test_csv_cells_parse(tmp_path):
+    # numpy scalars are written as plain numbers, never as np.float64(...)
+    lem, c1 = tmp_path / "lem.csv", tmp_path / "c1.csv"
+    sweeps.run_lemma_suite([Weight.zero()], degree=8, out=str(lem),
+                           check_convergence=False)
+    sweeps.run_claim1(ms=(1,), degree_schedule=lambda m: 8, out=str(c1),
+                      check_convergence=False)
+    for path in (lem, c1):
+        lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+        for row in csv.DictReader(lines):
+            for col, cell in row.items():
+                if col == "weight":
+                    assert cell == "zero"
+                elif cell not in ("True", "False"):
+                    float(cell)
 
 
 def test_claim1_reproducible(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from bergext import (
     clamp_max,
     twisted_derivative,
 )
+from bergext.cli import parse_weight
 from bergext.weights import sampled_laplacian_min
 
 
@@ -106,6 +108,36 @@ def test_regularized_log_shifted():
     w = RegularizedLogWeight(0.1, "z", style="shifted")
     z = np.array([0.3 + 0.4j])
     assert w.evaluate(z)[0] == pytest.approx(math.log(0.01 + 0.25))
+
+
+def test_conjugation_symmetry_inferred():
+    # phi(conj z) = phi(z) (jointly on the bidisk) holds when every log factor
+    # has real coefficients and psi is even in y (jointly in y1 and y2)
+    symmetric = {"halfplane:2": Weight.halfplane(2.0),
+                 "point_log:0.5": Weight.point_log(0.5),
+                 "clamp:0.2:6:2": clamp_max(Weight.halfplane(2.0), 0.2, 6.0),
+                 "reglog:0.1": RegularizedLogWeight(0.1, "z1-z2"),
+                 "reglog:0.1:shifted": RegularizedLogWeight(0.1, "z1-z2", "shifted"),
+                 "zero:bidisk": Weight.zero("bidisk")}
+    for text, obj in symmetric.items():
+        assert parse_weight(text).conjugation_symmetric
+        assert obj.conjugation_symmetric
+    asymmetric = [Weight([(0.5, "z-0.5j")]), Weight([], "x*y"),
+                  Weight([(0.5, "z1 - 1j*z2")], "0", "bidisk"),
+                  Weight([], "0.3*x1 - 0.7*y1", "bidisk")]
+    assert not any(w.conjugation_symmetric for w in asymmetric)
+    # the flag does not depend on how a weight is written
+    for w in asymmetric + [Weight([(0.5, "z-0.5")]), Weight.halfplane(2.0),
+                           Weight.zero("bidisk")]:
+        doc = json.dumps({k: v for k, v in w.to_dict().items() if k != "tag"})
+        assert parse_weight(doc).conjugation_symmetric == w.conjugation_symmetric
+    assert Weight([(0.5, "z-0.5")]).conjugation_symmetric
+    assert not Weight([], "exp(x**2)").conjugation_symmetric
+    # restrictions and clamps inherit the flag
+    assert Weight.zero("bidisk").restrict_to_branch(2).conjugation_symmetric
+    assert not Weight([(0.5, "z1 - 1j*z2")], "0", "bidisk") \
+        .restrict_to_branch(1).conjugation_symmetric
+    assert not clamp_max(Weight([], "x*y"), 0.2, 6.0).conjugation_symmetric
 
 
 def test_twisted_derivative_vanishes_on_exact_log():
