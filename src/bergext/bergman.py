@@ -219,13 +219,18 @@ def _moments(exp_phi, rule, degree, symmetric, batch=1):
 
 def _exp_weight(weight, zs, r, density=None):
     """e^{-phi(zs)}, times density(r) along the radial (second to last) axis
-    when given; phi is not used where the density is 0, so excluded nodes
-    contribute exactly 0."""
-    phi = np.asarray(weight.evaluate(*zs), dtype=float)
-    if density is None:
-        return np.exp(-phi)
-    rho = density(r)[:, None]
-    return rho * np.exp(-np.where(rho > 0, phi, 0.0))
+    when given.  A weight with an ``_exp_neg_phi`` method (the regularized
+    log) gives e^{-phi} directly, finite everywhere, with no log/exp round
+    trip; any other weight goes through exp(-evaluate), and phi is not used
+    where the density is 0.  Either way excluded nodes contribute exactly 0."""
+    rho = None if density is None else density(r)[:, None]
+    direct = getattr(weight, "_exp_neg_phi", None)
+    if direct is not None:
+        e = direct(*zs)
+    else:
+        phi = np.asarray(weight.evaluate(*zs), dtype=float)
+        e = np.exp(-(phi if rho is None else np.where(rho > 0, phi, 0.0)))
+    return e if rho is None else rho * e
 
 
 def _bidisk_gram(weight, degree, rule, density=None):

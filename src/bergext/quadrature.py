@@ -9,7 +9,8 @@ cell endpoints, so a disk rule has no node at the origin or on the circle of
 a grading center's radius.
 
 Bidisk rules are tensor products of two disk rules.  With
-``diagonal_grading=True`` the second-factor rule is rebuilt per outer radius:
+``diagonal_grading=True`` the second-factor rule is built per outer radius
+from the shared Gauss-Legendre cache (only its breakpoints change):
 graded toward that radius and rotated by each outer node's phase, which
 concentrates nodes near the diagonal {z1 = z2} without putting any on it
 (rotating a disk rule is again a valid disk rule).  Plain tensor rules do not
@@ -31,26 +32,36 @@ _MIN_CELL = 1e-14
 
 def _radial_breakpoints(center_radii, ratio, levels):
     """Mesh of [0,1] geometrically refined toward 0 and each center radius."""
-    pts = {0.0, 1.0}
     # always grade toward 0: every in-scope singular weight is centered there
     # unless a nonzero center is given
-    for j in range(1, levels + 1):
-        pts.add(ratio**j)
+    d = np.array([ratio**j for j in range(1, levels + 1)])
+    pts = [np.array([0.0, 1.0]), d]
     for rc in center_radii:
         if rc <= 0.0:
             continue  # already covered by the mesh toward 0
-        pts.add(rc)
-        for j in range(1, levels + 1):
-            d = ratio**j
-            lo = rc * (1.0 - d)
-            hi = rc + d * (1.0 - rc)
-            if lo > 0.0:
-                pts.add(lo)
-            if hi < 1.0:
-                pts.add(hi)
-    bps = np.array(sorted(pts))
+        lo = rc * (1.0 - d)
+        hi = rc + d * (1.0 - rc)
+        pts += [np.array([rc]), lo[lo > 0.0], hi[hi < 1.0]]
+    bps = np.unique(np.concatenate(pts))
     keep = np.concatenate([[True], np.diff(bps) > _MIN_CELL])
     return bps[keep]
+
+
+# Gauss rules on [-1, 1] keyed by (family, order), stored read-only: the
+# nodes of a fixed order are a constant, and a bidisk rule graded toward the
+# diagonal builds one inner disk rule per outer radius
+_GAUSS = {}
+
+
+def _gauss_legendre(order):
+    """Gauss-Legendre nodes and weights of ``order`` points on [-1, 1]."""
+    key = ("legendre", int(order))
+    if key not in _GAUSS:
+        x, w = leggauss(key[1])
+        x.flags.writeable = False
+        w.flags.writeable = False
+        _GAUSS[key] = x, w
+    return _GAUSS[key]
 
 
 class DiskRule:
@@ -94,9 +105,11 @@ class DiskRule:
         return self.radii.size * self.angular_order
 
     def rotated(self, phase):
-        """Same rule with every node multiplied by a unit phase."""
+        """Same rule with every node multiplied by a unit phase; the metadata
+        keeps the total rotation, so that ``refine`` can re-apply it."""
+        rotation = complex(self.metadata.get("rotation", 1.0) * phase)
         out = DiskRule(self.radii, self.radial_weights, self.angular_order,
-                       dict(self.metadata, rotation=complex(phase)))
+                       dict(self.metadata, rotation=rotation))
         out._phases = self._phases * phase
         return out
 
@@ -135,13 +148,14 @@ def disk_rule(
     for c in centers:
         if abs(c) > 1.0 + 1e-12:
             raise ParameterError("grading center %r outside the closed disk" % c)
-    bps = _radial_breakpoints([abs(c) for c in centers], grading_ratio, grading_levels)
-    x, w = leggauss(int(radial_order))
-    radii = []
-    rweights = []
-    for a, b in zip(bps[:-1], bps[1:]):
-        radii.append(0.5 * (a + b) + 0.5 * (b - a) * x)
-        rweights.append(0.5 * (b - a) * w)
+    # a center within rounding of the circle grades toward the circle itself,
+    # so that no breakpoint (and no node) lies beyond it
+    bps = _radial_breakpoints([min(abs(c), 1.0) for c in centers], grading_ratio,
+                              grading_levels)
+    x, w = _gauss_legendre(radial_order)
+    a, b = bps[:-1, None], bps[1:, None]
+    radii = (0.5 * (a + b) + 0.5 * (b - a) * x).ravel()
+    rweights = (0.5 * (b - a) * w).ravel()
     meta = {
         "radial_order": int(radial_order),
         "angular_order": int(angular_order),
@@ -149,7 +163,7 @@ def disk_rule(
         "grading_ratio": float(grading_ratio),
         "grading_levels": int(grading_levels),
     }
-    return DiskRule(np.concatenate(radii), np.concatenate(rweights), angular_order, meta)
+    return DiskRule(radii, rweights, angular_order, meta)
 
 
 class BidiskRule:
@@ -157,7 +171,8 @@ class BidiskRule:
 
     Node pairs are enumerated lazily through :meth:`iter_blocks`; each block
     is (z1 value, w1, z2 nodes, z2 weights).  With diagonal grading the
-    second-factor rule is built once per outer radius and rotated by the
+    second-factor rule is built once per outer radius, from its own
+    breakpoints and the shared cached Gauss-Legendre rule, and rotated by the
     outer node's phase.
     """
 
@@ -249,13 +264,14 @@ def refine(rule, factor=2):
     (used for quadrature-convergence flags)."""
     if isinstance(rule, DiskRule):
         m = rule.metadata
-        return disk_rule(
+        out = disk_rule(
             m["radial_order"] * factor,
             m["angular_order"] * factor,
             m["grading_centers"],
             m["grading_ratio"],
             m["grading_levels"],
         )
+        return out.rotated(m["rotation"]) if "rotation" in m else out
     if isinstance(rule, BidiskRule):
         return BidiskRule(
             refine(rule.rule1, factor),

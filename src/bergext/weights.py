@@ -13,6 +13,7 @@ import numpy as np
 import sympy as sp
 
 from .errors import EvaluationError, ParameterError
+from .quadrature import _gauss_legendre
 
 _Z = sp.symbols("z")
 _Z1, _Z2 = sp.symbols("z1 z2")
@@ -373,20 +374,27 @@ class RegularizedLogWeight:
         self.conjugation_symmetric = True  # phi_eps depends on |zeta| only
 
     def _zeta(self, *zs):
-        if self.direction == "z":
-            return np.asarray(zs[0], dtype=complex)
-        z1, z2 = np.broadcast_arrays(np.asarray(zs[0]), np.asarray(zs[1]))
-        return np.asarray(z1 - z2, dtype=complex)
+        return zs[0] if self.direction == "z" else np.subtract(zs[0], zs[1])
 
     def evaluate(self, *zs):
-        zeta = self._zeta(*zs)
-        a2 = np.abs(zeta) ** 2
+        a2 = np.abs(self._zeta(*zs)) ** 2
         e2 = self.epsilon**2
         if self.style == "shifted":
             return np.log(e2 + a2)
         with np.errstate(divide="ignore"):
             outer = np.log(a2)
         return np.where(a2 < e2, (a2 - e2) / e2 + np.log(e2), outer)
+
+    def _exp_neg_phi(self, *zs):
+        """e^{-phi_eps} without the log/exp round trip, finite everywhere:
+        1/(eps^2 + |zeta|^2) (shifted), or 1/|zeta|^2 outside the eps-disk
+        and exp(-(|zeta|^2 - eps^2)/eps^2)/eps^2 inside (convolution)."""
+        a2 = np.abs(self._zeta(*zs)) ** 2
+        e2 = self.epsilon**2
+        if self.style == "shifted":
+            return 1.0 / (e2 + a2)
+        # the clamped exponent is 0 outside, where no exp underflows
+        return np.exp(np.maximum(e2 - a2, 0.0) / e2) / np.maximum(a2, e2)
 
     def _d_zeta(self, zeta):
         a2 = np.abs(zeta) ** 2
@@ -509,7 +517,7 @@ class CutoffFamily:
         if self.kind != "xi_eps" or self.section_str != "z":
             raise ParameterError("decay integral implemented for xi_eps with s=z")
         lo = 1.0 / self.epsilon
-        x, w = np.polynomial.legendre.leggauss(64)
+        x, w = _gauss_legendre(64)
         t = lo + 0.5 * (x + 1.0)
         wt = 0.5 * w
         vals = _rho_prime(t - lo + 1.0) ** 2 * np.exp(-t)

@@ -226,15 +226,19 @@ def test_bidisk_half_angle_gram_matches_node_sum():
 
 
 def _angles_seen(weight, domain, rule):
-    """Angular sizes of the grids that Gram assembly evaluates phi on."""
+    """Angular sizes of the grids that Gram assembly evaluates the weight on,
+    through ``evaluate`` or, where the weight has it, the direct e^{-phi}."""
     seen = set()
-    evaluate = weight.evaluate
 
-    def counting(*zs):
-        seen.add(np.broadcast(*zs).shape[-1])
-        return evaluate(*zs)
+    def counting(method):
+        def wrapped(*zs):
+            seen.add(np.broadcast(*zs).shape[-1])
+            return method(*zs)
+        return wrapped
 
-    weight.evaluate = counting
+    for name in ("evaluate", "_exp_neg_phi"):
+        if hasattr(weight, name):
+            setattr(weight, name, counting(getattr(weight, name)))
     build_model(domain, weight, 4, rule=rule)
     return seen
 

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
-from bergext import ParameterError, bidisk_rule, disk_rule, integrate, refine
+from bergext import ParameterError, bidisk_rule, disk_rule, integrate, quadrature, refine
+from bergext.bergman import _gram
 from bergext.errors import EvaluationError
+from bergext.weights import RegularizedLogWeight
 
 
 def test_area_and_moments():
@@ -64,6 +67,86 @@ def test_nodes_strictly_interior():
     r = disk_rule(radial_order=8, angular_order=16, grading_centers=(0.5,))
     a = np.abs(r.nodes)
     assert a.min() > 0 and a.max() < 1
+    # a center within rounding of the circle grades toward the circle
+    r = disk_rule(radial_order=8, angular_order=16, grading_centers=(1 + 5e-13,),
+                  grading_levels=4)
+    assert r.radii.min() > 0 and r.radii.max() < 1
+
+
+def test_refine_commutes_with_rotation():
+    phase = np.exp(0.3j)
+    r = disk_rule(radial_order=8, angular_order=16, grading_levels=4)
+    a, b = refine(r.rotated(phase)), refine(r).rotated(phase)
+    assert a.metadata["rotation"] == phase
+    assert np.array_equal(a._phases, b._phases)
+    # the 32 refined angles alias z^32 to a constant that turns with them
+    f = lambda z: np.real(z**32)
+    assert integrate(a, f) == pytest.approx(integrate(b, f), abs=1e-14)
+    assert abs(integrate(a, f) - integrate(refine(r), f)) > 1e-2
+
+
+def _reference_radial_rule(order, centers=(), ratio=0.5, levels=20):
+    """Per-cell composite Gauss-Legendre on the mesh graded toward 0 and each
+    center radius, written out one breakpoint and one cell at a time."""
+    pts = {0.0, 1.0}
+    for j in range(1, levels + 1):
+        pts.add(ratio**j)
+    for rc in (min(abs(complex(c)), 1.0) for c in centers):
+        if rc <= 0.0:
+            continue
+        pts.add(rc)
+        for j in range(1, levels + 1):
+            d = ratio**j
+            if rc * (1.0 - d) > 0.0:
+                pts.add(rc * (1.0 - d))
+            if rc + d * (1.0 - rc) < 1.0:
+                pts.add(rc + d * (1.0 - rc))
+    bps = np.array(sorted(pts))
+    bps = bps[np.concatenate([[True], np.diff(bps) > 1e-14])]
+    x, w = leggauss(order)
+    radii, weights = [], []
+    for a, b in zip(bps[:-1], bps[1:]):
+        radii.append(0.5 * (a + b) + 0.5 * (b - a) * x)
+        weights.append(0.5 * (b - a) * w)
+    return np.concatenate(radii), np.concatenate(weights)
+
+
+def test_radial_rule_matches_per_cell_loop():
+    # the claim34 rule
+    br = bidisk_rule(radial_order=(16, 16), angular_order=(8, 256), grading_levels=10,
+                     diagonal_grading=True, diagonal_levels=12)
+    rules = [disk_rule(), disk_rule(grading_centers=(0.37,)), br.rule1, br.rule2]
+    rules += [refine(r) for r in rules]
+    for r in rules:
+        m = r.metadata
+        ref = _reference_radial_rule(m["radial_order"], m["grading_centers"],
+                                     m["grading_ratio"], m["grading_levels"])
+        assert np.array_equal(r.radii, ref[0])
+        assert np.array_equal(r.radial_weights, ref[1])
+    for b in (br, refine(br)):
+        m = b.rule2.metadata
+        for r1 in b.rule1.radii:
+            inner = b._inner_for_radius(r1)
+            ref = _reference_radial_rule(m["radial_order"], (r1,), m["grading_ratio"],
+                                         b.diagonal_levels)
+            assert np.array_equal(inner.radii, ref[0])
+            assert np.array_equal(inner.radial_weights, ref[1])
+
+
+def test_graded_bidisk_gram_computes_each_gauss_rule_once(monkeypatch):
+    calls = []
+
+    def counting(order):
+        calls.append(order)
+        return leggauss(order)
+
+    monkeypatch.setattr(quadrature, "_GAUSS", {})
+    monkeypatch.setattr(quadrature, "leggauss", counting)
+    rule = bidisk_rule(radial_order=(6, 8), angular_order=(8, 32), grading_levels=6,
+                       diagonal_grading=True, diagonal_levels=6)
+    _gram(RegularizedLogWeight(0.2, "z1-z2"), 3, rule)
+    _gram(RegularizedLogWeight(0.2, "z1-z2"), 3, refine(rule))
+    assert sorted(calls) == [6, 8, 12, 16]
 
 
 def _area(br):

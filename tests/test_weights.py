@@ -110,6 +110,21 @@ def test_regularized_log_shifted():
     assert w.evaluate(z)[0] == pytest.approx(math.log(0.01 + 0.25))
 
 
+@pytest.mark.parametrize("style", ["convolution", "shifted"])
+def test_regularized_log_direct_exp(style):
+    # e^{-phi} without the log/exp round trip: at zeta = 0, inside the
+    # eps-disk, on |zeta| = eps and outside
+    eps = 0.2
+    zeta = np.array([0.0, 0.05 + 0.1j, -0.13j, eps, eps * np.exp(0.7j), 0.5, -0.3 + 0.9j])
+    w = RegularizedLogWeight(eps, "z", style)
+    ref = np.exp(-w.evaluate(zeta))
+    assert np.allclose(w._exp_neg_phi(zeta), ref, rtol=1e-15, atol=0)
+    w2 = RegularizedLogWeight(eps, "z1-z2", style)
+    z2 = np.array([0.1, -0.4j, 0.25 + 0.3j])[:, None]
+    ref = np.exp(-w2.evaluate(zeta + z2, z2))
+    assert np.allclose(w2._exp_neg_phi(zeta + z2, z2), ref, rtol=1e-15, atol=0)
+
+
 def test_conjugation_symmetry_inferred():
     # phi(conj z) = phi(z) (jointly on the bidisk) holds when every log factor
     # has real coefficients and psi is even in y (jointly in y1 and y2)
