@@ -125,13 +125,10 @@ class BergmanModel:
         return out
 
 
-def _solve_hermitian(G, B):
-    """Solve G X = B with Jacobi scaling (G Hermitian positive definite)."""
+def _solve_hermitian(G, b):
+    """Solve G x = b with Jacobi scaling (G Hermitian positive definite)."""
     d = np.sqrt(np.diag(G).real)
-    Gs = G / d[:, None] / d[None, :]
-    Bs = B / d[:, None] if B.ndim > 1 else B / d
-    Xs = np.linalg.solve(Gs, Bs)
-    return Xs / d[:, None] if B.ndim > 1 else Xs / d
+    return np.linalg.solve(G / d[:, None] / d[None, :], b / d) / d
 
 
 def _check_integrable(weight, degree, domain):

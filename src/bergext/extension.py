@@ -1,11 +1,14 @@
 """Minimal-norm extension solvers.
 
-Jets at the origin of the disk are extended by two independent routes: a
-direct constrained quadratic minimization through the representers of the
-derivative functionals, and the level-by-level recursion through the
-orthogonal ladder E_0 > E_1 > ... (these must agree; that cross-check is the
-module's central test).  Boundary data on the cross {z1 z2 = 0} in the bidisk
-is extended by a Schur-complement solve with the data coefficients pinned.
+A jet constraint f^(k)(0) = a_k pins the coefficient of z^k to a_k/k!, and
+cross data on {z1 z2 = 0} in the bidisk pins the coefficients of the pure
+powers z1^m and z2^n.  Both extensions are therefore the same
+equality-constrained least squares problem, solved by direct elimination in
+``_pinned_solve``: fix the pinned coefficients and solve the Schur-complement
+system on the free ones.
+Jets have a second, independent route, the level-by-level recursion through
+the orthogonal ladder E_0 > E_1 > ... (the two must agree; that cross-check
+is the module's central test).
 """
 
 from __future__ import annotations
@@ -89,16 +92,36 @@ class ExtensionReport:
 
 
 def _jet_constraints(model, jet):
+    """The jet values (a_0, ..., a_{N-1}), after checking the model fits."""
     N = len(jet)
     if model.domain != "disk":
         raise ParameterError("jet extension lives on the disk")
     if N > model.degree + 1:
         raise ParameterError(
             "jet length %d exceeds degree+1 = %d" % (N, model.degree + 1))
-    C = np.zeros((N, len(model.monomials)), dtype=complex)
-    for k in range(N):
-        C[k, model.index[k]] = math.factorial(k)
-    return C, np.array(jet.values, dtype=complex)
+    return np.array(jet.values, dtype=complex)
+
+
+def _pinned_solve(G, F, c_F):
+    """Minimize c^H G c subject to c[F] = c_F.
+
+    Direct elimination: solve G_RR c_R = -G_RF c_F on the free indices R.
+    Returns the coefficients, c^H G c and the stationarity residual
+    max |(G c)_R|.
+    """
+    R = np.ones(G.shape[0], dtype=bool)
+    R[F] = False
+    coeffs = np.zeros(G.shape[0], dtype=complex)
+    coeffs[F] = c_F
+    if R.any():
+        GR = G[R]
+        try:  # coeffs still vanishes on R, so GR @ coeffs is G_RF c_F
+            coeffs[R] = _solve_hermitian(GR[:, R], -(GR @ coeffs))
+        except np.linalg.LinAlgError as exc:
+            raise DegeneracyError("free-block Gram singular") from exc
+    Gc = G @ coeffs
+    stationarity = float(np.abs(Gc[R]).max()) if R.any() else 0.0
+    return coeffs, float(np.real(np.vdot(coeffs, Gc))), stationarity
 
 
 def _level_breakdown(model, coeffs, N):
@@ -115,39 +138,31 @@ def _level_breakdown(model, coeffs, N):
 
 
 def extend_jet_direct(model, jet):
-    """Norm-minimal coefficient vector under the derivative constraints,
-    via the N x N Hermitian representer Gram system."""
-    C, a = _jet_constraints(model, jet)
-    X = _solve_hermitian(model.gram, C.conj().T)     # representers
-    M = C @ X
-    M = 0.5 * (M + M.conj().T)
-    try:
-        lam = np.linalg.solve(M, a)
-    except np.linalg.LinAlgError as exc:
-        raise DegeneracyError(
-            "representer Gram singular: the weight's multiplier ideal kills "
-            "the jet") from exc
-    coeffs = X @ lam
-    norm_sq = float(np.real(np.vdot(a, lam)))
-    resid = float(np.abs(C @ coeffs - a).max())
-    report = ExtensionReport(
+    """Norm-minimal coefficient vector under the derivative constraints:
+    the coefficients of z^0..z^{N-1} pinned to a_k/k!, the rest from the
+    Schur-complement solve."""
+    a = _jet_constraints(model, jet)
+    F = [model.index[k] for k in range(len(a))]
+    fact = np.array([math.factorial(k) for k in range(len(a))], dtype=float)
+    coeffs, norm_sq, stationarity = _pinned_solve(model.gram, F, a / fact)
+    return ExtensionReport(
         coefficients=coeffs,
         monomials=model.monomials,
         norm_sq=norm_sq,
         levels=_level_breakdown(model, coeffs, len(jet)),
         diagnostics={
             "solver": "direct",
-            "constraint_residual": resid,
+            "constraint_residual": float(np.abs(fact * coeffs[F] - a).max()),
+            "stationarity_residual": stationarity,
             "gram_condition": model.condition_number,
         },
     )
-    return report
 
 
 def extend_jet_recursive(model, jet):
     """Level-by-level construction: b_k = a_k - sum_{j<k} h_j^{(k)}(0) and
     h_k = (b_k / e_k^{(k)}(0)) e_k; the total norm is sum |b_k|^2 / B_k(0)."""
-    C, a = _jet_constraints(model, jet)
+    a = _jet_constraints(model, jet)
     N = len(jet)
     coeffs = np.zeros(len(model.monomials), dtype=complex)
     hs = []
@@ -166,7 +181,8 @@ def extend_jet_recursive(model, jet):
         contrib = abs(bk) ** 2 / Bk
         norm_sq += contrib
         levels.append((k, complex(bk), float(Bk), float(contrib)))
-    resid = float(np.abs(C @ coeffs - a).max())
+    resid = max(abs(math.factorial(k) * coeffs[model.index[k]] - a[k])
+                for k in range(N))
     return ExtensionReport(
         coefficients=coeffs,
         monomials=model.monomials,
@@ -174,7 +190,7 @@ def extend_jet_recursive(model, jet):
         levels=levels,
         diagnostics={
             "solver": "recursive",
-            "constraint_residual": resid,
+            "constraint_residual": float(resid),
             "gram_condition": model.condition_number,
         },
     )
@@ -221,8 +237,7 @@ def _cross_fixed_vector(model, cross):
     for m in range(1, D + 1):
         fixed_idx.append(model.index[(m, 0)])
         fixed_val.append(cross.f2[m] if m < len(cross.f2) else 0.0)
-    free_idx = [i for i, (m, n) in enumerate(model.monomials) if m >= 1 and n >= 1]
-    return fixed_idx, np.array(fixed_val, dtype=complex), free_idx
+    return fixed_idx, np.array(fixed_val, dtype=complex)
 
 
 def extend_cross(model, cross):
@@ -230,22 +245,8 @@ def extend_cross(model, cross):
     interior coefficients from the Schur-complement solve."""
     if model.domain != "bidisk":
         raise ParameterError("cross extension needs a bidisk model")
-    F, cF, R = _cross_fixed_vector(model, cross)
-    G = model.gram
-    coeffs = np.zeros(len(model.monomials), dtype=complex)
-    coeffs[F] = cF
-    if R:
-        GRR = G[np.ix_(R, R)]
-        GRF = G[np.ix_(R, F)]
-        try:
-            cR = _solve_hermitian(GRR, -(GRF @ cF))
-        except np.linalg.LinAlgError as exc:
-            raise DegeneracyError("free-block Gram singular") from exc
-        coeffs[R] = cR
-        stationarity = float(np.abs((G @ coeffs)[R]).max())
-    else:
-        stationarity = 0.0
-    norm_sq = float(np.real(np.vdot(coeffs, G @ coeffs)))
+    F, cF = _cross_fixed_vector(model, cross)
+    coeffs, norm_sq, stationarity = _pinned_solve(model.gram, F, cF)
     parts = _cross_parts(model, cross, coeffs)
     report = ExtensionReport(
         coefficients=coeffs,

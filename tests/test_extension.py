@@ -70,6 +70,26 @@ def test_direct_recursive_agree(flat_disk):
         assert np.abs(r1.coefficients - r2.coefficients).max() < 1e-10
 
 
+@pytest.mark.parametrize("m", [1.0, 5.0, 8.0])
+def test_halfplane_jet_closed_form(m):
+    # under phi = -2m Re z, f -> e^{mz} f is an isometry onto the unweighted
+    # A^2, so the minimal norm of the jet a is pi sum |h_k|^2 / (k!^2 (k+1))
+    # with h_k = (e^{mz} f)^{(k)}(0) = sum_{j<=k} C(k,j) m^{k-j} a_j
+    model = build_model("disk", Weight.halfplane(m), 24)
+    rng = np.random.default_rng(int(m))
+    a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    h = [sum(math.comb(k, j) * m ** (k - j) * a[j] for j in range(k + 1))
+         for k in range(4)]
+    exact = math.pi * sum(abs(hk) ** 2 / (math.factorial(k) ** 2 * (k + 1))
+                          for k, hk in enumerate(h))
+    tol = max(1e-8, 10 * model.condition_number * np.finfo(float).eps)
+    direct = extend_jet_direct(model, Jet(tuple(a)))
+    recursive = extend_jet_recursive(model, Jet(tuple(a)))
+    for rep in (direct, recursive):
+        assert rep.norm_sq == pytest.approx(exact, rel=tol)
+    assert direct.diagnostics["constraint_residual"] <= 1e-14 * np.abs(a).max()
+
+
 def test_level_breakdown_consistency(flat_disk):
     jet = Jet((1.0, -2.0j, 0.5))
     rep = extend_jet_recursive(flat_disk, jet)

@@ -72,6 +72,16 @@ def test_claim2_rhs_and_plateau():
     assert row["ratio"] == pytest.approx(row["norm"] / row["rhs"])
 
 
+def test_claim2_norm_decreases_with_eps():
+    # criterion 5's shortfall is the model's behaviour: the plateaus carry no
+    # mass, and off them e^{-psi} = e^{-phi} |z|^{-2 eps} shrinks with eps
+    res = sweeps.run_claim2(eps_list=(0.4, 0.2, 0.1, 0.05), A=20.0, m=4.0,
+                            degree=24, check_convergence=False)
+    by_eps = {row["eps"]: row["norm"] for row in res.rows}
+    norms = [by_eps[e] for e in (0.4, 0.2, 0.1, 0.05)]
+    assert all(b < a for a, b in zip(norms, norms[1:]))
+
+
 def test_claim2_norm_ordering_property():
     # psi = max(phi + eps log|z|^2, -A) >= phi + eps log|z|^2 pointwise, so
     # e^{-psi} <= e^{-(phi+eps log)} and the psi-norm of any function is
