@@ -26,44 +26,18 @@ from .extension import (
     rhs_estimate_jet,
 )
 from .functionals import NormSpec, evaluate_norm
-from .weights import RegularizedLogWeight, Weight, clamp_max
+from .weights import from_dict, shorthand
 from . import sweeps
 
 
 def parse_weight(text):
-    """Weight from a JSON object, an @file reference, or a shorthand tag
-    (zero[:domain], halfplane:m, point_log:r, diagonal_log,
-    reglog:eps[:style[:direction]], clamp:eps:A:m)."""
+    """Weight from a JSON spec, an @file holding one, or the shorthand
+    name:arg:... (see ``weights.shorthand``)."""
     text = text.strip()
     if text.startswith("@"):
         with open(text[1:]) as fh:
             text = fh.read().strip()
-    if text.startswith("{"):
-        return Weight.from_dict(json.loads(text))
-    parts = text.split(":")
-    tag, args = parts[0], parts[1:]
-    try:
-        if tag == "zero":
-            return Weight.zero(args[0] if args else "disk")
-        if tag == "halfplane":
-            return Weight.halfplane(float(args[0]) if args else 1.0)
-        if tag == "point_log":
-            return Weight.point_log(float(args[0]) if args else 1.0)
-        if tag == "diagonal_log":
-            return Weight.diagonal_log()
-        if tag == "reglog":
-            eps = float(args[0])
-            style = args[1] if len(args) > 1 else "convolution"
-            direction = args[2] if len(args) > 2 else "z1-z2"
-            return RegularizedLogWeight(eps, direction, style)
-        if tag == "clamp":
-            eps, A = float(args[0]), float(args[1])
-            m = float(args[2]) if len(args) > 2 else 0.0
-            base = Weight.halfplane(m) if m else Weight.zero()
-            return clamp_max(base, eps, A)
-    except (IndexError, ValueError) as exc:
-        raise ParameterError("bad weight shorthand %r: %s" % (text, exc))
-    raise ParameterError("unknown weight %r" % text)
+    return from_dict(json.loads(text) if text.startswith("{") else shorthand(text))
 
 
 def parse_complex_list(text):

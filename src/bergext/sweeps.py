@@ -15,7 +15,6 @@ import csv
 import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,25 +107,6 @@ def _csv_cell(v):
     return v
 
 
-def worker_count():
-    """Worker count from the BERGEXT_WORKERS environment variable (>= 1)."""
-    try:
-        n = int(os.environ.get("BERGEXT_WORKERS", "1"))
-    except ValueError:
-        raise ParameterError("BERGEXT_WORKERS must be an integer")
-    return max(1, n)
-
-
-def _pmap(fn, items):
-    n = worker_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, items))
-
-
 def _checked(solve, rule, check):
     """(value, model, converged) from ``solve(rule) -> (value, model)``;
     converged when ``solve(refine(rule))`` agrees within 1% relative."""
@@ -168,8 +148,7 @@ def _jet_norm(weight, degree, rule):
 
 # -- claim 1 -----------------------------------------------------------------
 
-def _claim1_row(args):
-    m, degree, check = args
+def _claim1_row(m, degree, check):
     w = Weight.halfplane(m) if m else Weight.zero()
     rule = disk_rule(radial_order=48, angular_order=128, grading_levels=16)
     norm, model, converged = _checked(
@@ -187,16 +166,14 @@ def run_claim1(ms=tuple(range(1, 9)), degree_schedule=None, out=None, fmt="csv",
         raise ParameterError("empty m grid")
     sched = degree_schedule or (lambda m: max(24, 6 * m))
     degrees = [sched(m) for m in ms]
-    rows = _pmap(_claim1_row,
-                 [(m, d, check_convergence) for m, d in zip(ms, degrees)])
+    rows = [_claim1_row(m, d, check_convergence) for m, d in zip(ms, degrees)]
     return _result("claim1", {"ms": ms, "degrees": degrees}, rows, out, fmt,
                    rule="disk 48x128 graded", jet="(1,0)")
 
 
 # -- claim 2 -----------------------------------------------------------------
 
-def _claim2_row(args):
-    eps, A, m, degree, check = args
+def _claim2_row(eps, A, m, degree, check):
     w = clamp_max(Weight.halfplane(m), eps, A)
     rule = disk_rule(radial_order=48, angular_order=128, grading_levels=20)
     norm, model, converged = _checked(
@@ -214,9 +191,8 @@ def run_claim2(eps_list=(0.4, 0.2, 0.1, 0.05), A=20.0, m=4.0, degree=24,
                out=None, fmt="csv", check_convergence=True):
     """Jet (1,0) under psi = max(phi + eps log|z|^2, -A), phi = -2m Re z."""
     eps_list = _eps_grid(eps_list)
-    rows = _pmap(_claim2_row,
-                 [(e, float(A), float(m), int(degree), check_convergence)
-                  for e in eps_list])
+    rows = [_claim2_row(e, float(A), float(m), int(degree), check_convergence)
+            for e in eps_list]
     return _result(
         "claim2", {"eps": eps_list, "A": A, "m": m, "degree": degree}, rows,
         out, fmt, rule="disk 48x128 graded", jet="(1,0)",
@@ -225,8 +201,7 @@ def run_claim2(eps_list=(0.4, 0.2, 0.1, 0.05), A=20.0, m=4.0, degree=24,
 
 # -- claims 3-4 --------------------------------------------------------------
 
-def _claim34_row(args):
-    eps, degree, style, check = args
+def _claim34_row(eps, degree, style, check):
     w = RegularizedLogWeight(eps, "z1-z2", style=style)
     data = CrossData((0.0,), (0.0, 1.0))
     inner_ang = int(min(512, max(256, round(8.0 / eps))))
@@ -257,8 +232,8 @@ def run_claim34(eps_list=(0.2, 0.1, 0.05, 0.025), degree=16, style="convolution"
     eps_list = _eps_grid(eps_list, reverse=True)
     if degree < 1:
         raise ParameterError("degree must be >= 1")
-    rows = _pmap(_claim34_row,
-                 [(e, int(degree), style, check_convergence) for e in eps_list])
+    rows = [_claim34_row(e, int(degree), style, check_convergence)
+            for e in eps_list]
     return _result(
         "claim34", {"eps": eps_list, "degree": degree, "style": style}, rows,
         out, fmt, rule="bidisk diagonal-graded, angular-reduced Gram",
@@ -319,7 +294,6 @@ def run_lemma_suite(family=None, degree=24, out=None, fmt="csv",
     if not family:
         raise ParameterError("empty weight family")
     family.sort(key=lambda w: w.describe())
-    # a plain loop: weights hold lambdified functions, which do not pickle
     rows = [_lemma_row(w, int(degree), check_convergence) for w in family]
     return _result("lemmas", {"weights": [w.describe() for w in family],
                               "degree": degree}, rows, out, fmt,

@@ -5,9 +5,17 @@ A weight is phi(z) = sum_j r_j log|f_j(z)|^2 + psi(z) with polynomial factors
 f_j and a real-polynomial smooth part psi.  Evaluation at a zero of some f_j
 returns -inf (a tagged sentinel, never an exception): downstream integrands
 multiply by e^{-phi} and quadrature nodes avoid singular centers anyway.
+
+Every weight has one canonical spec, a JSON-ready dict: a family of
+``_FAMILIES`` with all of its parameters, or the ``log_terms``/``smooth``/
+``domain`` of a free-form :class:`Weight`.  ``from_dict`` builds any weight
+from its spec, ``to_dict`` gives it back, ``describe`` renders it, and
+``shorthand`` turns the CLI spelling ``name:arg:...`` into a spec.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 import sympy as sp
@@ -31,7 +39,8 @@ def _lambdify(args, expr):
 
 
 class _LogTerm:
-    """One r_j * log|f_j|^2 term; keeps the sympy factor for derivatives."""
+    """One r_j * log|f_j|^2 term; keeps the sympy factor for derivatives.
+    ``_d[j]`` is df/dz_j (df/dz on the disk)."""
 
     def __init__(self, r, f_str, domain):
         if r < 0:
@@ -40,13 +49,9 @@ class _LogTerm:
         self.f_str = str(f_str)
         loc = _DISK_LOCALS if domain == "disk" else _BIDISK_LOCALS
         self.expr = sp.sympify(self.f_str, locals=loc)
-        if domain == "disk":
-            self._f = _lambdify((_Z,), self.expr)
-            self._df = _lambdify((_Z,), sp.diff(self.expr, _Z))
-        else:
-            self._f = _lambdify((_Z1, _Z2), self.expr)
-            self._d1 = _lambdify((_Z1, _Z2), sp.diff(self.expr, _Z1))
-            self._d2 = _lambdify((_Z1, _Z2), sp.diff(self.expr, _Z2))
+        zs = tuple(loc.values())
+        self._f = _lambdify(zs, self.expr)
+        self._d = [_lambdify(zs, sp.diff(self.expr, z)) for z in zs]
 
     def values(self, *zs):
         return np.broadcast_arrays(
@@ -55,25 +60,19 @@ class _LogTerm:
 
 
 class _SmoothPart:
-    """Real polynomial in the real coordinates, with holomorphic derivative."""
+    """Real polynomial in the real coordinates, with holomorphic derivatives
+    ``_d[j]`` = (d/dx_j - i d/dy_j)/2."""
 
     def __init__(self, expr_str, domain):
         self.expr_str = str(expr_str)
         loc = _DISK_SMOOTH if domain == "disk" else _BIDISK_SMOOTH
         self.expr = sp.sympify(self.expr_str, locals=loc)
         self.domain = domain
-        if domain == "disk":
-            self._f = _lambdify((_X, _Y), self.expr)
-            # d/dz = (d/dx - i d/dy)/2
-            dz = (sp.diff(self.expr, _X) - sp.I * sp.diff(self.expr, _Y)) / 2
-            self._dz = _lambdify((_X, _Y), dz)
-        else:
-            args = (_X1, _Y1, _X2, _Y2)
-            self._f = _lambdify(args, self.expr)
-            d1 = (sp.diff(self.expr, _X1) - sp.I * sp.diff(self.expr, _Y1)) / 2
-            d2 = (sp.diff(self.expr, _X2) - sp.I * sp.diff(self.expr, _Y2)) / 2
-            self._d1 = _lambdify(args, d1)
-            self._d2 = _lambdify(args, d2)
+        xy = tuple(loc.values())  # (x, y) or (x1, y1, x2, y2)
+        self._f = _lambdify(xy, self.expr)
+        d = [(sp.diff(self.expr, x) - sp.I * sp.diff(self.expr, y)) / 2
+             for x, y in zip(xy[::2], xy[1::2])]
+        self._d = [_lambdify(xy, e) for e in d]
 
     def values(self, *zs):
         if self.domain == "disk":
@@ -126,53 +125,53 @@ def _conjugation_symmetric(log_terms, smooth, domain):
     return all(sum(m[1::2]) % 2 == 0 for m in psi.monoms())
 
 
-class Weight:
+class _Spec:
+    """``to_dict`` and ``describe`` of every weight class, from ``self.spec``."""
+
+    def to_dict(self):
+        return copy.deepcopy(self.spec)
+
+    def describe(self):
+        return _render(self.spec)
+
+
+class Weight(_Spec):
     """Structured weight phi = sum r_j log|f_j|^2 + psi on disk or bidisk.
 
     A bidisk weight's ``diagonal_rotation_invariant`` and any weight's
     ``conjugation_symmetric`` are inferred from its expressions
     (``_diagonally_invariant``, ``_conjugation_symmetric``)."""
 
-    def __init__(self, log_terms=(), smooth="0", domain="disk",
-                 subharmonic=False, tag=None):
+    def __init__(self, log_terms=(), smooth="0", domain="disk"):
         if domain not in ("disk", "bidisk"):
             raise ParameterError("domain must be 'disk' or 'bidisk', got %r" % domain)
         self.domain = domain
-        self.log_terms = [
-            t if isinstance(t, _LogTerm) else _LogTerm(t[0], t[1], domain)
-            for t in log_terms
-        ]
+        self.log_terms = [_LogTerm(r, f, domain) for r, f in log_terms]
         self.smooth = _SmoothPart(smooth, domain)
-        self.is_subharmonic = bool(subharmonic)
-        self.tag = tag
+        self.spec = {"log_terms": [{"r": t.r, "f": t.f_str} for t in self.log_terms],
+                     "smooth": self.smooth.expr_str, "domain": domain}
         self.diagonal_rotation_invariant = domain == "bidisk" and \
             _diagonally_invariant(self.log_terms, self.smooth)
         self.conjugation_symmetric = _conjugation_symmetric(
             self.log_terms, self.smooth, domain)
 
-    # -- constructors for the weights actually used by the experiments -------
+    # -- the named families used by the experiments (see ``_FAMILIES``) -----
 
     @classmethod
     def zero(cls, domain="disk"):
-        return cls([], "0", domain, subharmonic=True, tag="zero")
+        return from_dict({"family": "zero", "domain": domain})
 
     @classmethod
-    def halfplane(cls, m, domain="disk"):
-        """phi(z) = -2m Re(z) (harmonic, hence subharmonic)."""
-        return cls([], "%r*x" % (-2.0 * m), domain, subharmonic=True,
-                   tag="halfplane(m=%r)" % float(m))
+    def halfplane(cls, m):
+        return from_dict({"family": "halfplane", "m": m})
 
     @classmethod
     def point_log(cls, r=1.0):
-        """phi(z) = r log|z|^2 on the disk."""
-        return cls([(r, "z")], "0", "disk", subharmonic=True,
-                   tag="point_log(r=%r)" % float(r))
+        return from_dict({"family": "point_log", "r": r})
 
     @classmethod
     def diagonal_log(cls):
-        """phi = log|z1-z2|^2 on the bidisk (unregularized)."""
-        return cls([(1.0, "z1-z2")], "0", "bidisk", subharmonic=True,
-                   tag="diagonal_log")
+        return from_dict({"family": "diagonal_log"})
 
     # -- evaluation ----------------------------------------------------------
 
@@ -190,7 +189,7 @@ class Weight:
         if self.domain != "disk":
             raise ParameterError("d_holomorphic is a one-variable operation")
         z = np.asarray(zs[0], dtype=complex)
-        out = np.asarray(self.smooth._dz(z.real, z.imag), dtype=complex)
+        out = np.asarray(self.smooth._d[0](z.real, z.imag), dtype=complex)
         out = np.broadcast_to(out, z.shape).copy()
         for t in self.log_terms:
             fv = t.values(z)
@@ -198,7 +197,7 @@ class Weight:
                 raise EvaluationError(
                     "derivative of %s requested at a singular point" % self.describe()
                 )
-            out = out + t.r * np.asarray(t._df(z), dtype=complex) / fv
+            out = out + t.r * np.asarray(t._d[0](z), dtype=complex) / fv
         return out
 
     def d_branch(self, branch, z):
@@ -208,69 +207,34 @@ class Weight:
             raise ParameterError("d_branch needs a bidisk weight")
         z = np.asarray(z, dtype=complex)
         z1, z2 = (np.zeros_like(z), z) if branch == 1 else (z, np.zeros_like(z))
-        if branch == 1:
-            out = np.asarray(
-                self.smooth._d2(z1.real, z1.imag, z2.real, z2.imag), dtype=complex)
-        else:
-            out = np.asarray(
-                self.smooth._d1(z1.real, z1.imag, z2.real, z2.imag), dtype=complex)
+        j = 2 - branch  # the free variable: z2 on V_1, z1 on V_2
+        out = np.asarray(self.smooth._d[j](z1.real, z1.imag, z2.real, z2.imag),
+                         dtype=complex)
         out = np.broadcast_to(out, z.shape).copy()
         for t in self.log_terms:
             fv = t.values(z1, z2)
             if np.any(fv == 0):
                 raise EvaluationError("branch derivative at a singular point")
-            dv = t._d2(z1, z2) if branch == 1 else t._d1(z1, z2)
-            out = out + t.r * np.asarray(dv, dtype=complex) / fv
+            out = out + t.r * np.asarray(t._d[j](z1, z2), dtype=complex) / fv
         return out
 
     def restrict_to_branch(self, branch):
         """Disk-like evaluator of a bidisk weight on V_1={z1=0} or V_2={z2=0}."""
         return BranchWeight(self, branch)
 
-    def describe(self):
-        """The tag, or every log term and the smooth part at repr precision."""
-        if self.tag:
-            return self.tag
-        terms = ["%r*log|%s|^2" % (t.r, t.f_str) for t in self.log_terms]
-        return "weight(%s: %s)" % (
-            self.domain, " + ".join(terms + [self.smooth.expr_str]))
 
-    # -- serialization (External Interface schema) ---------------------------
-
-    def to_dict(self):
-        d = {
-            "log_terms": [{"r": t.r, "f": t.f_str} for t in self.log_terms],
-            "smooth": self.smooth.expr_str,
-            "domain": self.domain,
-        }
-        if self.is_subharmonic:
-            d["subharmonic"] = True
-        if self.tag:
-            d["tag"] = self.tag
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            [(t["r"], t["f"]) for t in d.get("log_terms", [])],
-            d.get("smooth", "0"),
-            d.get("domain", "disk"),
-            subharmonic=d.get("subharmonic", False),
-            tag=d.get("tag"),
-        )
-
-
-class BranchWeight:
+class BranchWeight(_Spec):
     """Restriction of a bidisk weight to one branch of the cross."""
 
     domain = "disk"
 
     def __init__(self, parent, branch):
-        if branch not in (1, 2):
-            raise ParameterError("branch must be 1 or 2")
+        if branch not in (1, 2) or parent.domain != "bidisk":
+            raise ParameterError("branch must be 1 or 2, of a bidisk weight")
         self.parent = parent
-        self.branch = branch
-        self.is_subharmonic = getattr(parent, "is_subharmonic", False)
+        self.branch = int(branch)
+        self.spec = {"family": "branch", "parent": parent.to_dict(),
+                     "branch": self.branch}
         # phi(0, conj z) = phi(0, z) when phi is jointly conjugation symmetric
         self.conjugation_symmetric = getattr(parent, "conjugation_symmetric", False)
 
@@ -284,14 +248,11 @@ class BranchWeight:
     def d_holomorphic(self, z):
         return self.parent.d_branch(self.branch, z)
 
-    def describe(self):
-        return "%s|V%d" % (self.parent.describe(), self.branch)
 
-
-class ClampedWeight:
+class ClampedWeight(_Spec):
     """psi(z) = max(phi(z) + eps_coeff*log|z|^2, -floor) on the disk.
 
-    A max of subharmonic functions, so subharmonicity is inherited.  psi is
+    A max of subharmonic functions, so psi is subharmonic when phi is.  psi is
     identically -floor on a small disk around the origin (the log term tends
     to -inf), which is what makes dpsi(0) = 0.
     """
@@ -308,7 +269,8 @@ class ClampedWeight:
         self.base = base
         self.eps_coeff = float(eps_coeff)
         self.floor = float(floor)
-        self.is_subharmonic = getattr(base, "is_subharmonic", False)
+        self.spec = {"family": "clamp", "base": base.to_dict(),
+                     "eps_coeff": self.eps_coeff, "floor": self.floor}
         self.conjugation_symmetric = getattr(base, "conjugation_symmetric", False)
 
     def evaluate(self, z):
@@ -335,17 +297,13 @@ class ClampedWeight:
         phi0 = float(self.base.evaluate(np.array(0.0 + 0.0j)))
         return float(np.exp((-self.floor - phi0) / (2.0 * self.eps_coeff)))
 
-    def describe(self):
-        return "max(%s + %r*log|z|^2, %r)" % (
-            self.base.describe(), self.eps_coeff, -self.floor)
-
 
 def clamp_max(weight, eps_coeff, floor):
     """Pointwise max(phi + eps_coeff*log|z|^2, -floor) as a weight evaluator."""
     return ClampedWeight(weight, eps_coeff, floor)
 
 
-class RegularizedLogWeight:
+class RegularizedLogWeight(_Spec):
     """Smoothing of log|zeta|^2, zeta = z (disk) or z1-z2 (bidisk).
 
     style='convolution': the mollification against the normalized indicator
@@ -369,7 +327,8 @@ class RegularizedLogWeight:
         self.direction = direction
         self.style = style
         self.domain = "disk" if direction == "z" else "bidisk"
-        self.is_subharmonic = True
+        self.spec = {"family": "reglog", "epsilon": self.epsilon,
+                     "style": style, "direction": direction}
         self.diagonal_rotation_invariant = direction == "z1-z2"
         self.conjugation_symmetric = True  # phi_eps depends on |zeta| only
 
@@ -422,8 +381,97 @@ class RegularizedLogWeight:
             raise ParameterError("restrict_to_branch needs a bidisk weight")
         return RegularizedLogWeight(self.epsilon, "z", self.style)
 
-    def describe(self):
-        return "reglog(%s, eps=%r, %s)" % (self.direction, self.epsilon, self.style)
+
+# -- the canonical spec ------------------------------------------------------
+
+def _clamp_shorthand(eps_coeff, floor, m="0"):
+    """clamp:eps:A[:m] clamps phi = -2m Re z (the zero weight for m = 0)."""
+    m = float(m)
+    base = {"family": "halfplane", "m": m} if m else {"family": "zero"}
+    return {"base": base, "eps_coeff": eps_coeff, "floor": floor}
+
+
+# family -> (build, parameters, shorthand); the family None is a free-form
+# Weight.  Parameters are listed in shorthand order, each with its default or,
+# when it has none, its type; a dict parameter is a nested spec.  A shorthand
+# function maps the args of name:arg:... where they are not the parameters
+# in order.
+_FAMILIES = {
+    None: (lambda log_terms, smooth, domain:
+           Weight([(t["r"], t["f"]) for t in log_terms], smooth, domain),
+           {"log_terms": [], "smooth": "0", "domain": "disk"}, None),
+    "zero": (lambda domain: Weight([], "0", domain), {"domain": "disk"}, None),
+    "halfplane": (lambda m: Weight([], "%r*x" % (-2.0 * m)), {"m": 1.0}, None),
+    "point_log": (lambda r: Weight([(r, "z")]), {"r": 1.0}, None),
+    "diagonal_log": (lambda: Weight([(1.0, "z1-z2")], "0", "bidisk"), {}, None),
+    "reglog": (lambda epsilon, style, direction:
+               RegularizedLogWeight(epsilon, direction, style),
+               {"epsilon": float, "style": "convolution", "direction": "z1-z2"},
+               None),
+    "clamp": (lambda base, eps_coeff, floor:
+              ClampedWeight(from_dict(base), eps_coeff, floor),
+              {"base": dict, "eps_coeff": float, "floor": float},
+              _clamp_shorthand),
+    "branch": (lambda parent, branch: BranchWeight(from_dict(parent), branch),
+               {"parent": dict, "branch": int}, None),
+}
+# keys that earlier versions wrote into specs; they name no part of the
+# model, so they are dropped
+_LEGACY_KEYS = ("tag", "subharmonic")
+
+
+def from_dict(spec):
+    """The weight a canonical spec describes (module docstring); missing
+    parameters take their defaults, and the built weight's ``to_dict`` lists
+    them all."""
+    spec = {k: v for k, v in spec.items() if k not in _LEGACY_KEYS}
+    family = spec.pop("family", None)
+    if family not in _FAMILIES:
+        raise ParameterError("unknown weight family %r" % family)
+    build, declared, _ = _FAMILIES[family]
+    unknown = sorted(set(spec) - set(declared))
+    if unknown:
+        raise ParameterError("unknown weight parameters %s" % unknown)
+    params = {}
+    try:
+        for k, default in declared.items():
+            kind = default if isinstance(default, type) else type(default)
+            # a parameter without a default raises KeyError when missing
+            params[k] = kind(spec[k]) if k in spec or kind is default else default
+        w = build(**params)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParameterError("bad %s weight %r: %r" % (family or "free-form", spec, exc))
+    if family and isinstance(w, Weight):  # a named family of the free-form class
+        w.spec = {"family": family, **params}
+    return w
+
+
+def shorthand(text):
+    """The spec of name:arg:..., whose args fill the family's parameters in
+    ``_FAMILIES`` order (clamp aside), e.g. halfplane:2 or reglog:0.1:shifted."""
+    name, *args = text.split(":")
+    if name not in _FAMILIES:
+        raise ParameterError("unknown weight %r" % text)
+    _, declared, expand = _FAMILIES[name]
+    if expand is None and len(args) > len(declared):
+        raise ParameterError("weight %r takes at most %d args" % (text, len(declared)))
+    try:
+        params = expand(*args) if expand else dict(zip(declared, args))
+    except (TypeError, ValueError) as exc:
+        raise ParameterError("bad weight shorthand %r: %s" % (text, exc))
+    return {"family": name, **params}
+
+
+def _render(spec):
+    """One line naming every parameter of a spec, so that different specs
+    never share a description (nor a sweep config hash)."""
+    if "family" not in spec:
+        terms = ["%r*log|%s|^2" % (t["r"], t["f"]) for t in spec["log_terms"]]
+        return "weight(%s: %s)" % (
+            spec["domain"], " + ".join(terms + [spec["smooth"]]))
+    return "%s(%s)" % (spec["family"], ", ".join(
+        "%s=%s" % (k, _render(v) if isinstance(v, dict) else repr(v))
+        for k, v in spec.items() if k != "family"))
 
 
 def twisted_derivative(weight, f_coeffs, z):

@@ -47,7 +47,6 @@ class _NotInvariant:
 
     domain = "bidisk"
     diagonal_rotation_invariant = False
-    is_subharmonic = True
 
     def __init__(self, weight):
         self.evaluate = weight.evaluate

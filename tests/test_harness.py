@@ -51,7 +51,7 @@ def test_csv_cells_parse(tmp_path):
         for row in csv.DictReader(lines):
             for col, cell in row.items():
                 if col == "weight":
-                    assert cell == "zero"
+                    assert cell == "zero(domain='disk')"
                 elif cell not in ("True", "False"):
                     float(cell)
 
@@ -110,6 +110,15 @@ def test_claim34_row_content():
     assert row["rhs_data"] == pytest.approx(ref.real, rel=1e-12)
 
 
+def test_claim34_norm_independent_of_degree():
+    # the minimal extension of f = (0, z1) under the diagonally invariant
+    # weight is z1 itself, so the truncation degree cannot move the norm
+    norms = [sweeps.run_claim34(eps_list=(0.2,), degree=d,
+                                check_convergence=False).rows[0]["norm"]
+             for d in (4, 8, 12)]
+    assert norms[0] == norms[1] == norms[2]
+
+
 def test_lemma_suite_all_pass():
     res = sweeps.run_lemma_suite(degree=16, check_convergence=False)
     assert all(r["passed"] for r in res.rows)
@@ -126,6 +135,17 @@ def test_lemma_provenance_names_weight_parameters():
     assert len({r.rows[0]["weight"] for r in runs}) == 4
 
 
+def test_lemma_hash_ignores_legacy_tag():
+    # a free-form "tag" once stood in for the weight's expressions, so these
+    # two weights (omega_B 2.000 and 1.955) shared one config hash
+    texts = ['{"log_terms": [], "smooth": "%s", "tag": "w"}' % s
+             for s in ("-2.0*x", "-8.0*x")]
+    runs = [sweeps.run_lemma_suite([cli.parse_weight(t)], degree=8,
+                                   check_convergence=False) for t in texts]
+    assert runs[0].rows[0]["omega_B"] != runs[1].rows[0]["omega_B"]
+    assert runs[0].provenance["config_hash"] != runs[1].provenance["config_hash"]
+
+
 def test_lemma_suite_negative_control():
     # a deliberately under-resolved quadrature must lose the converged flag:
     # the kernel/metric identity itself is structural (it holds for any
@@ -139,14 +159,6 @@ def test_lemma_suite_negative_control():
                        rule=refine(refine(bad_rule)))
     b_bad, b_good = higher_kernel(bad, 0), higher_kernel(good, 0)
     assert abs(b_bad - b_good) / b_good > 0.01
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("BERGEXT_WORKERS", "3")
-    assert sweeps.worker_count() == 3
-    monkeypatch.setenv("BERGEXT_WORKERS", "junk")
-    with pytest.raises(ParameterError):
-        sweeps.worker_count()
 
 
 def test_json_output(tmp_path):

@@ -14,8 +14,10 @@ from bergext import (
     clamp_max,
     twisted_derivative,
 )
+from bergext import build_model, sweeps
 from bergext.cli import parse_weight
-from bergext.weights import sampled_laplacian_min
+from bergext.quadrature import bidisk_rule, disk_rule
+from bergext.weights import from_dict, sampled_laplacian_min
 
 
 def test_zero_weight():
@@ -45,9 +47,9 @@ def test_point_log_sentinel_and_derivative():
 
 
 def test_serialization_roundtrip():
-    w = Weight([(0.5, "z**2 - 1/4")], "-2*x + y**2", "disk", subharmonic=True)
+    w = Weight([(0.5, "z**2 - 1/4")], "-2*x + y**2", "disk")
     d = w.to_dict()
-    w2 = Weight.from_dict(d)
+    w2 = from_dict(d)
     z = np.array([0.3 + 0.1j, -0.2 + 0.6j])
     assert np.allclose(w.evaluate(z), w2.evaluate(z))
     assert d["domain"] == "disk"
@@ -144,7 +146,7 @@ def test_conjugation_symmetry_inferred():
     # the flag does not depend on how a weight is written
     for w in asymmetric + [Weight([(0.5, "z-0.5")]), Weight.halfplane(2.0),
                            Weight.zero("bidisk")]:
-        doc = json.dumps({k: v for k, v in w.to_dict().items() if k != "tag"})
+        doc = json.dumps(w.to_dict())
         assert parse_weight(doc).conjugation_symmetric == w.conjugation_symmetric
     assert Weight([(0.5, "z-0.5")]).conjugation_symmetric
     assert not Weight([], "exp(x**2)").conjugation_symmetric
@@ -224,6 +226,84 @@ def test_cutoff_values_in_unit_interval(r, theta):
 @given(st.floats(-4.0, 4.0), st.floats(0.05, 0.9))
 def test_weight_roundtrip_eval(m, r):
     w = Weight.halfplane(m)
-    w2 = Weight.from_dict(w.to_dict())
+    w2 = from_dict(w.to_dict())
     z = np.array([r * np.exp(0.7j)])
     assert np.allclose(w.evaluate(z), w2.evaluate(z))
+
+
+@pytest.mark.parametrize("w", [
+    RegularizedLogWeight(0.1, "z1-z2", "shifted"),
+    clamp_max(Weight.halfplane(2.0), 0.2, 6.0),
+    Weight.diagonal_log().restrict_to_branch(2),
+])
+def test_to_dict_roundtrip(w):
+    d = w.to_dict()
+    w2 = from_dict(json.loads(json.dumps(d)))
+    assert type(w2) is type(w)
+    assert w2.to_dict() == d and w2.describe() == w.describe()
+    z = np.array([0.3 + 0.1j, -0.2 + 0.6j])
+    zs = (z, 0.5 * z) if w.domain == "bidisk" else (z,)
+    assert np.array_equal(w2.evaluate(*zs), w.evaluate(*zs))
+
+
+def test_spec_validation():
+    # every key of a spec is read: a misspelt or missing parameter is an
+    # error, never a silently different weight
+    for bad in ({"family": "reglog"}, {"family": "halfplane", "q": 1.0},
+                {"family": "nope"}, {"smoth": "x**2"},
+                {"family": "branch", "parent": {"family": "zero"}, "branch": 1},
+                {"family": "clamp", "base": {"family": "zero"}, "eps_coeff": -1.0,
+                 "floor": 5.0}):
+        with pytest.raises(ParameterError):
+            from_dict(bad)
+    with pytest.raises(ParameterError):
+        parse_weight("zero:disk:extra")
+    # missing parameters take their defaults, and to_dict lists them all
+    assert from_dict({"family": "reglog", "epsilon": 0.1}).to_dict() == {
+        "family": "reglog", "epsilon": 0.1, "style": "convolution",
+        "direction": "z1-z2"}
+    assert parse_weight("halfplane").to_dict() == {"family": "halfplane", "m": 1.0}
+
+
+@st.composite
+def _spellings(draw):
+    """A weight as CLI shorthand and as the Python object."""
+    x = draw(st.floats(0.05, 0.9))
+    kind = draw(st.sampled_from(("zero", "halfplane", "point_log", "reglog", "clamp")))
+    if kind == "zero":
+        domain = draw(st.sampled_from(("disk", "bidisk")))
+        return "zero:" + domain, Weight.zero(domain)
+    if kind == "halfplane":
+        return "halfplane:%r" % (4 * x), Weight.halfplane(4 * x)
+    if kind == "point_log":
+        return "point_log:%r" % x, Weight.point_log(x)
+    if kind == "reglog":
+        style = draw(st.sampled_from(("convolution", "shifted")))
+        return "reglog:%r:%s" % (x, style), RegularizedLogWeight(x, "z1-z2", style)
+    floor = draw(st.floats(1.0, 8.0))
+    m = draw(st.sampled_from((0.0, 2.0)))
+    base = Weight.halfplane(m) if m else Weight.zero()
+    return "clamp:%r:%r:%r" % (x, floor, m), clamp_max(base, x, floor)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_spellings())
+def test_spellings_give_one_model(spelling):
+    # shorthand, JSON and the Python object are one weight: the same Gram,
+    # description and sweep config hash
+    text, obj = spelling
+    forms = [parse_weight(text), parse_weight(json.dumps(obj.to_dict())), obj]
+    if obj.domain == "disk":
+        rule = disk_rule(radial_order=8, angular_order=16, grading_levels=4)
+    else:
+        rule = bidisk_rule(radial_order=(4, 4), angular_order=(8, 16),
+                           grading_levels=4, diagonal_grading=True,
+                           diagonal_levels=4)
+    grams = [build_model(obj.domain, w, 3, rule=rule).gram for w in forms]
+    for w, g in zip(forms, grams):
+        assert np.abs(g - grams[-1]).max() <= 1e-12 * np.abs(grams[-1]).max()
+        assert w.describe() == obj.describe()
+    if obj.domain == "disk":
+        hashes = {sweeps.run_lemma_suite([w], degree=2, check_convergence=False)
+                  .provenance["config_hash"] for w in forms}
+        assert len(hashes) == 1
