@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import sympy as sp
 
 from .errors import COND_LIMIT, DegeneracyError, ParameterError
 from .quadrature import bidisk_rule, disk_rule
@@ -134,22 +133,17 @@ def _solve_hermitian(G, b):
 def _check_integrable(weight, degree, domain):
     """Reject weights whose log terms make low monomials non-integrable.
 
-    Log orders add up per zero across terms: per root inside the disk, per
-    irreducible factor (with multiplicity) on the bidisk.  A zero of total
-    log-order s at the origin kills z^n for n < s; a zero of order >= 1
-    elsewhere (point or curve) kills every represented monomial.
+    Log orders add up per zero across terms (each term's ``zeros``, found
+    once per factor): per root inside the disk, per irreducible factor (with
+    multiplicity) on the bidisk.  A zero of total log-order s at the origin
+    kills z^n for n < s; a zero of order >= 1 elsewhere (point or curve)
+    kills every represented monomial.
     """
     if not isinstance(weight, wmod.Weight):
         return
     orders = {}
     for t in weight.log_terms:
-        if domain == "disk":
-            zeros = [(np.round(complex(a), 9), m)
-                     for a, m in sp.roots(sp.Poly(t.expr, wmod._Z)).items()
-                     if abs(complex(a)) < 1.0 - 1e-12]
-        else:
-            zeros = sp.factor_list(t.expr, wmod._Z1, wmod._Z2)[1]
-        for zero, mult in zeros:
+        for zero, mult in t.zeros:
             orders[zero] = orders.get(zero, 0.0) + t.r * mult
     order0 = orders.pop(0j, 0.0)
     for zero, order in orders.items():

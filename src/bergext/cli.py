@@ -82,7 +82,8 @@ def _build_parser():
         return sp
 
     k = add("kernel", help="model summary: Gram diagnostics and B_k table")
-    k.add_argument("--domain", choices=("disk", "bidisk"), default="disk")
+    k.add_argument("--domain", choices=("disk", "bidisk"), default=None,
+                   help="model domain (default: the weight's)")
     k.add_argument("--weight", default="zero")
     k.add_argument("--degree", type=int, default=16)
     k.add_argument("--kmax", type=int, default=6)
@@ -177,7 +178,7 @@ def _run(args):
 
     if cmd == "kernel":
         w = parse_weight(args.weight)
-        model = build_model(args.domain, w, args.degree)
+        model = build_model(args.domain or w.domain, w, args.degree)
         _emit(model_summary_json(model, args.kmax), args.out)
         return 0
 

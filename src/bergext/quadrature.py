@@ -47,10 +47,12 @@ def _radial_breakpoints(center_radii, ratio, levels):
     return bps[keep]
 
 
-# Gauss rules on [-1, 1] keyed by (family, order), stored read-only: the
-# nodes of a fixed order are a constant, and a bidisk rule graded toward the
-# diagonal builds one inner disk rule per outer radius
+# Gauss rules on [-1, 1] keyed by (family, order), and the angular phases
+# e^{2 pi i k/n} keyed by n, stored read-only: the nodes of a fixed order are
+# a constant, and a bidisk rule graded toward the diagonal builds one inner
+# disk rule per outer radius
 _GAUSS = {}
+_PHASES = {}
 
 
 def _gauss_legendre(order):
@@ -62,6 +64,16 @@ def _gauss_legendre(order):
         w.flags.writeable = False
         _GAUSS[key] = x, w
     return _GAUSS[key]
+
+
+def _angular_phases(order):
+    """The uniform angular phases e^{2 pi i k/order}, k = 0..order-1."""
+    order = int(order)
+    if order not in _PHASES:
+        ph = np.exp(1j * (2.0 * np.pi * np.arange(order) / order))
+        ph.flags.writeable = False
+        _PHASES[order] = ph
+    return _PHASES[order]
 
 
 class DiskRule:
@@ -84,8 +96,7 @@ class DiskRule:
         self.radii = radii
         self.radial_weights = radial_weights
         self.angular_order = int(angular_order)
-        theta = 2.0 * np.pi * np.arange(self.angular_order) / self.angular_order
-        self._phases = np.exp(1j * theta)
+        self._phases = _angular_phases(self.angular_order)
         self.metadata = dict(metadata)
 
     @property

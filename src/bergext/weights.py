@@ -6,6 +6,12 @@ f_j and a real-polynomial smooth part psi.  Evaluation at a zero of some f_j
 returns -inf (a tagged sentinel, never an exception): downstream integrands
 multiply by e^{-phi} and quadrature nodes avoid singular centers anyway.
 
+Each f_j, psi and cut-off section is a sympy string, compiled once per shape:
+parsed once per (text, domain), its float coefficients lifted to symbols, and
+the shape with its derivatives lambdified once, so that halfplane(m) weights
+of every m share one compiled function and bind their coefficient at call
+time.
+
 Every weight has one canonical spec, a JSON-ready dict: a family of
 ``_FAMILIES`` with all of its parameters, or the ``log_terms``/``smooth``/
 ``domain`` of a free-form :class:`Weight`.  ``from_dict`` builds any weight
@@ -16,6 +22,7 @@ from its spec, ``to_dict`` gives it back, ``describe`` renders it, and
 from __future__ import annotations
 
 import copy
+import functools
 
 import numpy as np
 import sympy as sp
@@ -28,101 +35,188 @@ _Z1, _Z2 = sp.symbols("z1 z2")
 _X, _Y = sp.symbols("x y", real=True)
 _X1, _Y1, _X2, _Y2 = sp.symbols("x1 y1 x2 y2", real=True)
 
-_DISK_LOCALS = {"z": _Z}
-_BIDISK_LOCALS = {"z1": _Z1, "z2": _Z2}
-_DISK_SMOOTH = {"x": _X, "y": _Y}
-_BIDISK_SMOOTH = {"x1": _X1, "y1": _Y1, "x2": _X2, "y2": _Y2}
+# the variables of an expression, by (domain, holomorphic): log factors and
+# sections are holomorphic in z or (z1, z2), smooth parts are real functions
+# of (x, y) or (x1, y1, x2, y2)
+_VARIABLES = {("disk", True): (_Z,), ("bidisk", True): (_Z1, _Z2),
+              ("disk", False): (_X, _Y), ("bidisk", False): (_X1, _Y1, _X2, _Y2)}
+
+# entries of the parse cache (one per expression text and domain) and of the
+# compile cache (one per expression shape)
+_PARSE_CACHE_SIZE = 256
+_SHAPE_CACHE_SIZE = 64
 
 
-def _lambdify(args, expr):
-    return sp.lambdify(args, expr, modules="numpy")
+def _coeff(i):
+    return sp.Symbol("_c%d" % i, real=True)
+
+
+def _lift(expr, values):
+    """``expr`` with every nonzero Float outside an exponent replaced by
+    +-_c<i>, one real symbol per distinct magnitude (so that c*x1*y2 -
+    c*x2*y1 keeps its cancellations); ``values`` collects the magnitudes in
+    symbol order."""
+    if isinstance(expr, sp.Float):
+        if expr == 0:
+            return expr
+        v = float(expr)
+        if abs(v) not in values:
+            values.append(abs(v))
+        c = _coeff(values.index(abs(v)))
+        return -c if v < 0 else c
+    if isinstance(expr, sp.Pow):
+        return sp.Pow(_lift(expr.base, values), expr.exp)
+    if not expr.args:
+        return expr
+    return expr.func(*(_lift(a, values) for a in expr.args))
+
+
+@functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
+def _parse(text, domain, holomorphic):
+    """(expr, template, coefficients): the sympy expression of ``text``, its
+    shape (``_lift``) and the coefficient values that make the shape expr."""
+    variables = _VARIABLES[domain, holomorphic]
+    expr = sp.sympify(text, locals={str(v): v for v in variables})
+    values = []
+    template = _lift(expr, values)
+    return expr, template, tuple(values)
+
+
+class _Shape:
+    """An expression shape compiled once: its value ``f`` and derivatives
+    ``d[j]``, each called as fn(*variables, *coefficients), and the symmetry
+    flags shared by every expression of the shape.
+
+    The j-th derivative is d/dz_j of a holomorphic expression, and
+    (d/dx_j - i d/dy_j)/2 of a real one.  A flag holds for the shape when it
+    holds for generic coefficients, so it never holds where the concrete
+    expression lacks the symmetry.  A non-polynomial expression has neither.
+    """
+
+    def __init__(self, template, n_coeffs, domain, holomorphic):
+        self.template = template
+        self.domain = domain
+        self.holomorphic = holomorphic
+        self.variables = _VARIABLES[domain, holomorphic]
+        args = self.variables + tuple(_coeff(i) for i in range(n_coeffs))
+        if holomorphic:
+            d = [sp.diff(template, z) for z in self.variables]
+        else:
+            xy = self.variables
+            d = [(sp.diff(template, x) - sp.I * sp.diff(template, y)) / 2
+                 for x, y in zip(xy[::2], xy[1::2])]
+        self.f = sp.lambdify(args, template, modules="numpy")
+        self.d = [sp.lambdify(args, e, modules="numpy") for e in d]
+
+    def _poly(self, expr, *gens):
+        # the EX domain keeps the coefficient symbols as they are, and skips
+        # the mpmath context that a RealField domain builds on every call
+        return sp.Poly(expr, *gens, domain="EX")
+
+    @functools.cached_property
+    def conjugation_symmetric(self):
+        """Whether e(conj v) = conj(e(v)) (holomorphic: real coefficients), or
+        e is even in y, jointly in y1 and y2 (real)."""
+        try:
+            p = self._poly(self.template, *self.variables)
+        except sp.PolynomialError:
+            return False
+        if self.holomorphic:
+            return all(sp.im(c) == 0 for c in p.coeffs())
+        # real coordinates ordered (x, y) or (x1, y1, x2, y2): y exponents
+        # sit at the odd positions of each monomial
+        return all(sum(m[1::2]) % 2 == 0 for m in p.monoms())
+
+    @functools.cached_property
+    def diagonal_invariant(self):
+        """Whether |e| (holomorphic) or e (real) is invariant under
+        (z1, z2) -> (e^{ia} z1, e^{ia} z2): a homogeneous polynomial, or one
+        whose monomials in z_j and conj(z_j) have equal z and conj(z)
+        degree."""
+        if self.domain != "bidisk":
+            return False
+        try:
+            if self.holomorphic:
+                return self._poly(self.template, _Z1, _Z2).is_homogeneous
+            w1, w2 = sp.symbols("w1 w2")  # conj(z1), conj(z2)
+            to_z = {_X1: (_Z1 + w1) / 2, _Y1: (_Z1 - w1) / (2 * sp.I),
+                    _X2: (_Z2 + w2) / 2, _Y2: (_Z2 - w2) / (2 * sp.I)}
+            p = self._poly(sp.expand(self.template.subs(to_z)), _Z1, _Z2, w1, w2)
+        except sp.PolynomialError:
+            return False
+        return all(a + b == c + d for a, b, c, d in p.monoms())
+
+
+_compile = functools.lru_cache(maxsize=_SHAPE_CACHE_SIZE)(_Shape)
+
+
+class _Expression:
+    """An expression in the variables of a domain, parsed once per (text,
+    domain) and compiled once per shape, with its coefficients bound.
+
+    ``values`` and ``derivative(j, ...)`` (see ``_Shape``) take complex
+    points, of which a real expression reads the real and imaginary parts,
+    and broadcast to the points' shape.
+    """
+
+    def __init__(self, text, domain, holomorphic):
+        self.text = str(text)
+        self.holomorphic = holomorphic
+        _, template, self.coeffs = _parse(self.text, domain, holomorphic)
+        self.shape = _compile(template, len(self.coeffs), domain, holomorphic)
+
+    def _call(self, fn, zs, dtype):
+        zs = np.broadcast_arrays(*[np.asarray(z) for z in zs])
+        args = zs if self.holomorphic else [c for z in zs for c in (z.real, z.imag)]
+        out = np.asarray(fn(*args, *self.coeffs), dtype=dtype)
+        return np.broadcast_to(out, zs[0].shape).copy()
+
+    def values(self, *zs):
+        return self._call(self.shape.f, zs, complex if self.holomorphic else float)
+
+    def derivative(self, j, *zs):
+        return self._call(self.shape.d[j], zs, complex)
+
+
+@functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
+def _log_zeros(text, domain):
+    """(zero, multiplicity) pairs of a log factor, as the integrability check
+    adds up log orders: each root inside the disk (rounded to 9 digits), or
+    each irreducible factor over the bidisk.
+
+    Each factor base**k of the product as written is solved on its own, and
+    its zeros count k times: numerical root finding splits a repeated root
+    of (z - a)**2 into two simple ones, each of half the order.
+    """
+    zeros = {}
+    for factor in sp.Mul.make_args(_parse(text, domain, True)[0]):
+        base, power = factor.as_base_exp()
+        if domain == "disk":
+            found = [(np.round(complex(a), 9), m)
+                     for a, m in sp.roots(sp.Poly(base, _Z)).items()
+                     if abs(complex(a)) < 1.0 - 1e-12]
+        else:
+            found = sp.factor_list(base, _Z1, _Z2)[1]
+        for zero, mult in found:
+            zeros[zero] = zeros.get(zero, 0.0) + mult * float(power)
+    return tuple(zeros.items())
 
 
 class _LogTerm:
-    """One r_j * log|f_j|^2 term; keeps the sympy factor for derivatives.
-    ``_d[j]`` is df/dz_j (df/dz on the disk)."""
+    """One r_j * log|f_j|^2 term: the factor ``f`` and the ``zeros`` the
+    integrability check reads."""
 
     def __init__(self, r, f_str, domain):
         if r < 0:
             raise ParameterError("log-term coefficient must be >= 0, got %r" % r)
         self.r = float(r)
         self.f_str = str(f_str)
-        loc = _DISK_LOCALS if domain == "disk" else _BIDISK_LOCALS
-        self.expr = sp.sympify(self.f_str, locals=loc)
-        zs = tuple(loc.values())
-        self._f = _lambdify(zs, self.expr)
-        self._d = [_lambdify(zs, sp.diff(self.expr, z)) for z in zs]
-
-    def values(self, *zs):
-        return np.broadcast_arrays(
-            np.asarray(self._f(*zs), dtype=complex), *[np.asarray(z) for z in zs]
-        )[0]
-
-
-class _SmoothPart:
-    """Real polynomial in the real coordinates, with holomorphic derivatives
-    ``_d[j]`` = (d/dx_j - i d/dy_j)/2."""
-
-    def __init__(self, expr_str, domain):
-        self.expr_str = str(expr_str)
-        loc = _DISK_SMOOTH if domain == "disk" else _BIDISK_SMOOTH
-        self.expr = sp.sympify(self.expr_str, locals=loc)
         self.domain = domain
-        xy = tuple(loc.values())  # (x, y) or (x1, y1, x2, y2)
-        self._f = _lambdify(xy, self.expr)
-        d = [(sp.diff(self.expr, x) - sp.I * sp.diff(self.expr, y)) / 2
-             for x, y in zip(xy[::2], xy[1::2])]
-        self._d = [_lambdify(xy, e) for e in d]
+        self.f = _Expression(self.f_str, domain, holomorphic=True)
 
-    def values(self, *zs):
-        if self.domain == "disk":
-            z = np.asarray(zs[0])
-            out = self._f(z.real, z.imag)
-        else:
-            z1, z2 = np.broadcast_arrays(np.asarray(zs[0]), np.asarray(zs[1]))
-            out = self._f(z1.real, z1.imag, z2.real, z2.imag)
-        ref = np.broadcast_arrays(*[np.asarray(z) for z in zs])[0]
-        return np.broadcast_to(np.asarray(out, dtype=float), ref.shape).copy()
-
-
-def _diagonally_invariant(log_terms, smooth):
-    """Whether phi(e^{ia} z1, e^{ia} z2) = phi(z1, z2) for every a.
-
-    True when every log factor is homogeneous in (z1, z2) and every monomial
-    of the smooth part, written in z_j and conj(z_j), has equal z and conj(z)
-    degree.  A non-polynomial part counts as not invariant.
-    """
-    w1, w2 = sp.symbols("w1 w2")  # conj(z1), conj(z2)
-    to_z = {_X1: (_Z1 + w1) / 2, _Y1: (_Z1 - w1) / (2 * sp.I),
-            _X2: (_Z2 + w2) / 2, _Y2: (_Z2 - w2) / (2 * sp.I)}
-    try:
-        if not all(sp.Poly(t.expr, _Z1, _Z2).is_homogeneous for t in log_terms):
-            return False
-        psi = sp.Poly(sp.expand(smooth.expr.subs(to_z)), _Z1, _Z2, w1, w2)
-    except sp.PolynomialError:
-        return False
-    return all(a + b == c + d for a, b, c, d in psi.monoms())
-
-
-def _conjugation_symmetric(log_terms, smooth, domain):
-    """Whether phi(conj z) = phi(z), jointly in (z1, z2) on the bidisk.
-
-    True when every log factor has real coefficients (then |f(conj z)| =
-    |f(z)|) and psi is even in y (jointly in y1 and y2).  A non-polynomial
-    part counts as not symmetric.
-    """
-    zs = (_Z,) if domain == "disk" else (_Z1, _Z2)
-    # real coordinates ordered (x, y) or (x1, y1, x2, y2): y exponents sit at
-    # the odd positions of each monomial
-    xy = (_DISK_SMOOTH if domain == "disk" else _BIDISK_SMOOTH).values()
-    try:
-        if any(sp.im(c) != 0 for t in log_terms
-               for c in sp.Poly(t.expr, *zs).coeffs()):
-            return False
-        psi = sp.Poly(smooth.expr, *xy)
-    except sp.PolynomialError:
-        return False
-    return all(sum(m[1::2]) % 2 == 0 for m in psi.monoms())
+    @property
+    def zeros(self):
+        return _log_zeros(self.f_str, self.domain)
 
 
 class _Spec:
@@ -139,21 +233,21 @@ class Weight(_Spec):
     """Structured weight phi = sum r_j log|f_j|^2 + psi on disk or bidisk.
 
     A bidisk weight's ``diagonal_rotation_invariant`` and any weight's
-    ``conjugation_symmetric`` are inferred from its expressions
-    (``_diagonally_invariant``, ``_conjugation_symmetric``)."""
+    ``conjugation_symmetric`` hold when they hold for the shape of every
+    log factor and of the smooth part (``_Shape``)."""
 
     def __init__(self, log_terms=(), smooth="0", domain="disk"):
         if domain not in ("disk", "bidisk"):
             raise ParameterError("domain must be 'disk' or 'bidisk', got %r" % domain)
         self.domain = domain
         self.log_terms = [_LogTerm(r, f, domain) for r, f in log_terms]
-        self.smooth = _SmoothPart(smooth, domain)
+        self.smooth = _Expression(smooth, domain, holomorphic=False)
         self.spec = {"log_terms": [{"r": t.r, "f": t.f_str} for t in self.log_terms],
-                     "smooth": self.smooth.expr_str, "domain": domain}
+                     "smooth": self.smooth.text, "domain": domain}
+        shapes = [t.f.shape for t in self.log_terms] + [self.smooth.shape]
         self.diagonal_rotation_invariant = domain == "bidisk" and \
-            _diagonally_invariant(self.log_terms, self.smooth)
-        self.conjugation_symmetric = _conjugation_symmetric(
-            self.log_terms, self.smooth, domain)
+            all(s.diagonal_invariant for s in shapes)
+        self.conjugation_symmetric = all(s.conjugation_symmetric for s in shapes)
 
     # -- the named families used by the experiments (see ``_FAMILIES``) -----
 
@@ -179,7 +273,7 @@ class Weight(_Spec):
         """phi at the given point(s); -inf sentinel on the zero set of any f_j."""
         out = self.smooth.values(*zs)
         for t in self.log_terms:
-            a2 = np.abs(t.values(*zs)) ** 2
+            a2 = np.abs(t.f.values(*zs)) ** 2
             with np.errstate(divide="ignore"):
                 out = out + t.r * np.log(a2)
         return out
@@ -189,15 +283,14 @@ class Weight(_Spec):
         if self.domain != "disk":
             raise ParameterError("d_holomorphic is a one-variable operation")
         z = np.asarray(zs[0], dtype=complex)
-        out = np.asarray(self.smooth._d[0](z.real, z.imag), dtype=complex)
-        out = np.broadcast_to(out, z.shape).copy()
+        out = self.smooth.derivative(0, z)
         for t in self.log_terms:
-            fv = t.values(z)
+            fv = t.f.values(z)
             if np.any(fv == 0):
                 raise EvaluationError(
                     "derivative of %s requested at a singular point" % self.describe()
                 )
-            out = out + t.r * np.asarray(t._d[0](z), dtype=complex) / fv
+            out = out + t.r * t.f.derivative(0, z) / fv
         return out
 
     def d_branch(self, branch, z):
@@ -208,14 +301,12 @@ class Weight(_Spec):
         z = np.asarray(z, dtype=complex)
         z1, z2 = (np.zeros_like(z), z) if branch == 1 else (z, np.zeros_like(z))
         j = 2 - branch  # the free variable: z2 on V_1, z1 on V_2
-        out = np.asarray(self.smooth._d[j](z1.real, z1.imag, z2.real, z2.imag),
-                         dtype=complex)
-        out = np.broadcast_to(out, z.shape).copy()
+        out = self.smooth.derivative(j, z1, z2)
         for t in self.log_terms:
-            fv = t.values(z1, z2)
+            fv = t.f.values(z1, z2)
             if np.any(fv == 0):
                 raise EvaluationError("branch derivative at a singular point")
-            out = out + t.r * np.asarray(t._d[j](z1, z2), dtype=complex) / fv
+            out = out + t.r * t.f.derivative(j, z1, z2) / fv
         return out
 
     def restrict_to_branch(self, branch):
@@ -517,29 +608,24 @@ class CutoffFamily:
         self.epsilon = float(epsilon)
         self.section_str = str(section)
         self.domain = domain
-        loc = _DISK_LOCALS if domain == "disk" else _BIDISK_LOCALS
-        expr = sp.sympify(self.section_str, locals=loc)
-        args = (_Z,) if domain == "disk" else (_Z1, _Z2)
-        self._s = _lambdify(args, expr)
-        self._ds = [_lambdify(args, sp.diff(expr, a)) for a in args]
+        self._s = _Expression(self.section_str, domain, holomorphic=True)
 
-    def _section(self, *zs):
-        ref = np.broadcast_arrays(*[np.asarray(z, dtype=complex) for z in zs])[0]
-        return np.broadcast_to(np.asarray(self._s(*zs), dtype=complex), ref.shape)
+    def _ds2(self, *zs):
+        """The sum of |ds/dz_j|^2."""
+        return sum(np.abs(self._s.derivative(j, *zs)) ** 2 for j in range(len(zs)))
 
     def evaluate(self, *zs, mode="value"):
         """Value in [0,1], or the squared (real) gradient with mode='grad_sq'.
 
         Gradients use the closed-form chain rule; for a holomorphic section s
         the real gradient of |s|^2 has squared norm 4|s|^2|s'|^2."""
-        s = self._section(*zs)
-        a2 = np.abs(s) ** 2
+        a2 = np.abs(self._s.values(*zs)) ** 2
         e2 = self.epsilon**2
         if self.kind == "rho_eps":
             u = a2 / e2
             if mode == "value":
                 return _rho(u)
-            ds2 = sum(np.abs(np.asarray(d(*zs), dtype=complex)) ** 2 for d in self._ds)
+            ds2 = self._ds2(*zs)
             return _rho_prime(u) ** 2 * 4.0 * a2 * ds2 / e2**2
         # xi_eps: argument log(log(1/|s|^2)); clamp to 1 when |s| >= 1
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -548,7 +634,7 @@ class CutoffFamily:
         shifted = t - (1.0 / self.epsilon) + 1.0
         if mode == "value":
             return np.where(big_l > 0, _rho(shifted), 1.0)
-        ds2 = sum(np.abs(np.asarray(d(*zs), dtype=complex)) ** 2 for d in self._ds)
+        ds2 = self._ds2(*zs)
         safe_a2 = np.where(a2 > 0, a2, 1.0)
         safe_l = np.where(big_l > 0, big_l, 1.0)
         g = _rho_prime(shifted) ** 2 * 4.0 * ds2 / (safe_a2 * safe_l**2)

@@ -282,9 +282,12 @@ def test_diagonal_invariance_inferred():
 
 
 def test_log_orders_add_per_zero():
-    # log orders sharing a zero add up across terms, as in a single term
+    # log orders sharing a zero add up across terms, as in a single term, and
+    # a repeated factor counts with its power (numerical root finding splits
+    # the double root of a float polynomial)
     for terms in ([(1.2, "z-0.5")], [(0.6, "z-0.5"), (0.6, "z-0.5")],
-                  [(0.6, "z-0.5"), (0.6, "2*z-1")]):
+                  [(0.6, "z-0.5"), (0.6, "2*z-1")], [(0.6, "(z-0.3)**2")],
+                  [(0.6, "(z - (0.3 + 0.2*I))**2*(z + 0.5)")]):
         with pytest.raises(DegeneracyError):
             build_model("disk", Weight(terms), 8)
     build_model("disk", Weight([(0.3, "z-0.5"), (0.3, "z-0.5")]), 8)

@@ -119,6 +119,18 @@ def test_claim34_norm_independent_of_degree():
     assert norms[0] == norms[1] == norms[2]
 
 
+def test_claim34_norm_log_rate():
+    # the norm is int |z1|^2 e^{-phi_eps} over the bidisk, whose analytic rate
+    # is pi^2 log(1/eps): pi/2 from int |z1|^2 times 2 pi log(1/eps) from the
+    # transverse integral across the diagonal
+    eps = [0.2 / 2**k for k in range(6)]
+    rows = sweeps.run_claim34(eps_list=eps, degree=2,
+                              check_convergence=False).rows
+    by_eps = {row["eps"]: row["norm"] for row in rows}
+    slope = np.polyfit(np.log(1.0 / np.array(eps)), [by_eps[e] for e in eps], 1)[0]
+    assert slope == pytest.approx(math.pi**2, rel=0.02)
+
+
 def test_lemma_suite_all_pass():
     res = sweeps.run_lemma_suite(degree=16, check_convergence=False)
     assert all(r["passed"] for r in res.rows)
@@ -177,6 +189,17 @@ def test_cli_kernel(capsys):
     assert cli.main(["kernel", "--degree", "6"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["B0"] == pytest.approx(1 / math.pi, rel=1e-10)
+
+
+def test_cli_kernel_domain_from_weight(capsys):
+    # --domain defaults to the weight's own domain; an explicit mismatching
+    # one is still a parameter error
+    for weight in ("zero:bidisk", "reglog:0.1"):
+        assert cli.main(["kernel", "--degree", "2", "--weight", weight]) == 0
+        assert json.loads(capsys.readouterr().out)["domain"] == "bidisk"
+    assert cli.main(["kernel", "--degree", "2", "--domain", "disk",
+                     "--weight", "reglog:0.1"]) == 1
+    assert "does not match" in capsys.readouterr().err
 
 
 def test_cli_extend_jet(capsys):

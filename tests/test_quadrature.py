@@ -63,6 +63,20 @@ def test_rotation_preserves_rule():
         integrate(r, lambda z: np.abs(z) ** 4).real, rel=1e-13)
 
 
+def test_rules_share_one_read_only_phase_vector():
+    # every rule of one angular order holds the same cached phases; rotating
+    # a rule makes its own array and leaves the shared one as it was
+    r = disk_rule(radial_order=4, angular_order=16, grading_levels=2)
+    shared = r._phases
+    before = shared.copy()
+    rot = r.rotated(np.exp(0.3j))
+    assert rot._phases is not shared
+    assert np.array_equal(rot._phases, before * np.exp(0.3j))
+    assert np.array_equal(shared, before) and not shared.flags.writeable
+    assert disk_rule(radial_order=6, angular_order=16)._phases is shared
+    assert np.array_equal(shared, np.exp(2j * np.pi * np.arange(16) / 16))
+
+
 def test_nodes_strictly_interior():
     r = disk_rule(radial_order=8, angular_order=16, grading_centers=(0.5,))
     a = np.abs(r.nodes)

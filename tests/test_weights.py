@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from bergext import (
     CutoffFamily,
+    DegeneracyError,
     EvaluationError,
     ParameterError,
     RegularizedLogWeight,
@@ -14,7 +16,8 @@ from bergext import (
     clamp_max,
     twisted_derivative,
 )
-from bergext import build_model, sweeps
+from bergext import build_model, sweeps, weights
+from bergext.bergman import _check_integrable
 from bergext.cli import parse_weight
 from bergext.quadrature import bidisk_rule, disk_rule
 from bergext.weights import from_dict, sampled_laplacian_min
@@ -307,3 +310,192 @@ def test_spellings_give_one_model(spelling):
         hashes = {sweeps.run_lemma_suite([w], degree=2, check_convergence=False)
                   .provenance["config_hash"] for w in forms}
         assert len(hashes) == 1
+
+
+# -- the compile path: one compiled function per expression shape ----------
+
+_ZS = {"disk": (sp.Symbol("z"),), "bidisk": sp.symbols("z1 z2")}
+_XY = {"disk": sp.symbols("x y", real=True),
+       "bidisk": sp.symbols("x1 y1 x2 y2", real=True)}
+# smooth-part terms by domain; {c} is a coefficient.  Products of real
+# coordinates are written out with one coefficient, so that a symmetry never
+# rests on a relation between two different values
+_SMOOTH_TERMS = {
+    "disk": ("{c}", "{c}*x", "{c}*y", "{c}*x*y", "{c}*(x**2 + y**2)",
+             "{c}*x**3", "{c}*y**2", "{c}*x*y**2"),
+    "bidisk": ("{c}", "{c}*x1", "{c}*y2", "{c}*x1*y1", "{c}*(x1**2 + y1**2)",
+               "{c}*(x1*x2 + y1*y2)", "{c}*(x1*y2 - y1*x2)",
+               "{c}*(x1*x2 - y1*y2)", "{c}*(x2**2 + y2**2)**2"),
+}
+# log factors: linear factors with a root or a ratio a + b*I, to a power;
+# each is irreducible, and the zero set of a bidisk factor meets the bidisk
+_FACTORS = {"disk": ("(z - ({a}))",),
+            "bidisk": ("(z1 - ({a})*z2)", "(z2 - ({a})*z1)", "(z1*z2 - ({a}))")}
+
+
+@st.composite
+def _free_form(draw, domain):
+    """A free-form weight (log_terms, smooth) with random float
+    coefficients, and the log order of each of its zeros: per root inside
+    the disk, or per factor over the bidisk, as the test built them."""
+    coeff = st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 1e-3)
+
+    def number():
+        # a root or ratio: 0 (the origin, on the disk), real, or complex
+        kind = draw(st.sampled_from(("zero", "real", "complex")))
+        if kind == "zero" and domain == "disk":
+            return 0.0, "0"
+        if kind == "complex":
+            a = complex(draw(coeff), draw(coeff))
+            return a, "%r + %r*I" % (a.real, a.imag)
+        a = draw(coeff)
+        return a, repr(a)
+
+    terms = draw(st.lists(st.sampled_from(_SMOOTH_TERMS[domain]), min_size=1,
+                          max_size=3, unique=True))
+    smooth = " + ".join(t.format(c="(%r)" % draw(coeff)) for t in terms)
+    log_terms, orders = [], {}
+    for _ in range(draw(st.integers(0, 2))):
+        r, factors = draw(st.floats(0.05, 1.2)), []
+        for _ in range(draw(st.integers(1, 2))):
+            form = draw(st.sampled_from(_FACTORS[domain]))
+            (a, text), k = number(), draw(st.integers(1, 2))
+            if form == "(z1*z2 - ({a}))" and abs(a) >= 1:
+                continue
+            if domain == "bidisk" or abs(a) < 1:
+                key = complex(a) if domain == "disk" else (form, a)
+                orders[key] = orders.get(key, 0.0) + r * k
+            factors.append("%s**%d" % (form.format(a=text), k))
+        if factors:
+            log_terms.append((r, "*".join(factors)))
+    return log_terms, smooth, orders
+
+
+def _reference(log_terms, smooth, domain):
+    """phi, its holomorphic derivatives and both symmetry flags, from the
+    concrete expressions by plain sympy."""
+    zs, xy = _ZS[domain], _XY[domain]
+    psi = sp.sympify(smooth, locals={str(v): v for v in xy})
+    fs = [(r, sp.sympify(f, locals={str(v): v for v in zs})) for r, f in log_terms]
+    psi_d = [(sp.diff(psi, x) - sp.I * sp.diff(psi, y)) / 2
+             for x, y in zip(xy[::2], xy[1::2])]
+    lam = lambda e, args: sp.lambdify(args, e, modules="numpy")
+
+    def real(zv):
+        return [c for z in zv for c in (z.real, z.imag)]
+
+    def phi(*zv):
+        out = lam(psi, xy)(*real(zv)) + 0 * zv[0].real
+        for r, f in fs:
+            out = out + r * np.log(np.abs(lam(f, zs)(*zv) + 0 * zv[0]) ** 2)
+        return out
+
+    def d(j, *zv):
+        out = lam(psi_d[j], xy)(*real(zv)) + 0 * zv[0]
+        for r, f in fs:
+            out = out + r * lam(sp.diff(f, zs[j]), zs)(*zv) / lam(f, zs)(*zv)
+        return out
+
+    def poly(e, *gens):
+        try:
+            return sp.Poly(e, *gens)
+        except sp.PolynomialError:
+            return None
+
+    conj = all(p is not None and all(sp.im(c) == 0 for c in p.coeffs())
+               for p in (poly(f, *zs) for _, f in fs))
+    p = poly(psi, *xy)
+    conj = conj and p is not None and all(sum(m[1::2]) % 2 == 0 for m in p.monoms())
+    diag = False
+    if domain == "bidisk":
+        w1, w2 = sp.symbols("w1 w2")
+        x1, y1, x2, y2 = xy
+        z1, z2 = zs
+        to_z = {x1: (z1 + w1) / 2, y1: (z1 - w1) / (2 * sp.I),
+                x2: (z2 + w2) / 2, y2: (z2 - w2) / (2 * sp.I)}
+        q = poly(sp.expand(psi.subs(to_z)), z1, z2, w1, w2)
+        diag = all(poly(f, *zs).is_homogeneous for _, f in fs) and \
+            all(a + b == c + e for a, b, c, e in q.monoms())
+    return phi, d, conj, diag
+
+
+def _reference_killed(orders, degree):
+    """The monomials the integrability check must reject: None when the
+    weight is integrable, "all" when a zero off the origin has order >= 1,
+    else the z^n with n below the order at the origin."""
+    orders = dict(orders)
+    order0 = orders.pop(0j, 0.0)
+    if any(o >= 1.0 for o in orders.values()):
+        return "all"
+    if order0 >= 1.0:
+        return [n for n in range(degree + 1) if n < order0]
+    return None
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(("disk", "bidisk")).flatmap(
+    lambda d: st.tuples(st.just(d), _free_form(d))), st.integers(0, 2**32 - 1))
+def test_compiled_weight_matches_concrete_expression(case, seed):
+    domain, (log_terms, smooth, orders) = case
+    w = Weight(log_terms, smooth, domain)
+    phi, d, conj, diag = _reference(log_terms, smooth, domain)
+    rng = np.random.default_rng(seed)
+    zv = [0.95 * np.sqrt(rng.uniform(size=8)) * np.exp(2j * np.pi * rng.uniform(size=8))
+          for _ in _ZS[domain]]
+    assert np.allclose(w.evaluate(*zv), phi(*zv), rtol=1e-12, atol=1e-12)
+    if domain == "disk":
+        assert np.allclose(w.d_holomorphic(zv[0]), d(0, zv[0]), rtol=1e-12, atol=1e-12)
+    else:
+        zero = np.zeros_like(zv[0])
+        assert np.allclose(w.d_branch(1, zv[1]), d(1, zero, zv[1]),
+                           rtol=1e-12, atol=1e-12)
+        assert np.allclose(w.d_branch(2, zv[0]), d(0, zv[0], zero),
+                           rtol=1e-12, atol=1e-12)
+    assert w.conjugation_symmetric == conj
+    assert w.diagonal_rotation_invariant == diag
+    killed = _reference_killed(orders, 3)
+    if killed is None:
+        _check_integrable(w, 3, domain)
+    else:
+        with pytest.raises(DegeneracyError) as exc:
+            _check_integrable(w, 3, domain)
+        if killed != "all":
+            assert exc.value.offending_monomials == killed
+
+
+def test_halfplane_weights_share_one_compiled_shape():
+    a = Weight.halfplane(1.2345)
+    before = weights._compile.cache_info()
+    b = Weight.halfplane(6.789)
+    after = weights._compile.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
+    assert a.smooth.shape is b.smooth.shape
+    assert a.smooth.shape.f is b.smooth.shape.f
+    assert np.array_equal(b.evaluate(np.array([0.5 + 0.25j])), [-2 * 6.789 * 0.5])
+    # fixed texts are parse-cache hits
+    for make in (lambda: Weight.point_log(0.5), Weight.zero,
+                 lambda: Weight.diagonal_log()):
+        make()
+        before = weights._parse.cache_info()
+        make()
+        after = weights._parse.cache_info()
+        assert after.misses == before.misses and after.hits > before.hits
+
+
+def test_second_build_model_finds_no_roots(monkeypatch):
+    disk = disk_rule(radial_order=4, angular_order=8, grading_levels=2)
+    bidisk = bidisk_rule(radial_order=(4, 4), angular_order=(8, 8),
+                         grading_levels=2)
+    weights_ = [("disk", lambda: Weight([(0.5, "z - 0.25")]), disk),
+                ("bidisk", lambda: Weight([(0.5, "z1 - 0.3*z2")], "0", "bidisk"),
+                 bidisk)]
+    for domain, make, rule in weights_:
+        build_model(domain, make(), 2, rule=rule)
+
+    def no_root_finder(*args, **kwargs):
+        raise AssertionError("root finder called")
+
+    monkeypatch.setattr(sp, "roots", no_root_finder)
+    monkeypatch.setattr(sp, "factor_list", no_root_finder)
+    for domain, make, rule in weights_:
+        build_model(domain, make(), 2, rule=rule)
