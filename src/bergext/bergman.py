@@ -15,10 +15,13 @@ Conjugation-symmetric weights, phi(conj z) = phi(z), are evaluated on half
 the angles of an unrotated rule.  The disk Gram is the kernel on the disk
 rule's grid.  The bidisk uses the full tensor grid z1^m z2^n with m,n <= D
 so that cross constraints are exactly expressible; its Gram applies the
-kernel to the inner factor at every outer node and sums the outer angles
-with a second FFT.  For weights invariant under the simultaneous rotation
-(z1,z2) -> (e^{ia}z1, e^{ia}z2) the outer angular integral is exact: entries
-vanish unless m+n = m'+n', and only the outer angle 0 is evaluated.
+kernel to the inner factor once per group of outer radii that share an inner
+rule (every outer node of the group is a batch entry of the kernel's
+radius-first blocks), contracts the outer radii with one matrix product per
+group, and sums the outer angles with a second FFT.  For weights invariant
+under the simultaneous rotation (z1,z2) -> (e^{ia}z1, e^{ia}z2) the outer
+angular integral is exact: entries vanish unless m+n = m'+n', and only the
+outer angle 0 is evaluated.
 Quadratic functionals (the bulk norm, branch integrals of polynomials) are
 Gram forms q^H G q from ``_gram``, with any radial density in the weights.
 """
@@ -135,7 +138,8 @@ def _check_integrable(weight, degree, domain):
 
     Log orders add up per zero across terms (each term's ``zeros``, found
     once per factor): per root inside the disk, per irreducible factor (with
-    multiplicity) on the bidisk.  A zero of total log-order s at the origin
+    multiplicity) on the bidisk, leaving out a factor in one variable whose
+    zeros miss the closed disk.  A zero of total log-order s at the origin
     kills z^n for n < s; a zero of order >= 1 elsewhere (point or curve)
     kills every represented monomial.
     """
@@ -165,36 +169,47 @@ def _check_integrable(weight, degree, domain):
 _BLOCK = 1 << 14
 
 
+def _evaluated_phases(rule, symmetric):
+    """The angular phases at which ``_moments`` evaluates e^{-phi}: 0..na/2
+    when it is even in the angle (``symmetric``) on an unrotated rule with
+    an even angular order na, every angle otherwise."""
+    na = rule.angular_order
+    if symmetric and rule._phases[0] == 1 and na % 2 == 0:
+        return rule._phases[:na // 2 + 1]
+    return rule._phases
+
+
 def _moments(exp_phi, rule, degree, symmetric, batch=1):
     """M[..., n, n'] = sum over the nodes of w conj(z^n) z^n' e^{-phi}.
 
     ``exp_phi(z, r)`` returns e^{-phi} on a block z = r x angles of the rule's
-    polar grid (r a run of its radii), with any leading batch axes of total
-    size ``batch``.  The radial sum comes first: each block is contracted
-    with the moments w r^{1+s}, s = n+n', by a real matrix product into
-    2*degree+1 rows per angle.  When e^{-phi} is even in the angle
-    (``symmetric``: phi(conj z) = phi(z) at these nodes) on an unrotated rule
-    with an even angular order na, angle na-k is the conjugate of angle k:
-    only the angles 0..na/2 are evaluated, and the rows are mirrored back to
-    all na angles.  One rfft of the rows gives every Fourier offset d = n'-n
-    at once (the trapezoid sum is a DFT, aliasing included); offsets past
-    na/2 are conjugates, since the rows are real.
+    polar grid (r a run of its radii) as T[radius, *batch, angle], the radius
+    axis first, with batch axes of total size ``batch`` (none on the disk).
+    The radial sum comes first: each block is contracted with the moments
+    w r^{1+s}, s = n+n', by one real matrix product, whatever the batch
+    shape, into 2*degree+1 rows per batch entry and angle.  When e^{-phi} is
+    even in the angle (``symmetric``: phi(conj z) = phi(z) at these nodes) on
+    an unrotated rule with an even angular order na, angle na-k is the
+    conjugate of angle k: only the angles 0..na/2 are evaluated, and the rows
+    are mirrored back to all na angles.  One rfft of the rows gives every
+    Fourier offset d = n'-n at once (the trapezoid sum is a DFT, aliasing
+    included); offsets past na/2 are conjugates, since the rows are real.
     """
     na = rule.angular_order
-    ph = rule._phases
-    if symmetric and ph[0] == 1 and na % 2 == 0:
-        ph = ph[:na // 2 + 1]
+    ph = _evaluated_phases(rule, symmetric)
     pw = (2.0 * np.pi / na) * rule.radial_weights * rule.radii
     P = pw[:, None] * rule.radii[:, None] ** np.arange(2 * degree + 1)[None, :]
     step = max(1, _BLOCK // (batch * ph.size))
-    R = 0.0  # R[..., s, angle]
+    R = 0.0  # R[s, batch * angle]
     for lo in range(0, rule.radii.size, step):
         r = rule.radii[lo:lo + step]
         T = exp_phi(r[:, None] * ph[None, :], r)
         if not np.all(np.isfinite(T)):
             raise DegeneracyError(
                 "weight produced non-finite e^{-phi} at quadrature nodes")
-        R = R + P[lo:lo + step].T @ T
+        R = R + P[lo:lo + step].T @ T.reshape(r.size, -1)
+    R = R.reshape((-1,) + T.shape[1:])
+    R = R.transpose(tuple(range(1, R.ndim - 1)) + (0, -1))  # R[..., s, angle]
     if ph.size < na:
         R = np.concatenate([R, R[..., -2:0:-1]], axis=-1)
     F = np.fft.rfft(R, axis=-1)
@@ -209,12 +224,15 @@ def _moments(exp_phi, rule, degree, symmetric, batch=1):
 
 
 def _exp_weight(weight, zs, r, density=None):
-    """e^{-phi(zs)}, times density(r) along the radial (second to last) axis
-    when given.  A weight with an ``_exp_neg_phi`` method (the regularized
-    log) gives e^{-phi} directly, finite everywhere, with no log/exp round
-    trip; any other weight goes through exp(-evaluate), and phi is not used
-    where the density is 0.  Either way excluded nodes contribute exactly 0."""
-    rho = None if density is None else density(r)[:, None]
+    """e^{-phi(zs)}, times density(r) along the leading (radius) axis when
+    given.  A weight with an ``_exp_neg_phi`` method (the regularized log)
+    gives e^{-phi} directly, finite everywhere, with no log/exp round trip;
+    any other weight goes through exp(-evaluate), and phi is not used where
+    the density is 0.  Either way excluded nodes contribute exactly 0."""
+    rho = None
+    if density is not None:
+        ndim = max(np.ndim(z) for z in zs)
+        rho = density(r).reshape((-1,) + (1,) * (ndim - 1))
     direct = getattr(weight, "_exp_neg_phi", None)
     if direct is not None:
         e = direct(*zs)
@@ -225,11 +243,18 @@ def _exp_weight(weight, zs, r, density=None):
 
 
 def _bidisk_gram(weight, degree, rule, density=None):
-    """Gram of z1^m z2^n (m, n <= degree), one outer radius at a time.
+    """Gram of z1^m z2^n (m, n <= degree), a group of outer radii at a time.
 
-    At each outer radius the inner moments come from ``_moments`` at every
-    outer angle at once; the outer angular sum is one FFT at the offset m'-m
-    (plus n'-n when the inner rule turns with the outer phase, as under
+    The outer radial density (with the radial weights) is evaluated once, on
+    every outer radius; radii where it is 0 are dropped.  The outer radii
+    that share an inner rule go through ``_moments`` together, their outer
+    nodes (radius major, angle minor) as the batch axis of its radius-first
+    blocks: without diagonal grading a group is a run of outer radii whose
+    inner grids fill about one block of ``_BLOCK`` nodes; under diagonal
+    grading the inner rule depends on r1, so a group is one radius.  Groups are produced
+    lazily.  Each group's moments are contracted with C[r, s] = w_r r^(s+1)
+    by one matrix product, and the outer angular sum is one FFT at the offset
+    m'-m (plus n'-n when the inner rule turns with the outer phase, as under
     diagonal grading).  For diagonally invariant weights the outer angular
     integral is exact: only the outer angle 0 is evaluated, entries with
     m+n != m'+n' vanish and the rest are multiplied by 2 pi.  That needs an
@@ -238,8 +263,7 @@ def _bidisk_gram(weight, degree, rule, density=None):
     multiple of the outer one); otherwise the node-exact generic sum is taken
     instead.  On the invariant path z1 is real and the inner rule unturned,
     so a conjugation-symmetric weight is evaluated on the inner angles
-    0..n2/2 only; the generic path evaluates every angle.  Outer radii where
-    the radial ``density`` is 0 are skipped.
+    0..n2/2 only; the generic path evaluates every angle.
     """
     D = degree
     nb = D + 1
@@ -248,22 +272,36 @@ def _bidisk_gram(weight, degree, rule, density=None):
         and n2 > 2 * D and (rule.diagonal_grading or n2 % n1 == 0)
     outer = rule.rule1
     phases = np.ones(1, dtype=complex) if invariant else outer._phases
-    ph = phases[:, None, None]
     turn = rule.diagonal_grading and not invariant
     # at the real z1 = r of the invariant path, phi(r, conj z2) = phi(r, z2)
     symmetric = invariant and bool(getattr(weight, "conjugation_symmetric", False))
-    s = np.arange(2 * D + 1)
-    S = np.zeros((s.size, phases.size, nb, nb), dtype=complex)
-    for r1, w in zip(outer.radii, outer.radial_weights):
-        if density is not None:
-            w = w * density(r1)
-            if w == 0:
-                continue
-        M = _moments(
-            lambda z2, r2: _exp_weight(
-                weight, (r1 * ph, ph * z2 if turn else z2[None]), r2, density),
-            rule._inner_for_radius(r1), D, symmetric, phases.size)
-        S += (w * r1 ** (s + 1))[:, None, None, None] * M
+    w = outer.radial_weights
+    if density is not None:
+        w = w * density(outer.radii)
+    keep = w != 0
+    radii = outer.radii[keep]
+    C = w[keep][:, None] * radii[:, None] ** np.arange(1, 2 * D + 2)[None, :]
+    if rule.diagonal_grading:
+        groups = ((slice(i, i + 1), rule._inner_for_radius(r))
+                  for i, r in enumerate(radii))
+    else:
+        g = max(1, _BLOCK // (phases.size * rule.rule2.radii.size
+                              * _evaluated_phases(rule.rule2, symmetric).size))
+        groups = ((slice(lo, lo + g), rule.rule2)
+                  for lo in range(0, radii.size, g))
+    S = np.zeros((2 * D + 1, phases.size, nb, nb), dtype=complex)
+    for sl, inner in groups:
+        # one batch axis, outer radius major: z1[radius * angle, 1]
+        z1 = (radii[sl, None] * phases).reshape(-1, 1)
+
+        def exp_phi(z2, r2):
+            z2 = z2[:, None, :]
+            return _exp_weight(
+                weight, (z1, phases[:, None] * z2 if turn else z2), r2, density)
+
+        M = _moments(exp_phi, inner, D, symmetric, z1.size)
+        c = C[sl]
+        S += (c.T @ M.reshape(c.shape[0], -1)).reshape(S.shape)
     A = np.fft.fft(S, axis=1) * (2.0 * np.pi / phases.size)
     m, n, mp, np_ = np.ogrid[:nb, :nb, :nb, :nb]
     e = (mp - m) + turn * (np_ - n)

@@ -178,25 +178,51 @@ class _Expression:
         return self._call(self.shape.d[j], zs, complex)
 
 
+def _exact(expr):
+    """``expr`` with every Float replaced by the rational its decimal digits
+    spell out (0.09 -> 9/100)."""
+    return expr.xreplace({f: sp.Rational(str(f)) for f in expr.atoms(sp.Float)})
+
+
+def _roots(poly):
+    """Numerical roots of a sympy Poly in one variable."""
+    return np.roots([complex(c) for c in poly.all_coeffs()])
+
+
+def _meets_closed_disk(factor):
+    """Whether an irreducible bidisk factor counts as vanishing on the closed
+    bidisk: a factor in z1 or z2 alone does exactly when one of its roots
+    lies in the closed unit disk; a factor in both variables always does."""
+    variables = factor.free_symbols
+    if len(variables) != 1:
+        return True
+    return bool(np.any(np.abs(_roots(sp.Poly(factor, *variables))) <= 1.0 + 1e-12))
+
+
 @functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
 def _log_zeros(text, domain):
     """(zero, multiplicity) pairs of a log factor, as the integrability check
     adds up log orders: each root inside the disk (rounded to 9 digits), or
-    each irreducible factor over the bidisk.
+    each irreducible factor that meets the closed bidisk.
 
     Each factor base**k of the product as written is solved on its own, and
-    its zeros count k times: numerical root finding splits a repeated root
-    of (z - a)**2 into two simple ones, each of half the order.
+    its zeros count k times.  On the disk, the base first goes through a
+    square-free factorization over the exact rationals of its decimal
+    coefficients, so that a repeated root counts with its multiplicity
+    however it is written: numerical root finding splits the double root of
+    (z - a)**2, expanded or not, into two simple ones of half the order.
     """
     zeros = {}
     for factor in sp.Mul.make_args(_parse(text, domain, True)[0]):
         base, power = factor.as_base_exp()
         if domain == "disk":
-            found = [(np.round(complex(a), 9), m)
-                     for a, m in sp.roots(sp.Poly(base, _Z)).items()
-                     if abs(complex(a)) < 1.0 - 1e-12]
+            # + 0.0 turns a root's -0 parts into 0, for the messages
+            found = [(np.round(complex(a), 9) + 0.0, m)
+                     for f, m in sp.sqf_list(sp.Poly(_exact(base), _Z))[1]
+                     for a in _roots(f) if abs(a) < 1.0 - 1e-12]
         else:
-            found = sp.factor_list(base, _Z1, _Z2)[1]
+            found = [(f, m) for f, m in sp.factor_list(base, _Z1, _Z2)[1]
+                     if _meets_closed_disk(f)]
         for zero, mult in found:
             zeros[zero] = zeros.get(zero, 0.0) + mult * float(power)
     return tuple(zeros.items())

@@ -15,7 +15,7 @@ from bergext import (
     log_kernel_gradient_at_zero,
     unit_ek,
 )
-from bergext.bergman import default_rule, model_summary_json
+from bergext.bergman import _BLOCK, _gram, default_rule, model_summary_json
 from bergext.cli import parse_weight
 from bergext.quadrature import bidisk_rule, disk_rule
 
@@ -299,6 +299,52 @@ def test_log_orders_add_per_zero():
             build_model("bidisk", Weight(terms, "0", "bidisk"), 2, rule=rule)
     build_model("bidisk", Weight([(0.4, "(z1-z2)**2")], "0", "bidisk"), 2,
                 rule=rule)
+
+
+def test_expanded_double_root_counts_once():
+    # the double root at 0.3 has log order 1.2 however it is written; the
+    # expanded polynomial's float roots used to split into two of order 0.6
+    refusals = []
+    for f in ("z**2 - 0.6*z + 0.09", "(z-0.3)**2"):
+        with pytest.raises(DegeneracyError, match="order 1.2") as err:
+            build_model("disk", Weight([(0.6, f)]), 2)
+        refusals.append(err.value.offending_monomials)
+    assert refusals[0] == refusals[1] == [0, 1, 2]
+
+
+def test_bidisk_factor_missing_the_disk_ignored():
+    # |z1 - 1.5|^-2 is bounded on the bidisk; |z1 - 0.5|^-2 is not integrable
+    rule = bidisk_rule(**_SMALL_DIAG)
+    w = Weight([(1.0, "z1 - 1.5")], "0", "bidisk")
+    G = build_model("bidisk", w, 2, rule=rule).gram
+    assert _rel(G, _brute_gram(w, 2, rule)) < 1e-12
+    with pytest.raises(DegeneracyError, match="forces vanishing"):
+        build_model("bidisk", Weight([(1.0, "z1 - 0.5")], "0", "bidisk"), 2,
+                    rule=rule)
+
+
+def test_bidisk_gram_batches_outer_radii():
+    # without diagonal grading every outer radius shares the inner rule, so
+    # the weight is evaluated on blocks of about _BLOCK nodes that cover a
+    # group of outer radii (as many whole inner grids as fit in a block),
+    # not once per outer radius
+    rule = bidisk_rule(radial_order=(8, 8), angular_order=(16, 16),
+                       grading_levels=10)
+    w = Weight.zero("bidisk")
+    sizes = []
+    evaluate = w.evaluate
+
+    def counting(*zs):
+        sizes.append(np.broadcast(*zs).size)
+        return evaluate(*zs)
+
+    w.evaluate = counting
+    _gram(w, 2, rule)
+    # invariant and conjugation-symmetric: inner angles 0..n2/2 only
+    per_radius = rule.rule2.radii.size * (rule.rule2.angular_order // 2 + 1)
+    groups = math.ceil(rule.rule1.radii.size / (_BLOCK // per_radius))
+    assert sum(sizes) == rule.rule1.radii.size * per_radius
+    assert len(sizes) <= math.ceil(sum(sizes) / _BLOCK) + groups
 
 
 def test_invariant_weight_aliasing_rule_accepted():

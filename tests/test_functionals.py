@@ -85,6 +85,10 @@ _BULK_RULES = {
     # inner angles not closed under the outer rotations
     "misaligned": dict(radial_order=(4, 4), angular_order=(8, 12),
                        grading_levels=6),
+    # enough outer radii for at least two groups of several radii each in
+    # the batched Gram, in every region and on both paths
+    "grouped": dict(radial_order=(16, 5), angular_order=(8, 16),
+                    grading_levels=10),
 }
 _BULK_WEIGHTS = {
     "zero": lambda: Weight.zero("bidisk"),

@@ -137,6 +137,14 @@ def test_lemma_suite_all_pass():
     assert [r["weight"] for r in res.rows] == sorted(r["weight"] for r in res.rows)
 
 
+def test_lemma_identity_check_near_singular_origin():
+    # the plain five-point step h = 2e-2 leaves an O(h^2) error above the 1e-3
+    # tolerance from point_log r of about 0.87; extrapolated, it is below 1e-6
+    res = sweeps.run_lemma_suite([Weight.point_log(0.9)], check_convergence=False)
+    row = res.rows[0]
+    assert row["passed"] and row["fd_residual"] < 1e-5
+
+
 def test_lemma_provenance_names_weight_parameters():
     # the config hash must tell apart weights that differ only in a parameter
     runs = [sweeps.run_lemma_suite([w], degree=4, check_convergence=False)
