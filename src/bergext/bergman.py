@@ -22,7 +22,7 @@ group, and sums the outer angles with a second FFT.  For weights invariant
 under the simultaneous rotation (z1,z2) -> (e^{ia}z1, e^{ia}z2) the outer
 angular integral is exact: entries vanish unless m+n = m'+n', and only the
 outer angle 0 is evaluated.
-Quadratic functionals (the bulk norm, branch integrals of polynomials) are
+Quadratic functionals (the bulk norm, the branch integral at gamma = 0) are
 Gram forms q^H G q from ``_gram``, with any radial density in the weights.
 """
 
@@ -261,9 +261,12 @@ def _bidisk_gram(weight, degree, rule, density=None):
     inner angular order above 2*degree, and inner angles closed under the
     outer rotations (diagonal grading, or an inner angular order that is a
     multiple of the outer one); otherwise the node-exact generic sum is taken
-    instead.  On the invariant path z1 is real and the inner rule unturned,
-    so a conjugation-symmetric weight is evaluated on the inner angles
-    0..n2/2 only; the generic path evaluates every angle.
+    instead.  The invariant path does not depend on the outer angular order,
+    so it equals the rule's node sum only when that order exceeds 2*degree;
+    at a lower order the node sum aliases the offsets m+n-m'-n' and the two
+    differ.  On the invariant path z1 is real and the inner rule unturned, so
+    a conjugation-symmetric weight is evaluated on the inner angles 0..n2/2
+    only; the generic path evaluates every angle.
     """
     D = degree
     nb = D + 1
@@ -313,10 +316,12 @@ def _bidisk_gram(weight, degree, rule, density=None):
 
 
 def _gram(weight, degree, rule, density=None):
-    """(monomials, G), G[a,b] = sum of w conj(e_a) e_b rho e^{-phi} over the
-    rule's nodes, for z^n on a disk rule or z1^m z2^n on a bidisk rule (all
-    exponents <= degree); rho(r) is an optional radial density, applied as
-    rho(|z1|) rho(|z2|) on the bidisk."""
+    """(monomials, G), G[a,b] = int conj(e_a) e_b rho e^{-phi} for z^n on a
+    disk rule or z1^m z2^n on a bidisk rule (all exponents <= degree); rho(r)
+    is an optional radial density, applied as rho(|z1|) rho(|z2|) on the
+    bidisk.  The integral is the sum of w conj(e_a) e_b rho e^{-phi} over the
+    rule's nodes, except for diagonally invariant bidisk weights, whose outer
+    angular integral is exact (see ``_bidisk_gram``)."""
     if rule.domain == "bidisk":
         return _bidisk_gram(weight, degree, rule, density)
     G = _moments(lambda z, r: _exp_weight(weight, (z,), r, density), rule, degree,

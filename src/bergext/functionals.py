@@ -9,8 +9,11 @@ Three families of functionals evaluated on the model:
   log^2(max |z_j|^2) factor.
 
 The bulk norm is a Gram form q^H G q (``bergman._gram``), its density radial
-in each variable; the branch norm (power 2/(1+gamma)) and the twisted-
-derivative integral are not squared polynomials and stay node sums.
+in each variable.  The branch integral is a Gram form at gamma = 0 only, where
+it is |f|^2 e^{-phi} against a radial density; its gamma > 0 powers and the
+twisted-derivative integral are not squared polynomials and stay node sums.
+The divergence check of the branch norm compares two grading levels that
+share their outer cells, and evaluates those shared cells once.
 
 Divergent integrals are reported as a tagged +inf (:class:`DivergentNorm`)
 carrying the observed growth rate under mesh refinement, never as a raw
@@ -19,13 +22,14 @@ overflow.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bergman import _gram
-from .errors import EvaluationError, ParameterError
-from .quadrature import bidisk_rule, disk_rule
+from .errors import DegeneracyError, EvaluationError, ParameterError
+from .quadrature import DiskRule, bidisk_rule, disk_rule
 from .weights import RegularizedLogWeight, twisted_derivative
 
 _KINDS = ("log_weighted_bulk", "gamma_branch", "derivative_on_Y", "final_example")
@@ -113,8 +117,23 @@ def log_weighted_bulk_norm(U, weight, spec=None, rule=None):
 
 
 def _branch_integral(u, weight, power, w_exponent, conic_k, rule):
-    """int |f(z)/z|^{power} e^{-w_exponent*phi} [|z|^{-2(1-1/k)}] dlam."""
+    """int |f(z)/z|^{power} e^{-w_exponent*phi} [|z|^{-2(1-1/k)}] dlam.
+
+    At gamma = 0 (power 2 under the full weight) the integrand is |f|^2
+    e^{-phi} times the radial density |z|^{-2} [|z|^{-2(1-1/k)}], and the
+    integral is the Gram form c^H G c; other powers are node sums.
+    """
     c = np.asarray(u, dtype=complex)
+    if power == 2.0 and w_exponent == 1.0:
+        def density(r):
+            rho = r ** -2.0
+            return rho * r ** (-2.0 * (1.0 - 1.0 / conic_k)) if conic_k else rho
+
+        try:
+            G = _gram(weight, c.size - 1, rule, density)[1]
+        except DegeneracyError as exc:  # a non-finite e^{-phi} at a node
+            raise EvaluationError(str(exc)) from exc
+        return float(np.real(np.vdot(c, G @ c)))
 
     def f(z):
         fv = np.polynomial.polynomial.polyval(z, c)
@@ -127,6 +146,30 @@ def _branch_integral(u, weight, power, w_exponent, conic_k, rule):
         return vals
 
     return float(np.real(rule.integrate(f)))
+
+
+# The default branch rules grade toward the origin with 18 and 24 levels.  The
+# breakpoints are powers of 2, so the two rules share their 18 cells above
+# 2^-18 bit for bit, and the divergence check integrates those once.
+_BRANCH_LEVELS = (18, 24)
+
+
+@functools.cache
+def _branch_rules():
+    """(shared, inner_coarse, inner_fine): the cells above 2^-18, the
+    innermost cell of the level-18 rule, and the 7 innermost cells of the
+    level-24 rule."""
+    coarse, fine = (disk_rule(radial_order=32, angular_order=64, grading_levels=n)
+                    for n in _BRANCH_LEVELS)
+    k = coarse.metadata["radial_order"]  # radii per cell
+    k_fine = k * (1 + _BRANCH_LEVELS[1] - _BRANCH_LEVELS[0])
+
+    def cells(rule, sl):
+        return DiskRule(rule.radii[sl], rule.radial_weights[sl],
+                        rule.angular_order, rule.metadata)
+
+    return cells(coarse, slice(k, None)), cells(coarse, slice(k)), \
+        cells(fine, slice(k_fine))
 
 
 def gamma_branch_norm(u, weight, gamma=0.0, variant="theorem", rule=None,
@@ -149,14 +192,13 @@ def gamma_branch_norm(u, weight, gamma=0.0, variant="theorem", rule=None,
     if rule is not None:
         return float(_branch_integral(u, weight, power, w_exp, conic_k, rule)
                      ** (1.0 + gamma))
-    base_levels = 18
-    r1 = disk_rule(radial_order=32, angular_order=64, grading_levels=base_levels)
-    r2 = disk_rule(radial_order=32, angular_order=64, grading_levels=base_levels + 6)
-    i1 = _branch_integral(u, weight, power, w_exp, conic_k, r1)
-    i2 = _branch_integral(u, weight, power, w_exp, conic_k, r2)
+    shared, inner1, inner2 = (_branch_integral(u, weight, power, w_exp, conic_k, r)
+                              for r in _branch_rules())
+    i1 = shared + inner1
+    i2 = shared + inner2
     if i2 > i1 and (i2 - i1) > 0.05 * abs(i2):
         # growth per geometric refinement level toward the branch origin
-        return DivergentNorm((i2 - i1) / 6.0)
+        return DivergentNorm((i2 - i1) / (_BRANCH_LEVELS[1] - _BRANCH_LEVELS[0]))
     return float(i2 ** (1.0 + gamma))
 
 

@@ -357,6 +357,18 @@ def test_invariant_weight_aliasing_rule_accepted():
     assert _rel(G, _brute_gram(w, 2, rule)) < 1e-12
 
 
+def test_invariant_gram_ignores_outer_angular_order():
+    # the invariant path integrates the outer angle exactly: outer angular
+    # orders 4 (<= 2*degree, where the node sum aliases) and 16 give the same
+    # Gram bit for bit
+    w = RegularizedLogWeight(0.1, "z1-z2")
+    grams = [_gram(w, 2, bidisk_rule(radial_order=(16, 8),
+                                     angular_order=(n1, 16),
+                                     grading_levels=10))[1]
+             for n1 in (4, 16)]
+    assert np.array_equal(grams[0], grams[1])
+
+
 def test_summary_json(unweighted_disk):
     import json
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from bergext import CrossData, RegularizedLogWeight, Weight
 from bergext.errors import EvaluationError, ParameterError
 from bergext.functionals import (
+    _BRANCH_LEVELS,
     DivergentNorm,
     NormSpec,
     derivative_norm_on_Y,
@@ -14,7 +16,9 @@ from bergext.functionals import (
     gamma_branch_norm,
     log_weighted_bulk_norm,
 )
+from bergext.cli import main
 from bergext.quadrature import bidisk_rule, disk_rule
+from bergext.weights import clamp_max
 
 
 def test_norm_spec_validation():
@@ -159,6 +163,96 @@ def test_holder_continuity_in_gamma():
             for g in (0.0, 0.25, 0.5, 1.0)]
     for a, b in zip(vals, vals[1:]):
         assert abs(b - a) <= 0.2 * max(a, b)
+
+
+def _branch_node_sum(u, weight, gamma, variant, conic_k, rule):
+    """The branch integral (before the power 1+gamma) as a sum over the
+    rule's nodes (DiskRule.integrate)."""
+    w_exp = 1.0 / (1.0 + gamma) if variant == "theorem" else 1.0
+
+    def f(z):
+        a = np.abs(z)
+        fz = np.polynomial.polynomial.polyval(z, np.asarray(u, complex))
+        vals = (np.abs(fz) / a) ** (2.0 / (1.0 + gamma)) \
+            * np.exp(-w_exp * np.asarray(weight.evaluate(z), float))
+        return vals * a ** (-2.0 * (1.0 - 1.0 / conic_k)) if conic_k else vals
+
+    return rule.integrate(f).real
+
+
+_BRANCH_WEIGHTS = {
+    "zero": Weight.zero,
+    "halfplane": lambda: Weight.halfplane(1.5),
+    "point_log": lambda: Weight.point_log(0.4),
+    "clamp": lambda: clamp_max(Weight.halfplane(1.0), 0.2, 6.0),
+    "reglog": lambda: RegularizedLogWeight(0.1, "z"),
+    "reglog_shifted": lambda: RegularizedLogWeight(0.1, "z", style="shifted"),
+}
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["plain", "rotated"])
+@pytest.mark.parametrize("conic_k", [None, 2, 3])
+@pytest.mark.parametrize("variant", ["theorem", "conjecture"])
+@pytest.mark.parametrize("weight_name", sorted(_BRANCH_WEIGHTS))
+def test_branch_gram_form_matches_node_sum(weight_name, variant, conic_k,
+                                           rotated):
+    # gamma = 0 takes the Gram form; a rotated rule evaluates every angle
+    rule = disk_rule(radial_order=12, angular_order=32, grading_levels=12)
+    if rotated:
+        rule = rule.rotated(np.exp(0.3j))
+    u = (0.0, 1.0 - 0.5j, 0.3, 0.2j)
+    w = _BRANCH_WEIGHTS[weight_name]()
+    val = gamma_branch_norm(u, w, 0.0, variant, rule=rule, conic_k=conic_k)
+    ref = _branch_node_sum(u, w, 0.0, variant, conic_k, rule)
+    assert val == pytest.approx(ref, rel=1e-12)
+
+
+_DEFAULT_CASES = [
+    # (u, weight, gamma, variant, conic_k)
+    ((0.0, 1.0), "zero", 0.0, "theorem", None),
+    ((1.0,), "zero", 0.0, "theorem", None),
+    ((0.0, 1.0, 0.5j), "halfplane", 0.5, "theorem", 2),
+    ((0.0, 1.0), "point_log", 0.0, "conjecture", None),
+    ((0.0, 1.0), "point_log", 0.0, "theorem", 3),
+    ((1.5, 0.3), "point_log", 0.2, "theorem", None),
+    ((1.0, 1.0), "point_log", 0.3, "conjecture", None),
+    ((0.0, 0.4, 1.0), "clamp", 0.8, "conjecture", None),
+    ((1.0,), "reglog", 0.0, "conjecture", None),
+    ((0.0, 1.0), "reglog_shifted", 0.0, "conjecture", None),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_DEFAULT_CASES)))
+def test_default_branch_norm_matches_two_full_rules(case):
+    # the shared-cell default path against levels 18 and 24 as two whole
+    # rules, each integrated on its own
+    u, name, gamma, variant, conic_k = _DEFAULT_CASES[case]
+    w = _BRANCH_WEIGHTS[name]()
+    i1, i2 = (_branch_node_sum(u, w, gamma, variant, conic_k,
+                               disk_rule(radial_order=32, angular_order=64,
+                                         grading_levels=n))
+              for n in _BRANCH_LEVELS)
+    val = gamma_branch_norm(u, w, gamma, variant, conic_k=conic_k)
+    if i2 > i1 and (i2 - i1) > 0.05 * abs(i2):
+        assert isinstance(val, DivergentNorm)
+        assert val.growth_rate == pytest.approx((i2 - i1) / 6.0, rel=1e-12)
+    else:
+        assert not isinstance(val, DivergentNorm)
+        assert val == pytest.approx(i2 ** (1.0 + gamma), rel=1e-13)
+
+
+def test_branch_norm_log_zero_on_node_raises_evaluation_error():
+    # a log zero exactly on a real node of the default rule: e^{-phi} is
+    # infinite there, on the Gram path (gamma = 0) as on the node sum
+    node = float(disk_rule(radial_order=32, angular_order=64,
+                           grading_levels=18).radii[500])
+    w = Weight([(0.5, "z - %r" % node)])
+    for gamma in (0.0, 0.5):
+        with pytest.raises(EvaluationError):
+            gamma_branch_norm((0.0, 1.0), w, gamma)
+    # and `bergext norms` exits 1 (a degeneracy would exit 2)
+    assert main(["norms", "--kind", "gamma_branch", "--gamma", "0",
+                 "--weight", json.dumps(w.to_dict()), "--data", "0,1"]) == 1
 
 
 def test_derivative_norm_exact_diagonal_vanishes():
