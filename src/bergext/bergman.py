@@ -2,9 +2,12 @@
 
 A model discretizes the space of holomorphic functions square-integrable
 against e^{-phi}: monomials up to the truncation degree, their Gram matrix
-under quadrature, and an orthonormalizing factorization.  All kernel
-quantities (B_0(z,w), the higher-order kernels B_k(0), the Bergman metric at
-the origin) are linear algebra on the Gram matrix.
+under quadrature, and its ladder factorization: one reverse Cholesky of the
+Gram matrix gives the unit vectors e_k of the steps E_k (-) E_{k+1} of the
+orthogonal ladder E_0 > E_1 > ... as the columns of the lower-triangular
+``basis_coeffs`` (``BergmanModel._factorize``).  Every kernel quantity
+(B_0(z,w), the higher-order kernels B_k(0), the Bergman metric and the
+log-kernel gradient at the origin) is read off those columns.
 
 Every Gram matrix follows the convention G[a,b] = int conj(e_a) e_b e^{-phi}
 and comes from one entry, ``_gram``, over one moment kernel, ``_moments``:
@@ -49,6 +52,17 @@ class BergmanModel:
         self._factorize()
 
     def _factorize(self):
+        """Check the Gram matrix and factor it along the ladder.
+
+        After the finiteness, Hermitian, diagonal and conditioning checks (the
+        eigenvalues of the Jacobi-scaled Gs = G/(d d^T)), Gs = L^H L with L
+        lower-triangular: the Cholesky of Gs with both axes reversed.  Then
+        E = L^{-1}/d is lower-triangular with a positive diagonal and
+        E^H G E = I, so its column k is the only unit vector of E_k (-) E_{k+1}
+        (E_k spanned by the monomials from index k on) with a positive k-th
+        coefficient, and needs no sign or order fixing.  On the bidisk only
+        column 0 (the monomial 1 comes first) is a ladder vector.
+        """
         G = self.gram
         herm_defect = np.abs(G - G.conj().T).max()
         scale = np.abs(G).max()
@@ -63,9 +77,8 @@ class BergmanModel:
             bad = [self.monomials[i] for i in np.flatnonzero(~(np.isfinite(d) & (d > 0)))]
             raise DegeneracyError(
                 "weight is not integrable against monomials %s" % bad, bad)
-        self._scale = d
         Gs = G / d[:, None] / d[None, :]
-        lam, U = np.linalg.eigh(Gs)
+        lam = np.linalg.eigvalsh(Gs)
         if lam[0] <= 0 or not np.isfinite(lam[-1]):
             raise DegeneracyError(
                 "Gram matrix numerically singular (min eigenvalue %.3e); "
@@ -75,18 +88,20 @@ class BergmanModel:
             raise DegeneracyError(
                 "Gram condition number %.3e exceeds %.0e; lower the degree or "
                 "change the quadrature grading" % (self.condition_number, COND_LIMIT))
-        # orthonormal basis in monomial coordinates: columns of E
-        E = (U / np.sqrt(lam)[None, :]) / d[:, None]
-        # deterministic sign fix and ordering (leading monomial, then weight)
-        lead = np.argmax(np.abs(E), axis=0)
-        order = np.lexsort((-lam, lead))
-        E = E[:, order]
-        for j in range(E.shape[1]):
-            col = E[:, j]
-            k = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]
-            ph = col[k] / abs(col[k])
-            E[:, j] = col * np.conj(ph)
-        self.basis_coeffs = E
+        try:  # Gs = L^H L: the Cholesky factor of Gs reversed in both axes
+            L = np.linalg.cholesky(Gs[::-1, ::-1])[::-1, ::-1].conj().T
+        except np.linalg.LinAlgError as exc:
+            raise DegeneracyError(
+                "Gram matrix numerically singular (Cholesky failed); lower "
+                "the degree or change the quadrature grading") from exc
+        # L^{-1} by forward substitution: exactly lower-triangular with a real
+        # diagonal, where the pivoted np.linalg.inv fills the upper triangle
+        E = np.zeros_like(L)
+        for i in range(L.shape[0]):
+            E[i, :i + 1] = -(L[i, :i] @ E[:i, :i + 1])
+            E[i, i] += 1.0
+            E[i, :i + 1] /= L[i, i]
+        self.basis_coeffs = E / d[:, None]
 
     # -- evaluation of basis / kernel ---------------------------------------
 
@@ -127,12 +142,6 @@ class BergmanModel:
         return out
 
 
-def _solve_hermitian(G, b):
-    """Solve G x = b with Jacobi scaling (G Hermitian positive definite)."""
-    d = np.sqrt(np.diag(G).real)
-    return np.linalg.solve(G / d[:, None] / d[None, :], b / d) / d
-
-
 def _check_integrable(weight, degree, domain):
     """Reject weights whose log terms make low monomials non-integrable.
 
@@ -140,8 +149,9 @@ def _check_integrable(weight, degree, domain):
     once per factor): per root inside the disk, per irreducible factor (with
     multiplicity) on the bidisk, leaving out a factor in one variable whose
     zeros miss the closed disk.  A zero of total log-order s at the origin
-    kills z^n for n < s; a zero of order >= 1 elsewhere (point or curve)
-    kills every represented monomial.
+    kills z^n for n <= s - 1 (near 0, |z^n|^2 |z|^{-2s} is integrable exactly
+    when n > s - 1); a zero of order >= 1 elsewhere (point or curve) kills
+    every represented monomial.
     """
     if not isinstance(weight, wmod.Weight):
         return
@@ -157,7 +167,7 @@ def _check_integrable(weight, degree, domain):
                 "monomial is non-integrable" % (order, zero),
                 list(range(degree + 1)) if domain == "disk" else None)
     if order0 >= 1.0:
-        killed = [n for n in range(degree + 1) if n < order0]
+        killed = [n for n in range(degree + 1) if n <= order0 - 1]
         raise DegeneracyError(
             "weight's multiplier ideal kills monomials %s "
             "(log order %.3g at the origin)" % (killed, order0), killed)
@@ -368,30 +378,22 @@ def kernel(model, z, w):
     ) else model.kernel(z, w)
 
 
-def _representer(model, k):
-    """(idx, v, B_k(0)): the monomial indices spanning E_k, the representer
-    v = G_k^{-1} u of f -> f^{(k)}(0) on E_k in those coordinates, and its
-    squared norm u* v (u: the entry k! at z^k, which leads idx).
-
-    E_k is spanned by z^n, n >= k, on the disk; the bidisk defines only E_0.
-    """
+def _ladder_level(model, k):
+    """k, after checking that the ladder defines E_k: 0 <= k <= degree on the
+    disk (E_k spanned by z^n, n >= k), k = 0 on the bidisk."""
     if k < 0 or k > model.degree:
         raise ParameterError("k must satisfy 0 <= k <= degree, got %r" % k)
-    if model.domain == "disk":
-        idx = list(range(k, model.degree + 1))
-    elif k == 0:
-        idx = list(range(len(model.monomials)))
-    else:
+    if model.domain != "disk" and k != 0:
         raise ParameterError("bidisk higher kernels beyond k=0 are not defined here")
-    u = np.zeros(len(idx), dtype=complex)
-    u[0] = math.factorial(k)
-    v = _solve_hermitian(model.gram[np.ix_(idx, idx)], u)
-    return idx, v, float(np.real(np.vdot(u, v)))
+    return k
 
 
 def higher_kernel(model, k):
-    """B_k(0): squared norm of f -> f^{(k)}(0) restricted to E_k."""
-    return _representer(model, k)[2]
+    """B_k(0) = (k! E[k,k])^2: the squared norm of f -> f^{(k)}(0) on E_k,
+    attained at e_k, which is the only vector of E_k (-) E_{k+1} with
+    f^{(k)}(0) > 0 and norm 1."""
+    k = _ladder_level(model, k)
+    return float((math.factorial(k) * model.basis_coeffs[k, k].real) ** 2)
 
 
 def bergman_metric_at_zero(model):
@@ -402,28 +404,20 @@ def bergman_metric_at_zero(model):
 
 
 def log_kernel_gradient_at_zero(model):
-    """e_0'(0)/e_0(0) = d/dz log B_0(z,z) at 0, from the basis coefficients."""
+    """d/dz log B_0(z,z) at 0 = e_0'(0)/e_0(0) = E[1,0]/E[0,0]: e_0 is the
+    only ladder vector that does not vanish at 0."""
     if model.degree < 1:
         raise ParameterError("degree must be >= 1")
-    E = model.basis_coeffs
-    if model.domain == "disk":
-        c0 = E[model.index[0], :]
-        c1 = E[model.index[1], :]
-    else:
+    if model.domain != "disk":
         raise ParameterError("log-kernel gradient implemented on the disk")
-    b0 = np.sum(np.abs(c0) ** 2)
-    return complex(np.sum(c1 * np.conj(c0)) / b0)
+    E = model.basis_coeffs
+    return complex(E[1, 0] / E[0, 0])
 
 
 def unit_ek(model, k):
-    """Unit-norm element of E_k orthogonal to E_{k+1}, as a full coefficient
-    vector: the normalized representer of f -> f^{(k)}(0) inside E_k."""
-    idx, v, nrm2 = _representer(model, k)
-    if nrm2 <= 0:
-        raise DegeneracyError("representer of the derivative functional degenerate")
-    full = np.zeros(len(model.monomials), dtype=complex)
-    full[idx] = v / math.sqrt(nrm2)
-    return full
+    """e_k, the unit vector of E_k (-) E_{k+1} with e_k^{(k)}(0) > 0, as a
+    full coefficient vector: a copy of column k of ``basis_coeffs``."""
+    return model.basis_coeffs[:, _ladder_level(model, k)].copy()
 
 
 def model_summary_json(model, kmax=6):

@@ -7,8 +7,9 @@ equality-constrained least squares problem, solved by direct elimination in
 ``_pinned_solve``: fix the pinned coefficients and solve the Schur-complement
 system on the free ones.
 Jets have a second, independent route, the level-by-level recursion through
-the orthogonal ladder E_0 > E_1 > ... (the two must agree; that cross-check
-is the module's central test).
+the orthogonal ladder E_0 > E_1 > ...: it reads the ladder vectors e_k, the
+columns of the model's ``basis_coeffs``, and never calls the Schur solve (the
+two must agree; that cross-check is the module's central test).
 """
 
 from __future__ import annotations
@@ -21,11 +22,9 @@ import numpy as np
 from .errors import DegeneracyError, EvaluationError, ParameterError
 from .bergman import (
     _gram,
-    _solve_hermitian,
     bergman_metric_at_zero,
     higher_kernel,
     log_kernel_gradient_at_zero,
-    unit_ek,
 )
 from .quadrature import disk_rule
 
@@ -102,6 +101,12 @@ def _jet_constraints(model, jet):
     return np.array(jet.values, dtype=complex)
 
 
+def _solve_hermitian(G, b):
+    """Solve G x = b with Jacobi scaling (G Hermitian positive definite)."""
+    d = np.sqrt(np.diag(G).real)
+    return np.linalg.solve(G / d[:, None] / d[None, :], b / d) / d
+
+
 def _pinned_solve(G, F, c_F):
     """Minimize c^H G c subject to c[F] = c_F.
 
@@ -125,15 +130,15 @@ def _pinned_solve(G, F, c_F):
 
 
 def _level_breakdown(model, coeffs, N):
-    """Project a solution onto the one-dimensional ladders E_k (-) E_{k+1}."""
+    """Project a solution onto the one-dimensional ladder steps
+    E_k (-) E_{k+1}: its amplitudes <h, e_k>_G are E[:, :N]^H G h."""
+    E = model.basis_coeffs
+    amps = E[:, :N].conj().T @ (model.gram @ coeffs)
     levels = []
     for k in range(N):
-        ek = unit_ek(model, k)
-        ekk0 = math.factorial(k) * ek[model.index[k]]
-        Bk = abs(ekk0) ** 2
-        amp = complex(np.vdot(ek, model.gram @ coeffs))  # <h, e_k>_G
-        bk = complex(ekk0 * amp)  # h_k^{(k)}(0)
-        levels.append((k, bk, float(Bk), float(abs(amp) ** 2)))
+        ekk0 = math.factorial(k) * E[k, k].real  # e_k^{(k)}(0)
+        levels.append((k, complex(ekk0 * amps[k]), float(ekk0**2),
+                       float(abs(amps[k]) ** 2)))
     return levels
 
 
@@ -160,29 +165,24 @@ def extend_jet_direct(model, jet):
 
 
 def extend_jet_recursive(model, jet):
-    """Level-by-level construction: b_k = a_k - sum_{j<k} h_j^{(k)}(0) and
+    """Level-by-level construction along the ladder columns e_k of
+    ``basis_coeffs``: b_k = a_k - f^{(k)}(0) for f = h_0 + ... + h_{k-1}, and
     h_k = (b_k / e_k^{(k)}(0)) e_k; the total norm is sum |b_k|^2 / B_k(0)."""
     a = _jet_constraints(model, jet)
     N = len(jet)
+    E = model.basis_coeffs
     coeffs = np.zeros(len(model.monomials), dtype=complex)
-    hs = []
     levels = []
     norm_sq = 0.0
     for k in range(N):
-        ek = unit_ek(model, k)
-        ekk0 = math.factorial(k) * ek[model.index[k]]
-        Bk = abs(ekk0) ** 2
-        if Bk <= 0:
-            raise DegeneracyError("e_k^{(k)}(0) vanished at level %d" % k)
-        bk = a[k] - sum(math.factorial(k) * h[model.index[k]] for h in hs)
-        hk = (bk / ekk0) * ek
-        hs.append(hk)
-        coeffs = coeffs + hk
+        ekk0 = math.factorial(k) * E[k, k].real
+        Bk = ekk0**2
+        bk = a[k] - math.factorial(k) * coeffs[k]
+        coeffs = coeffs + (bk / ekk0) * E[:, k]
         contrib = abs(bk) ** 2 / Bk
         norm_sq += contrib
         levels.append((k, complex(bk), float(Bk), float(contrib)))
-    resid = max(abs(math.factorial(k) * coeffs[model.index[k]] - a[k])
-                for k in range(N))
+    resid = max(abs(math.factorial(k) * coeffs[k] - a[k]) for k in range(N))
     return ExtensionReport(
         coefficients=coeffs,
         monomials=model.monomials,
@@ -266,9 +266,8 @@ def extend_cross(model, cross):
 
 def _h0(model, a0):
     """(a0/e_0(0)) e_0: the multiple of e_0 that takes the value a0 at 0."""
-    e0 = unit_ek(model, 0)
-    e00 = e0[model.index[(0, 0)]]
-    return (a0 / e00) * e0 if e00 != 0 else np.zeros_like(e0)
+    e0 = model.basis_coeffs[:, 0]  # the monomial 1 has index 0
+    return (a0 / e0[0]) * e0
 
 
 def _cross_parts(model, cross, coeffs):

@@ -76,7 +76,12 @@ def _parse(text, domain, holomorphic):
     """(expr, template, coefficients): the sympy expression of ``text``, its
     shape (``_lift``) and the coefficient values that make the shape expr."""
     variables = _VARIABLES[domain, holomorphic]
-    expr = sp.sympify(text, locals={str(v): v for v in variables})
+    try:  # attribute access and subscripts fail inside sympify's eval
+        expr = sp.sympify(text, locals={str(v): v for v in variables})
+    except (sp.SympifyError, AttributeError, TypeError) as exc:
+        raise ParameterError("cannot parse expression %r: %s" % (text, exc))
+    if not isinstance(expr, sp.Expr):  # a relation, a Python builtin, ...
+        raise ParameterError("cannot parse expression %r: not an expression" % text)
     values = []
     template = _lift(expr, values)
     return expr, template, tuple(values)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bergext import (
     DegeneracyError,
@@ -10,6 +11,7 @@ from bergext import (
     RegularizedLogWeight,
     Weight,
     bergman_metric_at_zero,
+    clamp_max,
     build_model,
     higher_kernel,
     log_kernel_gradient_at_zero,
@@ -124,6 +126,66 @@ def test_basis_deterministic():
     assert np.array_equal(m1.basis_coeffs, m2.basis_coeffs)
 
 
+def _inverse_corner(G):
+    """[G^{-1}]_00 by a Jacobi-scaled solve: B_k(0)/(k!)^2 for G = G[k:, k:]."""
+    d = np.sqrt(np.diag(G).real)
+    u = np.zeros(len(d))
+    u[0] = 1.0 / d[0]
+    return np.linalg.solve(G / d[:, None] / d[None, :], u)[0].real / d[0]
+
+
+@st.composite
+def _disk_weights(draw):
+    x = draw(st.floats(0.05, 0.95))
+    kind = draw(st.sampled_from(("zero", "halfplane", "tilted", "clamp",
+                                 "point_log", "reglog")))
+    if kind == "zero":
+        return Weight.zero()
+    if kind == "halfplane":
+        return Weight.halfplane(6 * x)
+    if kind == "tilted":  # -2 Re((a - ib) z): a complex Gram
+        return Weight([], "%r*x + %r*y" % (-8 * x, 8 * (1 - x)))
+    if kind == "clamp":
+        return clamp_max(Weight.halfplane(4 * x), 0.5 * x, draw(st.floats(1.0, 20.0)))
+    if kind == "point_log":
+        return Weight.point_log(x)
+    style = draw(st.sampled_from(("convolution", "shifted")))
+    return RegularizedLogWeight(x, "z", style)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_disk_weights(), st.integers(2, 24))
+def test_basis_is_the_orthogonal_ladder(weight, degree):
+    # basis_coeffs is lower-triangular with a positive diagonal and
+    # orthonormal, so column k spans E_k (-) E_{k+1}: B_k(0) is (k!)^2 times
+    # the corner of G[k:, k:]^{-1}, and e_k is orthogonal to every z^n, n > k
+    m = build_model("disk", weight, degree)
+    E, G = m.basis_coeffs, m.gram
+    tol = 10 * m.condition_number * np.finfo(float).eps
+    assert np.array_equal(E, np.tril(E))
+    assert np.all(E.diagonal().imag == 0) and np.all(E.diagonal().real > 0)
+    assert np.abs(E.conj().T @ G @ E - np.eye(degree + 1)).max() <= tol
+    d = np.sqrt(np.diag(G).real)
+    for k in range(degree + 1):
+        ref = math.factorial(k) ** 2 * _inverse_corner(G[k:, k:])
+        assert higher_kernel(m, k) == pytest.approx(ref, rel=tol)
+        overlap = (G @ unit_ek(m, k))[k + 1:] / d[k + 1:]  # <z^n, e_k>/||z^n||
+        assert np.abs(overlap).max(initial=0.0) <= tol
+
+
+def test_bidisk_ladder_e0():
+    # on the bidisk the monomial 1 comes first, so column 0 is e_0 and
+    # B_0(0) is the corner of G^{-1}
+    m = build_model("bidisk", RegularizedLogWeight(0.3, "z1-z2"), 2,
+                    rule=bidisk_rule(**_SMALL_DIAG))
+    tol = 10 * m.condition_number * np.finfo(float).eps
+    assert higher_kernel(m, 0) == pytest.approx(_inverse_corner(m.gram), rel=tol)
+    e0 = unit_ek(m, 0)
+    assert np.abs((m.gram @ e0)[1:]).max() <= tol * np.abs(m.gram).max()
+    with pytest.raises(ParameterError):
+        higher_kernel(m, 1)
+
+
 def test_unit_ek_structure(unweighted_disk):
     # unweighted: e_k = z^k / ||z^k||, so the coefficient vector is a spike
     for k in (0, 2, 5):
@@ -138,8 +200,11 @@ def test_degenerate_weight_rejected():
     with pytest.raises(DegeneracyError) as exc:
         build_model("disk", Weight.point_log(1.0), 8)
     assert 0 in exc.value.offending_monomials
-    with pytest.raises(DegeneracyError):
-        build_model("disk", Weight.point_log(2.5), 8)  # kills z^0, z^1, z^2
+    # near 0, |z^n|^2 |z|^{-2s} is integrable exactly when n > s - 1
+    for s, killed in ((1.5, [0]), (2.5, [0, 1])):
+        with pytest.raises(DegeneracyError) as exc:
+            build_model("disk", Weight.point_log(s), 8)
+        assert exc.value.offending_monomials == killed
     with pytest.raises(DegeneracyError):
         build_model("bidisk", Weight.diagonal_log(), 4)
 

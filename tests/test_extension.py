@@ -101,6 +101,20 @@ def test_level_breakdown_consistency(flat_disk):
             math.factorial(k) ** 2 * (k + 1) / math.pi, rel=1e-10)
 
 
+def test_direct_levels_match_recursion():
+    # the direct solution's projections onto the ladder steps are the levels
+    # that the recursion builds; the tilted weight has a complex Gram
+    model = build_model("disk", Weight([], "-3*x + 2*y"), 16)
+    jet = Jet((1.0, -2.0j, 0.5, 0.25 + 1j))
+    direct = extend_jet_direct(model, jet)
+    recursive = extend_jet_recursive(model, jet)
+    tol = 10 * model.condition_number * np.finfo(float).eps
+    for got, want in zip(direct.levels, recursive.levels):
+        assert got[0] == want[0]
+        assert got[1] == pytest.approx(want[1], rel=tol)
+        assert got[2:] == pytest.approx(want[2:], rel=tol)
+
+
 def test_minimality_certificate(flat_disk):
     # adding any admissible perturbation (vanishing jet) increases the norm
     jet = Jet((1.0, 0.5))

@@ -240,6 +240,17 @@ def test_cli_exit_codes(capsys, tmp_path):
     assert cli.main(["norms", "--kind", "gamma_branch", "--gamma", "7"]) == 1
 
 
+def test_cli_unparsable_weight_expression(capsys):
+    # sympy fails on attribute access (a pasted numpy scalar repr, x.real)
+    # inside its eval, and a name can parse to a non-expression; that is a
+    # usage error, not a traceback
+    for spec in ('{"log_terms": [{"r": 0.5, "f": "z - np.float64(0.2)"}]}',
+                 '{"smooth": "x.real"}', '{"smooth": "__import__"}',
+                 '{"smooth": "x > 1"}'):
+        assert cli.main(["kernel", "--degree", "2", "--weight", spec]) == 1
+        assert "error: cannot parse expression" in capsys.readouterr().err
+
+
 def test_cli_claim_csv(tmp_path):
     out = tmp_path / "c1.csv"
     rc = cli.main(["claim1", "--m", "1..2", "--no-check", "--out", str(out)])

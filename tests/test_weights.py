@@ -422,13 +422,14 @@ def _reference(log_terms, smooth, domain):
 def _reference_killed(orders, degree):
     """The monomials the integrability check must reject: None when the
     weight is integrable, "all" when a zero off the origin has order >= 1,
-    else the z^n with n below the order at the origin."""
+    else the z^n with n <= s - 1 for the order s at the origin (|z^n|^2
+    |z|^{-2s} is integrable near 0 exactly when n > s - 1)."""
     orders = dict(orders)
     order0 = orders.pop(0j, 0.0)
     if any(o >= 1.0 for o in orders.values()):
         return "all"
     if order0 >= 1.0:
-        return [n for n in range(degree + 1) if n < order0]
+        return [n for n in range(degree + 1) if n <= order0 - 1]
     return None
 
 
