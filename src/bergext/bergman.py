@@ -10,18 +10,19 @@ orthogonal ladder E_0 > E_1 > ... as the columns of the lower-triangular
 log-kernel gradient at the origin) is read off those columns.
 
 Every Gram matrix follows the convention G[a,b] = int conj(e_a) e_b e^{-phi}
-and comes from one entry, ``_gram``, over one moment kernel, ``_moments``:
-e^{-phi} on a polar tensor grid, contracted over the radii first (a real
-matrix product with the radial moments, leaving 2D+1 rows per angle), then
-one rfft of those rows over the angles (exact for every Fourier offset).
-Conjugation-symmetric weights, phi(conj z) = phi(z), are evaluated on half
-the angles of an unrotated rule.  The disk Gram is the kernel on the disk
-rule's grid.  The bidisk uses the full tensor grid z1^m z2^n with m,n <= D
-so that cross constraints are exactly expressible; its Gram applies the
-kernel to the inner factor once per group of outer radii that share an inner
-rule (every outer node of the group is a batch entry of the kernel's
-radius-first blocks), contracts the outer radii with one matrix product per
-group, and sums the outer angles with a second FFT.  For weights invariant
+and comes from one entry, ``_gram``, over one moment kernel in two linear
+stages: ``_rows`` evaluates e^{-phi} on a polar tensor grid and contracts it
+over the radii first (a real matrix product with the radial moments, leaving
+2D+1 rows per angle), and ``_angular`` takes one rfft of those rows over the
+angles (exact for every Fourier offset).  Conjugation-symmetric weights,
+phi(conj z) = phi(z), are evaluated on half the angles of an unrotated rule.
+The disk Gram is the two stages on the disk rule's grid.  The bidisk uses
+the full tensor grid z1^m z2^n with m,n <= D so that cross constraints are
+exactly expressible.  Its Gram takes the inner rows at every outer node
+(each outer node a batch entry of the radius-first blocks), contracts them
+over the outer radii into one real accumulator with one matrix product per
+run of outer radii, applies the angular stage to that accumulator once, and
+sums the outer angles with a second FFT.  For weights invariant
 under the simultaneous rotation (z1,z2) -> (e^{ia}z1, e^{ia}z2) the outer
 angular integral is exact: entries vanish unless m+n = m'+n', and only the
 outer angle 0 is evaluated.
@@ -177,10 +178,15 @@ def _check_integrable(weight, degree, domain):
 # the temporaries of weight evaluation then stay cache-sized (256 KB of
 # complex values), where whole-grid arrays are bound by memory traffic
 _BLOCK = 1 << 14
+# the bidisk Gram contracts the rows of _RUN outer radii (or of one rows call,
+# if that holds more) per matrix product; it updates its accumulator, and
+# mirrors it for the angular stage, about _WORK reals at a time
+_RUN = 16
+_WORK = 1 << 17
 
 
 def _evaluated_phases(rule, symmetric):
-    """The angular phases at which ``_moments`` evaluates e^{-phi}: 0..na/2
+    """The angular phases at which a Gram evaluates e^{-phi}: 0..na/2
     when it is even in the angle (``symmetric``) on an unrotated rule with
     an even angular order na, every angle otherwise."""
     na = rule.angular_order
@@ -189,38 +195,48 @@ def _evaluated_phases(rule, symmetric):
     return rule._phases
 
 
-def _moments(exp_phi, rule, degree, symmetric, batch=1):
-    """M[..., n, n'] = sum over the nodes of w conj(z^n) z^n' e^{-phi}.
+def _rows(exp_phi, radii, pw, ph, degree, batch=1, buf=None):
+    """R[s, batch * angle] = sum over the radii r of pw r^s T[r, batch, angle],
+    s = 0..2*degree: the radial stage of the moment kernel.
 
-    ``exp_phi(z, r)`` returns e^{-phi} on a block z = r x angles of the rule's
-    polar grid (r a run of its radii) as T[radius, *batch, angle], the radius
-    axis first, with batch axes of total size ``batch`` (none on the disk).
-    The radial sum comes first: each block is contracted with the moments
-    w r^{1+s}, s = n+n', by one real matrix product, whatever the batch
-    shape, into 2*degree+1 rows per batch entry and angle.  When e^{-phi} is
-    even in the angle (``symmetric``: phi(conj z) = phi(z) at these nodes) on
-    an unrotated rule with an even angular order na, angle na-k is the
-    conjugate of angle k: only the angles 0..na/2 are evaluated, and the rows
-    are mirrored back to all na angles.  One rfft of the rows gives every
-    Fourier offset d = n'-n at once (the trapezoid sum is a DFT, aliasing
-    included); offsets past na/2 are conjugates, since the rows are real.
+    ``exp_phi(z, r)`` returns e^{-phi} on a block z = r x ph of a polar grid
+    (r a run of ``radii``, ph the evaluated angular phases) as
+    T[radius, *batch, angle], the radius axis first, with batch axes of total
+    size ``batch`` (none on the disk).  ``pw`` is the weight of each radius's
+    nodes (radial weight times r times 2 pi/na).  Each block is contracted
+    with the moments pw r^s by one real matrix product, whatever the batch
+    shape.  Each
+    block's grid is written into one complex buffer, ``buf`` when given (at
+    least max(_BLOCK, ph.size) values), so that no block allocates it anew.
     """
-    na = rule.angular_order
-    ph = _evaluated_phases(rule, symmetric)
-    pw = (2.0 * np.pi / na) * rule.radial_weights * rule.radii
-    P = pw[:, None] * rule.radii[:, None] ** np.arange(2 * degree + 1)[None, :]
+    P = pw[:, None] * radii[:, None] ** np.arange(2 * degree + 1)[None, :]
     step = max(1, _BLOCK // (batch * ph.size))
-    R = 0.0  # R[s, batch * angle]
-    for lo in range(0, rule.radii.size, step):
-        r = rule.radii[lo:lo + step]
-        T = exp_phi(r[:, None] * ph[None, :], r)
+    if buf is None:
+        buf = np.empty(min(step, radii.size) * ph.size, dtype=complex)
+    R = 0.0
+    for lo in range(0, radii.size, step):
+        r = radii[lo:lo + step]
+        z = np.multiply(r[:, None], ph, out=buf[:r.size * ph.size].reshape(r.size, -1))
+        T = exp_phi(z, r)
         if not np.all(np.isfinite(T)):
             raise DegeneracyError(
                 "weight produced non-finite e^{-phi} at quadrature nodes")
         R = R + P[lo:lo + step].T @ T.reshape(r.size, -1)
-    R = R.reshape((-1,) + T.shape[1:])
-    R = R.transpose(tuple(range(1, R.ndim - 1)) + (0, -1))  # R[..., s, angle]
-    if ph.size < na:
+    return R
+
+
+def _angular(R, rule, degree):
+    """K[..., d + degree] = sum_k R[..., k] (phase_0 e^{i theta_k})^d for the
+    offsets d = -degree..degree: the angular stage of the moment kernel, on
+    real rows R[..., angle] over the angles of ``rule``.
+
+    Rows over the angles 0..na/2 only (``_evaluated_phases`` of an e^{-phi}
+    even in the angle) are mirrored back to all na angles first.  One rfft
+    then gives every offset at once (the trapezoid sum is a DFT, aliasing
+    included); offsets past na/2 are conjugates, since the rows are real.
+    """
+    na = rule.angular_order
+    if R.shape[-1] < na:
         R = np.concatenate([R, R[..., -2:0:-1]], axis=-1)
     F = np.fft.rfft(R, axis=-1)
     # sum_k R_k (phase_0 e^{i theta_k})^d = phase_0^d F[-d mod na], and
@@ -228,9 +244,15 @@ def _moments(exp_phi, rule, degree, symmetric, batch=1):
     d = np.arange(-degree, degree + 1)
     k = (-d) % na
     K = F[..., np.minimum(k, na - k)]
-    K = np.where(k <= na // 2, K, K.conj()) * rule._phases[0] ** d
+    return np.where(k <= na // 2, K, K.conj()) * rule._phases[0] ** d
+
+
+def _pairs(degree):
+    """(s, d + degree) with s = n+n' and d = n'-n, indexed [n, n']: where the
+    moment M[n, n'] = sum w conj(z^n) z^n' e^{-phi} sits in the output of
+    ``_angular`` over rows R[s, angle]."""
     n = np.arange(degree + 1)
-    return K[..., n[:, None] + n[None, :], n[None, :] - n[:, None] + degree]
+    return n[:, None] + n[None, :], n[None, :] - n[:, None] + degree
 
 
 def _exp_weight(weight, zs, r, density=None):
@@ -253,33 +275,39 @@ def _exp_weight(weight, zs, r, density=None):
 
 
 def _bidisk_gram(weight, degree, rule, density=None):
-    """Gram of z1^m z2^n (m, n <= degree), a group of outer radii at a time.
+    """Gram of z1^m z2^n (m, n <= degree), with one angular stage per Gram.
 
     The outer radial density (with the radial weights) is evaluated once, on
-    every outer radius; radii where it is 0 are dropped.  The outer radii
-    that share an inner rule go through ``_moments`` together, their outer
-    nodes (radius major, angle minor) as the batch axis of its radius-first
-    blocks: without diagonal grading a group is a run of outer radii whose
-    inner grids fill about one block of ``_BLOCK`` nodes; under diagonal
-    grading the inner rule depends on r1, so a group is one radius.  Groups are produced
-    lazily.  Each group's moments are contracted with C[r, s] = w_r r^(s+1)
-    by one matrix product, and the outer angular sum is one FFT at the offset
-    m'-m (plus n'-n when the inner rule turns with the outer phase, as under
-    diagonal grading).  For diagonally invariant weights the outer angular
-    integral is exact: only the outer angle 0 is evaluated, entries with
-    m+n != m'+n' vanish and the rest are multiplied by 2 pi.  That needs an
-    inner angular order above 2*degree, and inner angles closed under the
-    outer rotations (diagonal grading, or an inner angular order that is a
-    multiple of the outer one); otherwise the node-exact generic sum is taken
-    instead.  The invariant path does not depend on the outer angular order,
-    so it equals the rule's node sum only when that order exceeds 2*degree;
-    at a lower order the node sum aliases the offsets m+n-m'-n' and the two
-    differ.  On the invariant path z1 is real and the inner rule unturned, so
-    a conjugation-symmetric weight is evaluated on the inner angles 0..n2/2
-    only; the generic path evaluates every angle.
+    every outer radius; radii where it is 0 are dropped.  The inner radial
+    rules come from the rule's ``_inner_rules``, a run of outer radii at a
+    time.  The inner rows (``_rows``, batched over the outer nodes, radius
+    major, angle minor) are contracted over the outer radii with
+    C[r, s1] = w_r r^(s1+1) into one real accumulator
+    R[s1, s2, outer angle, inner angle]: without diagonal grading all outer
+    radii share the inner rule and a rows call takes as many as fill a block
+    of about ``_BLOCK`` nodes; under diagonal grading the inner rule depends
+    on r1 and a rows call takes one.  The angular stage (``_angular``) then
+    runs once on the accumulator, and the outer angular sum is one FFT at the
+    offset m'-m (plus n'-n when the inner rule turns with the outer phase, as
+    under diagonal grading).  The accumulator covers a span of outer angles
+    that keeps it within about ``_BLOCK * (2*degree+1)`` reals, all of them
+    unless the rule has many outer and inner angles.
+
+    For diagonally invariant weights the outer angular integral is exact:
+    only the outer angle 0 is evaluated, entries with m+n != m'+n' vanish and
+    the rest are multiplied by 2 pi.  That needs an inner angular order above
+    2*degree, and inner angles closed under the outer rotations (diagonal
+    grading, or an inner angular order that is a multiple of the outer one);
+    otherwise the node-exact generic sum is taken instead.  The invariant
+    path does not depend on the outer angular order, so it equals the rule's
+    node sum only when that order exceeds 2*degree; at a lower order the node
+    sum aliases the offsets m+n-m'-n' and the two differ.  On the invariant
+    path z1 is real and the inner rule unturned, so a conjugation-symmetric
+    weight is evaluated on the inner angles 0..n2/2 only; the generic path
+    evaluates every angle.
     """
     D = degree
-    nb = D + 1
+    nb, ns = D + 1, 2 * D + 1
     n1, n2 = rule.rule1.angular_order, rule.rule2.angular_order
     invariant = bool(getattr(weight, "diagonal_rotation_invariant", False)) \
         and n2 > 2 * D and (rule.diagonal_grading or n2 % n1 == 0)
@@ -288,33 +316,61 @@ def _bidisk_gram(weight, degree, rule, density=None):
     turn = rule.diagonal_grading and not invariant
     # at the real z1 = r of the invariant path, phi(r, conj z2) = phi(r, z2)
     symmetric = invariant and bool(getattr(weight, "conjugation_symmetric", False))
+    ph = _evaluated_phases(rule.rule2, symmetric)
     w = outer.radial_weights
     if density is not None:
         w = w * density(outer.radii)
     keep = w != 0
     radii = outer.radii[keep]
-    C = w[keep][:, None] * radii[:, None] ** np.arange(1, 2 * D + 2)[None, :]
-    if rule.diagonal_grading:
-        groups = ((slice(i, i + 1), rule._inner_for_radius(r))
-                  for i, r in enumerate(radii))
-    else:
-        g = max(1, _BLOCK // (phases.size * rule.rule2.radii.size
-                              * _evaluated_phases(rule.rule2, symmetric).size))
-        groups = ((slice(lo, lo + g), rule.rule2)
-                  for lo in range(0, radii.size, g))
-    S = np.zeros((2 * D + 1, phases.size, nb, nb), dtype=complex)
-    for sl, inner in groups:
-        # one batch axis, outer radius major: z1[radius * angle, 1]
-        z1 = (radii[sl, None] * phases).reshape(-1, 1)
+    C = w[keep][:, None] * radii[:, None] ** np.arange(1, ns + 1)[None, :]
+    pw_scale = 2.0 * np.pi / n2
+    span = max(1, _BLOCK // (ns * ph.size))  # outer angles per accumulator
+    buf = np.empty(max(_BLOCK, ph.size), dtype=complex)
+    S = np.empty((ns, phases.size, nb, nb), dtype=complex)
+    s2, d2 = _pairs(D)
+    for a0 in range(0, phases.size, span):
+        ph1 = phases[a0:a0 + span]
+        width = ns * ph1.size * ph.size  # reals of one outer radius's rows
+        # outer radii per rows call: as many as fill a block when they share
+        # the inner rule, one under diagonal grading; per contraction, a
+        # number that does not depend on the degree, so neither does the
+        # order in which the outer radii are summed
+        g = 1 if rule.diagonal_grading else \
+            max(1, _BLOCK // (ph1.size * rule.rule2.radii.size * ph.size))
+        run = max(g, _RUN)
+        stack = np.empty((min(run, radii.size), ns, width // ns))
+        R = np.zeros((ns, width))  # R[s1, s2 * outer angle * inner angle]
+        cols = max(1, _WORK // ns)  # columns of R per update
+        for lo in range(0, radii.size, run):
+            order = []
+            for index, r2, w2 in rule._inner_rules(radii[lo:lo + run]):
+                for i in range(0, index.size, g):
+                    sel = lo + index[i:i + g]
+                    z1 = (radii[sel, None] * ph1).reshape(-1, 1)
 
-        def exp_phi(z2, r2):
-            z2 = z2[:, None, :]
-            return _exp_weight(
-                weight, (z1, phases[:, None] * z2 if turn else z2), r2, density)
+                    def exp_phi(z2, r2_):
+                        z2 = z2[:, None, :]
+                        return _exp_weight(
+                            weight, (z1, ph1[:, None] * z2 if turn else z2), r2_,
+                            density)
 
-        M = _moments(exp_phi, inner, D, symmetric, z1.size)
-        c = C[sl]
-        S += (c.T @ M.reshape(c.shape[0], -1)).reshape(S.shape)
+                    rows = _rows(exp_phi, r2[i], pw_scale * w2[i] * r2[i], ph, D,
+                                 z1.size, buf)
+                    k = len(order)
+                    stack[k:k + sel.size] = \
+                        rows.reshape(ns, sel.size, -1).transpose(1, 0, 2)
+                    order.extend(sel)
+            Ct, flat = C[order].T, stack[:len(order)].reshape(len(order), -1)
+            for c0 in range(0, width, cols):
+                R[:, c0:c0 + cols] += Ct @ flat[:, c0:c0 + cols]
+        del stack
+        # the angular stage, on runs of s1 that keep its mirror and rfft small
+        R = R.reshape(ns, ns, ph1.size, ph.size)
+        c = max(1, _WORK // (ns * ph1.size * n2))
+        for lo in range(0, ns, c):
+            K = _angular(R[lo:lo + c], rule.rule2, D)
+            S[lo:lo + c, a0:a0 + span] = K[:, s2, :, d2].transpose(2, 3, 0, 1)
+        del R  # not held through the outer FFT and the gather
     A = np.fft.fft(S, axis=1) * (2.0 * np.pi / phases.size)
     m, n, mp, np_ = np.ogrid[:nb, :nb, :nb, :nb]
     e = (mp - m) + turn * (np_ - n)
@@ -334,9 +390,11 @@ def _gram(weight, degree, rule, density=None):
     angular integral is exact (see ``_bidisk_gram``)."""
     if rule.domain == "bidisk":
         return _bidisk_gram(weight, degree, rule, density)
-    G = _moments(lambda z, r: _exp_weight(weight, (z,), r, density), rule, degree,
-                 bool(getattr(weight, "conjugation_symmetric", False)))
-    return list(range(degree + 1)), G
+    ph = _evaluated_phases(rule, bool(getattr(weight, "conjugation_symmetric", False)))
+    pw = (2.0 * np.pi / rule.angular_order) * rule.radial_weights * rule.radii
+    R = _rows(lambda z, r: _exp_weight(weight, (z,), r, density), rule.radii, pw, ph,
+              degree)
+    return list(range(degree + 1)), _angular(R, rule, degree)[_pairs(degree)]
 
 
 def default_rule(domain, weight=None):

@@ -8,9 +8,13 @@ orders grow.  Nodes are strictly interior: Gauss-Legendre nodes never touch
 cell endpoints, so a disk rule has no node at the origin or on the circle of
 a grading center's radius.
 
+Every radial rule comes from one vectorized builder, ``_radial_rules``: a
+disk rule's, and the second-factor rules of a diagonally graded bidisk rule
+for a whole run of outer radii at once.
+
 Bidisk rules are tensor products of two disk rules.  With
-``diagonal_grading=True`` the second-factor rule is built per outer radius
-from the shared Gauss-Legendre cache (only its breakpoints change):
+``diagonal_grading=True`` the second-factor rule depends on the outer
+radius (only its breakpoints change; the Gauss-Legendre nodes are shared):
 graded toward that radius and rotated by each outer node's phase, which
 concentrates nodes near the diagonal {z1 = z2} without putting any on it
 (rotating a disk rule is again a valid disk rule).  Plain tensor rules do not
@@ -30,27 +34,50 @@ from .errors import EvaluationError, ParameterError
 _MIN_CELL = 1e-14
 
 
-def _radial_breakpoints(center_radii, ratio, levels):
-    """Mesh of [0,1] geometrically refined toward 0 and each center radius."""
+def _radial_rules(centers, order, ratio, levels):
+    """Composite Gauss-Legendre radial rules on [0,1], one per row of
+    ``centers`` (shape (k, m), radii in [0, 1]), as groups (index, radii,
+    weights).
+
+    Row i's mesh is refined geometrically (ratio ``ratio``, ``levels`` levels)
+    toward 0 and each positive radius of centers[i], with ``order`` points per
+    cell.  The rows ``index`` of a group share a number of cells, and row j of
+    its radii and weights, shape (len(index), cells * order), is the rule of
+    centers[index[j]]: a center whose breakpoints merge with others (or with
+    the mesh toward 0) gets fewer cells, in a group of its own.
+    """
     # always grade toward 0: every in-scope singular weight is centered there
     # unless a nonzero center is given
     d = np.array([ratio**j for j in range(1, levels + 1)])
-    pts = [np.array([0.0, 1.0]), d]
-    for rc in center_radii:
-        if rc <= 0.0:
-            continue  # already covered by the mesh toward 0
-        lo = rc * (1.0 - d)
-        hi = rc + d * (1.0 - rc)
-        pts += [np.array([rc]), lo[lo > 0.0], hi[hi < 1.0]]
-    bps = np.unique(np.concatenate(pts))
-    keep = np.concatenate([[True], np.diff(bps) > _MIN_CELL])
-    return bps[keep]
+    k = centers.shape[0]
+    c = centers[:, :, None]
+    # c(1 - d) and c + d(1 - c) lie in [0, 1], and reach 0 or 1 only where
+    # the mesh has that point already; a center at 0 adds only points of the
+    # mesh toward 0
+    pts = np.empty((k, levels + 2 + centers.shape[1] * (2 * levels + 1)))
+    pts[:, 0], pts[:, 1], pts[:, 2:levels + 2] = 0.0, 1.0, d
+    pts[:, levels + 2:] = np.concatenate([c, c * (1.0 - d), c + d * (1.0 - c)],
+                                         axis=2).reshape(k, -1)
+    # sorted, each run of equal values and each point within _MIN_CELL of
+    # its predecessor dropped: np.unique and the cell filter, row by row
+    pts.sort(axis=1)
+    keep = np.ones(pts.shape, dtype=bool)
+    np.greater(np.diff(pts, axis=1), _MIN_CELL, out=keep[:, 1:])
+    counts = keep.sum(axis=1)
+    x, w = _gauss_legendre(order)
+    groups = []
+    for n in sorted(set(counts.tolist())):
+        index = np.flatnonzero(counts == n)
+        bps = pts[index][keep[index]].reshape(index.size, n)
+        a, b = bps[:, :-1, None], bps[:, 1:, None]
+        groups.append((index, (0.5 * (a + b) + 0.5 * (b - a) * x).reshape(index.size, -1),
+                       (0.5 * (b - a) * w).reshape(index.size, -1)))
+    return groups
 
 
 # Gauss rules on [-1, 1] keyed by (family, order), and the angular phases
 # e^{2 pi i k/n} keyed by n, stored read-only: the nodes of a fixed order are
-# a constant, and a bidisk rule graded toward the diagonal builds one inner
-# disk rule per outer radius
+# a constant, shared by every rule that uses them
 _GAUSS = {}
 _PHASES = {}
 
@@ -161,12 +188,9 @@ def disk_rule(
             raise ParameterError("grading center %r outside the closed disk" % c)
     # a center within rounding of the circle grades toward the circle itself,
     # so that no breakpoint (and no node) lies beyond it
-    bps = _radial_breakpoints([min(abs(c), 1.0) for c in centers], grading_ratio,
-                              grading_levels)
-    x, w = _gauss_legendre(radial_order)
-    a, b = bps[:-1, None], bps[1:, None]
-    radii = (0.5 * (a + b) + 0.5 * (b - a) * x).ravel()
-    rweights = (0.5 * (b - a) * w).ravel()
+    radial = np.array([[min(abs(c), 1.0) for c in centers]])
+    (_, radii, rweights), = _radial_rules(radial, radial_order, grading_ratio,
+                                          grading_levels)
     meta = {
         "radial_order": int(radial_order),
         "angular_order": int(angular_order),
@@ -174,7 +198,7 @@ def disk_rule(
         "grading_ratio": float(grading_ratio),
         "grading_levels": int(grading_levels),
     }
-    return DiskRule(radii, rweights, angular_order, meta)
+    return DiskRule(radii[0], rweights[0], angular_order, meta)
 
 
 class BidiskRule:
@@ -182,9 +206,9 @@ class BidiskRule:
 
     Node pairs are enumerated lazily through :meth:`iter_blocks`; each block
     is (z1 value, w1, z2 nodes, z2 weights).  With diagonal grading the
-    second-factor rule is built once per outer radius, from its own
-    breakpoints and the shared cached Gauss-Legendre rule, and rotated by the
-    outer node's phase.
+    second-factor rule depends on the outer radius and is rotated by the
+    outer node's phase; :meth:`_inner_rules` builds its radial rules for a
+    run of outer radii in one pass, and is the only place they are built.
     """
 
     domain = "bidisk"
@@ -200,19 +224,32 @@ class BidiskRule:
             "diagonal_grading": self.diagonal_grading,
         }
 
+    def _inner_rules(self, radii):
+        """The second-factor radial rules at a run of outer radii, as the
+        groups (index, radii, weights) of ``_radial_rules``.  Under diagonal
+        grading row j of a group is, bit for bit, the radial rule of
+        disk_rule(..., grading_centers=(radii[index[j]],),
+        grading_levels=diagonal_levels) with the second factor's orders and
+        ratio; otherwise one group holds the plain second factor's rule,
+        broadcast to every radius."""
+        if not self.diagonal_grading:
+            shape = (len(radii), self.rule2.radii.size)
+            return [(np.arange(len(radii)), np.broadcast_to(self.rule2.radii, shape),
+                     np.broadcast_to(self.rule2.radial_weights, shape))]
+        m = self.rule2.metadata
+        return _radial_rules(np.minimum(np.abs(radii), 1.0)[:, None], m["radial_order"],
+                             m["grading_ratio"], self.diagonal_levels)
+
     def _inner_for_radius(self, r):
         """Second-factor rule at outer radius r, before the outer phase turns
         it (the plain second factor without diagonal grading)."""
         if not self.diagonal_grading:
             return self.rule2
+        (_, radii, weights), = self._inner_rules(np.array([r], dtype=float))
         m = self.rule2.metadata
-        return disk_rule(
-            m["radial_order"],
-            m["angular_order"],
-            grading_centers=(r,),
-            grading_ratio=m["grading_ratio"],
-            grading_levels=self.diagonal_levels,
-        )
+        return DiskRule(radii[0], weights[0], m["angular_order"],
+                        dict(m, grading_centers=[complex(r)],
+                             grading_levels=self.diagonal_levels))
 
     def iter_blocks(self):
         """Yield (z1, w1, z2_nodes, z2_weights) with z1 scalar, outer radius

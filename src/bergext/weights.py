@@ -78,10 +78,15 @@ def _parse(text, domain, holomorphic):
     variables = _VARIABLES[domain, holomorphic]
     try:  # attribute access and subscripts fail inside sympify's eval
         expr = sp.sympify(text, locals={str(v): v for v in variables})
-    except (sp.SympifyError, AttributeError, TypeError) as exc:
+    except (sp.SympifyError, AttributeError, TypeError, IndexError) as exc:
         raise ParameterError("cannot parse expression %r: %s" % (text, exc))
     if not isinstance(expr, sp.Expr):  # a relation, a Python builtin, ...
         raise ParameterError("cannot parse expression %r: not an expression" % text)
+    # a Python lambda sympifies to a sympy Lambda, which is an Expr but a
+    # function, not a value at the variables
+    if callable(expr) or expr.has(sp.Lambda):
+        raise ParameterError("cannot parse expression %r: a function, not an "
+                             "expression" % text)
     values = []
     template = _lift(expr, values)
     return expr, template, tuple(values)

@@ -17,6 +17,7 @@ from bergext import (
     log_kernel_gradient_at_zero,
     unit_ek,
 )
+from bergext import bergman, quadrature
 from bergext.bergman import _BLOCK, _gram, default_rule, model_summary_json
 from bergext.cli import parse_weight
 from bergext.quadrature import bidisk_rule, disk_rule
@@ -410,6 +411,37 @@ def test_bidisk_gram_batches_outer_radii():
     groups = math.ceil(rule.rule1.radii.size / (_BLOCK // per_radius))
     assert sum(sizes) == rule.rule1.radii.size * per_radius
     assert len(sizes) <= math.ceil(sum(sizes) / _BLOCK) + groups
+
+
+@pytest.mark.parametrize("weight, degree", [
+    (RegularizedLogWeight(0.05, "z1-z2"), 4),
+    (RegularizedLogWeight(0.05, "z1-z2", "shifted"), 14),
+    # turned with the outer phases: one accumulator covers every outer angle
+    # while (2*degree+1) * 32 * 128 <= _BLOCK
+    (_NotInvariant(RegularizedLogWeight(0.05, "z1-z2")), 1),
+])
+def test_diagonal_gram_one_angular_transform(monkeypatch, weight, degree):
+    # under diagonal grading every outer radius has its own inner radial
+    # rule, yet the Gram sums the inner angles with one transform, after the
+    # outer radii are contracted, and builds no per-radius disk rule (the
+    # benchmark's cross-extension rule has 88 outer radii)
+    calls = {"angular": 0, "rfft": 0, "disk_rule": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    rule = bidisk_rule(radial_order=(8, 8), angular_order=(32, 128),
+                       grading_levels=10, diagonal_grading=True)
+    assert rule.rule1.radii.size == 88
+    monkeypatch.setattr(bergman, "_angular", counting("angular", bergman._angular))
+    monkeypatch.setattr(np.fft, "rfft", counting("rfft", np.fft.rfft))
+    monkeypatch.setattr(quadrature.DiskRule, "__init__",
+                        counting("disk_rule", quadrature.DiskRule.__init__))
+    _gram(weight, degree, rule)
+    assert calls == {"angular": 1, "rfft": 1, "disk_rule": 0}
 
 
 def test_invariant_weight_aliasing_rule_accepted():

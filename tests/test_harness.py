@@ -119,6 +119,25 @@ def test_claim34_norm_independent_of_degree():
     assert norms[0] == norms[1] == norms[2]
 
 
+@pytest.mark.parametrize("style, pinned", [
+    ("convolution", [(24.398653399987978, 3.1327421945696496, 252.515085171784),
+                     (30.945383695453266, 3.139380038834757, 454.049749380329)]),
+    ("shifted", [(17.015081633636665, 2.996604366478392, 118.059042576408),
+                 (23.064487681639918, 3.094516190624975, 241.286364119695)]),
+])
+def test_claim34_values_pinned(style, pinned):
+    # claim34 rows at eps 0.1 and 0.05, degree 12, as the bidisk Gram gave
+    # them when it summed the inner angles per outer radius: the order in
+    # which it sums moves them only at rounding level
+    rows = sweeps.run_claim34([0.1, 0.05], degree=12, style=style,
+                              check_convergence=False).rows
+    assert [row["eps"] for row in rows] == [0.1, 0.05]
+    for row, (norm, rhs_data, condition) in zip(rows, pinned):
+        assert row["norm"] == pytest.approx(norm, rel=1e-12)
+        assert row["rhs_data"] == pytest.approx(rhs_data, rel=1e-12)
+        assert row["condition"] == pytest.approx(condition, rel=1e-10)
+
+
 def test_claim34_norm_log_rate():
     # the norm is int |z1|^2 e^{-phi_eps} over the bidisk, whose analytic rate
     # is pi^2 log(1/eps): pi/2 from int |z1|^2 times 2 pi log(1/eps) from the

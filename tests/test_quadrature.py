@@ -147,6 +147,57 @@ def test_radial_rule_matches_per_cell_loop():
             assert np.array_equal(inner.radial_weights, ref[1])
 
 
+def _per_radius_rule(br, r):
+    m = br.rule2.metadata
+    return disk_rule(m["radial_order"], m["angular_order"], grading_centers=(r,),
+                     grading_ratio=m["grading_ratio"], grading_levels=br.diagonal_levels)
+
+
+def _check_inner_rules(br, radii):
+    """The vectorized inner rules at ``radii`` against one disk rule per
+    radius and the per-cell loop, bit for bit; returns the group of each."""
+    m = br.rule2.metadata
+    group = np.full(radii.size, -1)
+    for g, (index, r2, w2) in enumerate(br._inner_rules(radii)):
+        assert r2.shape == w2.shape == (index.size, r2.shape[1])
+        for j, i in enumerate(index):
+            ref = _per_radius_rule(br, radii[i])
+            loop = _reference_radial_rule(m["radial_order"], (radii[i],),
+                                          m["grading_ratio"], br.diagonal_levels)
+            for got, want in ((r2[j], ref.radii), (w2[j], ref.radial_weights),
+                              (r2[j], loop[0]), (w2[j], loop[1])):
+                assert np.array_equal(got, want)
+            group[i] = g
+    assert (group >= 0).all()
+    return group
+
+
+def test_inner_rules_match_per_radius_disk_rules():
+    # the claim34 rule, the cross-extension benchmark rule, the default rule
+    for kw in (dict(radial_order=(16, 16), angular_order=(8, 256)),
+               dict(radial_order=(8, 8), angular_order=(32, 128)),
+               dict(radial_order=(16, 16), angular_order=(64, 256))):
+        br = bidisk_rule(grading_levels=10, diagonal_grading=True, diagonal_levels=12,
+                         **kw)
+        _check_inner_rules(br, br.rule1.radii)
+    # at r = 0.5 = d_1 and r = 0.25 = d_2 the breakpoints r and r(1 - d_1) fall
+    # on the grading points d_j toward 0 and merge, so those radii get fewer
+    # cells than 0.3 and 0.7, in a group of their own
+    br = bidisk_rule(radial_order=(16, 16), angular_order=(8, 256), grading_levels=10,
+                     diagonal_grading=True, diagonal_levels=12)
+    radii = np.array([0.3, 0.5, 0.25, 0.7])
+    group = _check_inner_rules(br, radii)
+    assert group[0] == group[3] != group[1] == group[2]
+    sizes = [_per_radius_rule(br, r).radii.size for r in radii]
+    assert sizes[1] < sizes[0] and sizes[2] < sizes[0]
+    # without diagonal grading every radius shares the second factor's rule
+    plain = bidisk_rule(radial_order=(8, 8), angular_order=(16, 16))
+    (index, r2, w2), = plain._inner_rules(radii)
+    assert np.array_equal(index, np.arange(4))
+    assert np.array_equal(r2, np.tile(plain.rule2.radii, (4, 1)))
+    assert np.array_equal(w2, np.tile(plain.rule2.radial_weights, (4, 1)))
+
+
 def test_graded_bidisk_gram_computes_each_gauss_rule_once(monkeypatch):
     calls = []
 

@@ -16,7 +16,7 @@ from bergext import (
     clamp_max,
     twisted_derivative,
 )
-from bergext import build_model, sweeps, weights
+from bergext import build_model, cli, sweeps, weights
 from bergext.bergman import _check_integrable
 from bergext.cli import parse_weight
 from bergext.quadrature import bidisk_rule, disk_rule
@@ -266,6 +266,22 @@ def test_spec_validation():
         "family": "reglog", "epsilon": 0.1, "style": "convolution",
         "direction": "z1-z2"}
     assert parse_weight("halfplane").to_dict() == {"family": "halfplane", "m": 1.0}
+
+
+def test_function_valued_expression_refused(capsys):
+    # a Python lambda sympifies to a sympy Lambda, an Expr that is a
+    # function: refused as unparsable, at the spec and at the CLI, instead
+    # of failing in the compiled weight
+    for text in ("lambda: 1", "lambda x: x", "Lambda(x, x**2)",
+                 "Lambda((), 1) + 1", "1 + Lambda(x, x)"):
+        with pytest.raises(ParameterError, match="cannot parse expression"):
+            from_dict({"smooth": text})
+        spec = json.dumps({"smooth": text})
+        assert cli.main(["kernel", "--degree", "2", "--weight", spec]) == 1
+        assert "error: cannot parse expression" in capsys.readouterr().err
+    # a function applied to a value is an ordinary expression
+    w = from_dict({"smooth": "Lambda(x, x**2)(y)"})
+    assert w.evaluate(np.array([0.3 + 0.4j]))[0] == pytest.approx(0.16)
 
 
 @st.composite
