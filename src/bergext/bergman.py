@@ -11,11 +11,15 @@ log-kernel gradient at the origin) is read off those columns.
 
 Every Gram matrix follows the convention G[a,b] = int conj(e_a) e_b e^{-phi}
 and comes from one entry, ``_gram``, over one moment kernel in two linear
-stages: ``_rows`` evaluates e^{-phi} on a polar tensor grid and contracts it
-over the radii first (a real matrix product with the radial moments, leaving
-2D+1 rows per angle), and ``_angular`` takes one rfft of those rows over the
-angles (exact for every Fourier offset).  Conjugation-symmetric weights,
-phi(conj z) = phi(z), are evaluated on half the angles of an unrotated rule.
+stages: ``_rows`` takes e^{-phi} on a polar tensor grid, block by block from
+a callback, and contracts it over the radii first (a real matrix product with
+the radial moments, leaving 2D+1 rows per angle, checked finite once), and
+``_angular`` takes one rfft of those rows over the angles (exact for every
+Fourier offset).  The callbacks evaluate the weight at complex nodes
+(``_grid``), except on the invariant bidisk path for the regularized log,
+whose e^{-phi} is a function of |z1 - z2|^2, formed there from real polar
+arrays (``_polar_exp``).  Conjugation-symmetric weights, phi(conj z) =
+phi(z), are evaluated on half the angles of an unrotated rule.
 The disk Gram is the two stages on the disk rule's grid.  The bidisk uses
 the full tensor grid z1^m z2^n with m,n <= D so that cross constraints are
 exactly expressible.  Its Gram takes the inner rows at every outer node
@@ -195,34 +199,51 @@ def _evaluated_phases(rule, symmetric):
     return rule._phases
 
 
-def _rows(exp_phi, radii, pw, ph, degree, batch=1, buf=None):
-    """R[s, batch * angle] = sum over the radii r of pw r^s T[r, batch, angle],
-    s = 0..2*degree: the radial stage of the moment kernel.
+def _rows(exp_phi, P, width):
+    """R[s, col] = sum over the radii i of P[i, s] T[i, col]: the radial stage
+    of the moment kernel.
 
-    ``exp_phi(z, r)`` returns e^{-phi} on a block z = r x ph of a polar grid
-    (r a run of ``radii``, ph the evaluated angular phases) as
-    T[radius, *batch, angle], the radius axis first, with batch axes of total
-    size ``batch`` (none on the disk).  ``pw`` is the weight of each radius's
-    nodes (radial weight times r times 2 pi/na).  Each block is contracted
-    with the moments pw r^s by one real matrix product, whatever the batch
-    shape.  Each
-    block's grid is written into one complex buffer, ``buf`` when given (at
-    least max(_BLOCK, ph.size) values), so that no block allocates it anew.
+    ``P[i, s] = pw_i r_i^s`` (s = 0..2*degree) are the radial moments of the
+    radii r_i, pw the weight of each radius's nodes (radial weight times r
+    times 2 pi/na).  ``exp_phi(sl)`` returns e^{-phi} on the radii of the
+    slice ``sl`` as T[radius, *batch, angle], ``width`` values per radius;
+    the slices are blocks of about ``_BLOCK`` nodes, each contracted by one
+    real matrix product, whatever the batch shape.  The finite check is made
+    once, on R: every pw is positive and e^{-phi} >= 0, so a non-finite
+    e^{-phi} at any node makes the row s = 0 non-finite.
     """
-    P = pw[:, None] * radii[:, None] ** np.arange(2 * degree + 1)[None, :]
-    step = max(1, _BLOCK // (batch * ph.size))
-    if buf is None:
-        buf = np.empty(min(step, radii.size) * ph.size, dtype=complex)
+    step = max(1, _BLOCK // width)
     R = 0.0
-    for lo in range(0, radii.size, step):
-        r = radii[lo:lo + step]
-        z = np.multiply(r[:, None], ph, out=buf[:r.size * ph.size].reshape(r.size, -1))
-        T = exp_phi(z, r)
-        if not np.all(np.isfinite(T)):
-            raise DegeneracyError(
-                "weight produced non-finite e^{-phi} at quadrature nodes")
-        R = R + P[lo:lo + step].T @ T.reshape(r.size, -1)
+    for lo in range(0, P.shape[0], step):
+        Pb = P[lo:lo + step]
+        R = R + Pb.T @ exp_phi(slice(lo, lo + step)).reshape(Pb.shape[0], -1)
+    if not np.all(np.isfinite(R[0])):
+        raise DegeneracyError(
+            "weight produced non-finite e^{-phi} at quadrature nodes")
     return R
+
+
+def _grid(ph):
+    """r -> the complex nodes r x ph of a polar grid, r the radii of one
+    block of ``_rows``: each block is written into one buffer, so that no
+    block allocates its grid anew."""
+    buf = np.empty(max(_BLOCK, ph.size), dtype=complex)
+
+    def grid(r):
+        return np.multiply(r[:, None], ph, out=buf[:r.size * ph.size].reshape(r.size, -1))
+
+    return grid
+
+
+def _powers(pw, r, n):
+    """The radial moments P[i, s] = pw_i r_i^s, s < n, by repeated
+    multiplication: within a few units in the last place of ``**``, at a
+    fraction of its cost (the disk keeps ``**``)."""
+    Pt = np.empty((n, r.size))
+    Pt[0] = pw
+    for s in range(1, n):
+        np.multiply(Pt[s - 1], r, out=Pt[s])
+    return Pt.T
 
 
 def _angular(R, rule, degree):
@@ -256,22 +277,65 @@ def _pairs(degree):
 
 
 def _exp_weight(weight, zs, r, density=None):
-    """e^{-phi(zs)}, times density(r) along the leading (radius) axis when
-    given.  A weight with an ``_exp_neg_phi`` method (the regularized log)
-    gives e^{-phi} directly, finite everywhere, with no log/exp round trip;
-    any other weight goes through exp(-evaluate), and phi is not used where
-    the density is 0.  Either way excluded nodes contribute exactly 0."""
+    """e^{-phi(zs)} at complex nodes, times density(r) along the leading
+    (radius) axis when given.  The regularized log gives e^{-phi} from
+    |zeta|^2 directly, finite everywhere, with no log/exp round trip; any
+    other weight goes through exp(-evaluate), and phi is not used where the
+    density is 0.  Either way excluded nodes contribute exactly 0."""
     rho = None
     if density is not None:
         ndim = max(np.ndim(z) for z in zs)
         rho = density(r).reshape((-1,) + (1,) * (ndim - 1))
-    direct = getattr(weight, "_exp_neg_phi", None)
-    if direct is not None:
-        e = direct(*zs)
+    if hasattr(weight, "_exp_neg_phi_a2"):
+        e = weight._exp_neg_phi_a2(weight._a2(*zs))
     else:
         phi = np.asarray(weight.evaluate(*zs), dtype=float)
         e = np.exp(-(phi if rho is None else np.where(rho > 0, phi, 0.0)))
     return e if rho is None else rho * e
+
+
+def _polar_exp(weight, r1, r2, vers, tube, buf, density=None):
+    """The ``_rows`` callback of the invariant bidisk path for a weight whose
+    e^{-phi} is a function of a2 = |z1 - z2|^2 (the regularized log), at the
+    real z1 = r1 (a batch of outer radii) and z2 = r2 e^{i theta}:
+        a2 = (r1 - r2)^2 + 2 r1 r2 vers,   vers = 2 sin^2(theta/2) = 1 - cos theta,
+    one real matrix product of a pair of arrays over the rows (r2, r1) with
+    (vers, 1) over the angles, written into ``buf`` (one buffer per Gram, of
+    at least one block): no complex grid, and no cancellation of
+    r1 - r2 cos theta near the diagonal.
+
+    ``tube`` is the weight's ``_tube`` eps^2 (e^{-phi} is 1/a2 outside the
+    tube a2 < eps^2) when vers is non-decreasing (the angles 0..pi in order),
+    None otherwise.  The tube then lies in a box, found once here:
+    the run of rows (r2, r1) from the first to the last with
+    (r1 - r2)^2 < eps^2 and, on them, the angles with vers below the largest
+    (eps^2 - (r1 - r2)^2)/(2 r1 r2) of those rows (a prefix), both with a
+    margin far above rounding.  The weight evaluates its exp on the box only.
+    """
+    d = r2[:, None] - r1
+    L = np.stack([2.0 * r2[:, None] * r1, d * d], axis=-1).reshape(-1, 2)
+    V = np.stack([vers, np.ones_like(vers)])
+    g, na = r1.size, vers.size
+    first = last = k = 0  # the box: rows first:last, angles :k
+    if tube is not None:
+        edge = tube * (1.0 + 1e-12)
+        rows = np.flatnonzero(L[:, 1] < edge)
+        if rows.size:
+            first, last = rows[0], rows[-1] + 1
+            k = np.searchsorted(vers, ((edge - L[rows, 1]) / L[rows, 0]).max())
+
+    def exp_phi(sl):
+        lo = sl.start * g
+        Lb = L[lo:sl.stop * g]
+        n = Lb.shape[0]
+        a2 = np.matmul(Lb, V, out=buf[:n * na].reshape(n, na))
+        box = None
+        if tube is not None:
+            box = slice(max(first - lo, 0), max(last - lo, 0)), k
+        e = weight._exp_neg_phi_a2(a2, box=box).reshape(n // g, -1)
+        return e if density is None else density(r2[sl])[:, None] * e
+
+    return exp_phi
 
 
 def _bidisk_gram(weight, degree, rule, density=None):
@@ -304,7 +368,10 @@ def _bidisk_gram(weight, degree, rule, density=None):
     sum aliases the offsets m+n-m'-n' and the two differ.  On the invariant
     path z1 is real and the inner rule unturned, so a conjugation-symmetric
     weight is evaluated on the inner angles 0..n2/2 only; the generic path
-    evaluates every angle.
+    evaluates every angle.  There the regularized log needs no complex nodes:
+    ``_polar_exp`` forms |z1 - z2|^2 from the radii and 1 - cos theta, and
+    confines the convolution style's exp to the nodes of its eps-tube.  The
+    inner radial moments are built by repeated multiplication (``_powers``).
     """
     D = degree
     nb, ns = D + 1, 2 * D + 1
@@ -317,6 +384,13 @@ def _bidisk_gram(weight, degree, rule, density=None):
     # at the real z1 = r of the invariant path, phi(r, conj z2) = phi(r, z2)
     symmetric = invariant and bool(getattr(weight, "conjugation_symmetric", False))
     ph = _evaluated_phases(rule.rule2, symmetric)
+    polar = invariant and hasattr(weight, "_exp_neg_phi_a2")
+    if polar:
+        vers = 2.0 * np.sin(0.5 * np.angle(ph)) ** 2  # 1 - cos theta
+        tube = weight._tube if np.all(np.diff(vers) >= 0) else None
+        buf = np.empty(max(_BLOCK, ph.size))  # a2 of one rows block
+    else:
+        grid = _grid(ph)
     w = outer.radial_weights
     if density is not None:
         w = w * density(outer.radii)
@@ -325,7 +399,6 @@ def _bidisk_gram(weight, degree, rule, density=None):
     C = w[keep][:, None] * radii[:, None] ** np.arange(1, ns + 1)[None, :]
     pw_scale = 2.0 * np.pi / n2
     span = max(1, _BLOCK // (ns * ph.size))  # outer angles per accumulator
-    buf = np.empty(max(_BLOCK, ph.size), dtype=complex)
     S = np.empty((ns, phases.size, nb, nb), dtype=complex)
     s2, d2 = _pairs(D)
     for a0 in range(0, phases.size, span):
@@ -346,16 +419,21 @@ def _bidisk_gram(weight, degree, rule, density=None):
             for index, r2, w2 in rule._inner_rules(radii[lo:lo + run]):
                 for i in range(0, index.size, g):
                     sel = lo + index[i:i + g]
-                    z1 = (radii[sel, None] * ph1).reshape(-1, 1)
+                    r2i = r2[i]
+                    if polar:
+                        exp_phi = _polar_exp(weight, radii[sel], r2i, vers, tube, buf,
+                                             density)
+                    else:
+                        z1 = (radii[sel, None] * ph1).reshape(-1, 1)
 
-                    def exp_phi(z2, r2_):
-                        z2 = z2[:, None, :]
-                        return _exp_weight(
-                            weight, (z1, ph1[:, None] * z2 if turn else z2), r2_,
-                            density)
+                        def exp_phi(sl):
+                            z2 = grid(r2i[sl])[:, None, :]
+                            return _exp_weight(
+                                weight, (z1, ph1[:, None] * z2 if turn else z2), r2i[sl],
+                                density)
 
-                    rows = _rows(exp_phi, r2[i], pw_scale * w2[i] * r2[i], ph, D,
-                                 z1.size, buf)
+                    rows = _rows(exp_phi, _powers(pw_scale * w2[i] * r2i, r2i, ns),
+                                 sel.size * ph1.size * ph.size)
                     k = len(order)
                     stack[k:k + sel.size] = \
                         rows.reshape(ns, sel.size, -1).transpose(1, 0, 2)
@@ -392,8 +470,9 @@ def _gram(weight, degree, rule, density=None):
         return _bidisk_gram(weight, degree, rule, density)
     ph = _evaluated_phases(rule, bool(getattr(weight, "conjugation_symmetric", False)))
     pw = (2.0 * np.pi / rule.angular_order) * rule.radial_weights * rule.radii
-    R = _rows(lambda z, r: _exp_weight(weight, (z,), r, density), rule.radii, pw, ph,
-              degree)
+    P = pw[:, None] * rule.radii[:, None] ** np.arange(2 * degree + 1)[None, :]
+    grid, r = _grid(ph), rule.radii
+    R = _rows(lambda sl: _exp_weight(weight, (grid(r[sl]),), r[sl], density), P, ph.size)
     return list(range(degree + 1)), _angular(R, rule, degree)[_pairs(degree)]
 
 

@@ -441,6 +441,11 @@ class RegularizedLogWeight(_Spec):
 
     style='shifted': phi_eps = log(eps^2 + |zeta|^2), so that e^{-phi_eps} is
     exactly 1/(eps^2 + |zeta|^2).
+
+    Either way e^{-phi_eps} is a function of a2 = |zeta|^2 alone
+    (``_exp_neg_phi_a2``), which Gram assembly evaluates on a2 formed from
+    complex nodes (``_a2``) or, on the invariant bidisk path, from real polar
+    arrays.
     """
 
     def __init__(self, epsilon, direction="z", style="convolution"):
@@ -458,12 +463,16 @@ class RegularizedLogWeight(_Spec):
                      "style": style, "direction": direction}
         self.diagonal_rotation_invariant = direction == "z1-z2"
         self.conjugation_symmetric = True  # phi_eps depends on |zeta| only
+        # e^{-phi_eps} = 1/a2 wherever a2 >= _tube (convolution only)
+        self._tube = self.epsilon**2 if style == "convolution" else None
 
-    def _zeta(self, *zs):
-        return zs[0] if self.direction == "z" else np.subtract(zs[0], zs[1])
+    def _a2(self, *zs):
+        """|zeta|^2 at complex nodes."""
+        zeta = zs[0] if self.direction == "z" else np.subtract(zs[0], zs[1])
+        return np.abs(zeta) ** 2
 
     def evaluate(self, *zs):
-        a2 = np.abs(self._zeta(*zs)) ** 2
+        a2 = self._a2(*zs)
         e2 = self.epsilon**2
         if self.style == "shifted":
             return np.log(e2 + a2)
@@ -471,16 +480,31 @@ class RegularizedLogWeight(_Spec):
             outer = np.log(a2)
         return np.where(a2 < e2, (a2 - e2) / e2 + np.log(e2), outer)
 
-    def _exp_neg_phi(self, *zs):
-        """e^{-phi_eps} without the log/exp round trip, finite everywhere:
-        1/(eps^2 + |zeta|^2) (shifted), or 1/|zeta|^2 outside the eps-disk
-        and exp(-(|zeta|^2 - eps^2)/eps^2)/eps^2 inside (convolution)."""
-        a2 = np.abs(self._zeta(*zs)) ** 2
+    def _exp_neg_phi_a2(self, a2, box=None):
+        """e^{-phi_eps} at a2 = |zeta|^2, without the log/exp round trip and
+        finite everywhere: 1/(eps^2 + a2) (shifted), or
+        exp(max(eps^2 - a2, 0)/eps^2) / max(a2, eps^2) (convolution), which
+        is 1/a2 outside the eps-tube a2 < eps^2.
+
+        ``box = (rows, k)`` on a 2-D a2 says that every node in the tube lies
+        in a2[rows, :k] (rows a slice or an index array); the convolution
+        then evaluates its exp on that box only and 1/a2 elsewhere, with the
+        same values to the bit.
+        """
         e2 = self.epsilon**2
         if self.style == "shifted":
             return 1.0 / (e2 + a2)
-        # the clamped exponent is 0 outside, where no exp underflows
-        return np.exp(np.maximum(e2 - a2, 0.0) / e2) / np.maximum(a2, e2)
+
+        def full(a):  # the clamped exponent is 0 outside, where no exp underflows
+            return np.exp(np.maximum(e2 - a, 0.0) / e2) / np.maximum(a, e2)
+
+        if box is None:
+            return full(a2)
+        rows, k = box
+        with np.errstate(divide="ignore"):  # a2 = 0 lies in the box
+            e = 1.0 / a2
+        e[rows, :k] = full(a2[rows, :k])
+        return e
 
     def _d_zeta(self, zeta):
         a2 = np.abs(zeta) ** 2

@@ -123,11 +123,16 @@ def test_regularized_log_direct_exp(style):
     zeta = np.array([0.0, 0.05 + 0.1j, -0.13j, eps, eps * np.exp(0.7j), 0.5, -0.3 + 0.9j])
     w = RegularizedLogWeight(eps, "z", style)
     ref = np.exp(-w.evaluate(zeta))
-    assert np.allclose(w._exp_neg_phi(zeta), ref, rtol=1e-15, atol=0)
+    assert np.allclose(w._exp_neg_phi_a2(w._a2(zeta)), ref, rtol=1e-15, atol=0)
     w2 = RegularizedLogWeight(eps, "z1-z2", style)
     z2 = np.array([0.1, -0.4j, 0.25 + 0.3j])[:, None]
     ref = np.exp(-w2.evaluate(zeta + z2, z2))
-    assert np.allclose(w2._exp_neg_phi(zeta + z2, z2), ref, rtol=1e-15, atol=0)
+    a2 = w2._a2(zeta + z2, z2)
+    assert np.allclose(w2._exp_neg_phi_a2(a2), ref, rtol=1e-15, atol=0)
+    # a box holding every node with a2 < eps^2 gives the same values
+    rows = np.flatnonzero((a2 < eps**2).any(axis=1))
+    k = np.flatnonzero((a2 < eps**2).any(axis=0)).max() + 1
+    assert np.array_equal(w2._exp_neg_phi_a2(a2, box=(rows, k)), w2._exp_neg_phi_a2(a2))
 
 
 def test_conjugation_symmetry_inferred():
