@@ -31,7 +31,9 @@ under the simultaneous rotation (z1,z2) -> (e^{ia}z1, e^{ia}z2) the outer
 angular integral is exact: entries vanish unless m+n = m'+n', and only the
 outer angle 0 is evaluated.
 Quadratic functionals (the bulk norm, the branch integral at gamma = 0) are
-Gram forms q^H G q from ``_gram``, with any radial density in the weights.
+Gram forms q^H G q from ``_gram``.  Their radial density is a radial weight:
+every radial factor of a Gram (quadrature weight, density, power) is in one
+table (``_powers``), and radii where the density is 0 are never evaluated.
 """
 
 from __future__ import annotations
@@ -203,20 +205,19 @@ def _rows(exp_phi, P, width):
     """R[s, col] = sum over the radii i of P[i, s] T[i, col]: the radial stage
     of the moment kernel.
 
-    ``P[i, s] = pw_i r_i^s`` (s = 0..2*degree) are the radial moments of the
-    radii r_i, pw the weight of each radius's nodes (radial weight times r
-    times 2 pi/na).  ``exp_phi(sl)`` returns e^{-phi} on the radii of the
+    ``P[i, s]`` (s = 0..2*degree) are the radial moments of the radii r_i
+    (``_powers``).  ``exp_phi(sl)`` returns e^{-phi} on the radii of the
     slice ``sl`` as T[radius, *batch, angle], ``width`` values per radius;
     the slices are blocks of about ``_BLOCK`` nodes, each contracted by one
     real matrix product, whatever the batch shape.  The finite check is made
-    once, on R: every pw is positive and e^{-phi} >= 0, so a non-finite
+    once, on R: every P[i, 0] is positive and e^{-phi} >= 0, so a non-finite
     e^{-phi} at any node makes the row s = 0 non-finite.
     """
     step = max(1, _BLOCK // width)
-    R = 0.0
+    R = np.zeros((P.shape[1], width))
     for lo in range(0, P.shape[0], step):
         Pb = P[lo:lo + step]
-        R = R + Pb.T @ exp_phi(slice(lo, lo + step)).reshape(Pb.shape[0], -1)
+        R += Pb.T @ exp_phi(slice(lo, lo + step)).reshape(Pb.shape[0], -1)
     if not np.all(np.isfinite(R[0])):
         raise DegeneracyError(
             "weight produced non-finite e^{-phi} at quadrature nodes")
@@ -235,15 +236,24 @@ def _grid(ph):
     return grid
 
 
-def _powers(pw, r, n):
-    """The radial moments P[i, s] = pw_i r_i^s, s < n, by repeated
-    multiplication: within a few units in the last place of ``**``, at a
-    fraction of its cost (the disk keeps ``**``)."""
+def _powers(pw, r, n, density=None):
+    """(r, P): every radial factor of a Gram in one table, the radial moments
+    P[i, s] = pw_i rho(r_i) r_i^s (s < n) of the radii r_i that it keeps.
+
+    pw is the weight of each radius's nodes, rho the optional radial
+    ``density``; the radii where pw rho is 0 are dropped, so that e^{-phi}
+    is never evaluated there.  The powers come from repeated multiplication:
+    within a few units in the last place of ``**``, at a fraction of its
+    cost."""
+    if density is not None:
+        pw = pw * density(r)
+    keep = pw != 0
+    pw, r = pw[keep], r[keep]
     Pt = np.empty((n, r.size))
     Pt[0] = pw
     for s in range(1, n):
         np.multiply(Pt[s - 1], r, out=Pt[s])
-    return Pt.T
+    return r, Pt.T
 
 
 def _angular(R, rule, degree):
@@ -276,25 +286,17 @@ def _pairs(degree):
     return n[:, None] + n[None, :], n[None, :] - n[:, None] + degree
 
 
-def _exp_weight(weight, zs, r, density=None):
-    """e^{-phi(zs)} at complex nodes, times density(r) along the leading
-    (radius) axis when given.  The regularized log gives e^{-phi} from
-    |zeta|^2 directly, finite everywhere, with no log/exp round trip; any
-    other weight goes through exp(-evaluate), and phi is not used where the
-    density is 0.  Either way excluded nodes contribute exactly 0."""
-    rho = None
-    if density is not None:
-        ndim = max(np.ndim(z) for z in zs)
-        rho = density(r).reshape((-1,) + (1,) * (ndim - 1))
+def _exp_weight(weight, zs):
+    """e^{-phi(zs)} at complex nodes.  The regularized log gives e^{-phi}
+    from |zeta|^2 directly, finite everywhere, with no log/exp round trip;
+    any other weight goes through exp(-evaluate).  A radial density is not
+    applied here: it is in the radial moments (``_powers``)."""
     if hasattr(weight, "_exp_neg_phi_a2"):
-        e = weight._exp_neg_phi_a2(weight._a2(*zs))
-    else:
-        phi = np.asarray(weight.evaluate(*zs), dtype=float)
-        e = np.exp(-(phi if rho is None else np.where(rho > 0, phi, 0.0)))
-    return e if rho is None else rho * e
+        return weight._exp_neg_phi_a2(weight._a2(*zs))
+    return np.exp(-np.asarray(weight.evaluate(*zs), dtype=float))
 
 
-def _polar_exp(weight, r1, r2, vers, tube, buf, density=None):
+def _polar_exp(weight, r1, r2, vers, tube, buf):
     """The ``_rows`` callback of the invariant bidisk path for a weight whose
     e^{-phi} is a function of a2 = |z1 - z2|^2 (the regularized log), at the
     real z1 = r1 (a batch of outer radii) and z2 = r2 e^{i theta}:
@@ -302,7 +304,8 @@ def _polar_exp(weight, r1, r2, vers, tube, buf, density=None):
     one real matrix product of a pair of arrays over the rows (r2, r1) with
     (vers, 1) over the angles, written into ``buf`` (one buffer per Gram, of
     at least one block): no complex grid, and no cancellation of
-    r1 - r2 cos theta near the diagonal.
+    r1 - r2 cos theta near the diagonal.  r2 are the inner radii that
+    ``_powers`` keeps; any density is in its moments.
 
     ``tube`` is the weight's ``_tube`` eps^2 (e^{-phi} is 1/a2 outside the
     tube a2 < eps^2) when vers is non-decreasing (the angles 0..pi in order),
@@ -332,8 +335,7 @@ def _polar_exp(weight, r1, r2, vers, tube, buf, density=None):
         box = None
         if tube is not None:
             box = slice(max(first - lo, 0), max(last - lo, 0)), k
-        e = weight._exp_neg_phi_a2(a2, box=box).reshape(n // g, -1)
-        return e if density is None else density(r2[sl])[:, None] * e
+        return weight._exp_neg_phi_a2(a2, box=box).reshape(n // g, -1)
 
     return exp_phi
 
@@ -341,12 +343,13 @@ def _polar_exp(weight, r1, r2, vers, tube, buf, density=None):
 def _bidisk_gram(weight, degree, rule, density=None):
     """Gram of z1^m z2^n (m, n <= degree), with one angular stage per Gram.
 
-    The outer radial density (with the radial weights) is evaluated once, on
-    every outer radius; radii where it is 0 are dropped.  The inner radial
-    rules come from the rule's ``_inner_rules``, a run of outer radii at a
-    time.  The inner rows (``_rows``, batched over the outer nodes, radius
-    major, angle minor) are contracted over the outer radii with
-    C[r, s1] = w_r r^(s1+1) into one real accumulator
+    Every radial factor (quadrature weight, density, power) is in the radial
+    tables of ``_powers``: C[r, s1] = w_r rho(r) r^(s1+1) over the outer
+    radii, built once, and the inner moments per inner rule, built from the
+    rule's ``_inner_rules`` a run of outer radii at a time.  Radii where the
+    density is 0 are dropped from both before any evaluation.  The inner
+    rows (``_rows``, batched over the outer nodes, radius major, angle minor)
+    are contracted over the outer radii with C into one real accumulator
     R[s1, s2, outer angle, inner angle]: without diagonal grading all outer
     radii share the inner rule and a rows call takes as many as fill a block
     of about ``_BLOCK`` nodes; under diagonal grading the inner rule depends
@@ -370,8 +373,7 @@ def _bidisk_gram(weight, degree, rule, density=None):
     weight is evaluated on the inner angles 0..n2/2 only; the generic path
     evaluates every angle.  There the regularized log needs no complex nodes:
     ``_polar_exp`` forms |z1 - z2|^2 from the radii and 1 - cos theta, and
-    confines the convolution style's exp to the nodes of its eps-tube.  The
-    inner radial moments are built by repeated multiplication (``_powers``).
+    confines the convolution style's exp to the nodes of its eps-tube.
     """
     D = degree
     nb, ns = D + 1, 2 * D + 1
@@ -391,12 +393,7 @@ def _bidisk_gram(weight, degree, rule, density=None):
         buf = np.empty(max(_BLOCK, ph.size))  # a2 of one rows block
     else:
         grid = _grid(ph)
-    w = outer.radial_weights
-    if density is not None:
-        w = w * density(outer.radii)
-    keep = w != 0
-    radii = outer.radii[keep]
-    C = w[keep][:, None] * radii[:, None] ** np.arange(1, ns + 1)[None, :]
+    radii, C = _powers(outer.radial_weights * outer.radii, outer.radii, ns, density)
     pw_scale = 2.0 * np.pi / n2
     span = max(1, _BLOCK // (ns * ph.size))  # outer angles per accumulator
     S = np.empty((ns, phases.size, nb, nb), dtype=complex)
@@ -419,21 +416,17 @@ def _bidisk_gram(weight, degree, rule, density=None):
             for index, r2, w2 in rule._inner_rules(radii[lo:lo + run]):
                 for i in range(0, index.size, g):
                     sel = lo + index[i:i + g]
-                    r2i = r2[i]
+                    r2i, P = _powers(pw_scale * w2[i] * r2[i], r2[i], ns, density)
                     if polar:
-                        exp_phi = _polar_exp(weight, radii[sel], r2i, vers, tube, buf,
-                                             density)
+                        exp_phi = _polar_exp(weight, radii[sel], r2i, vers, tube, buf)
                     else:
                         z1 = (radii[sel, None] * ph1).reshape(-1, 1)
 
                         def exp_phi(sl):
                             z2 = grid(r2i[sl])[:, None, :]
-                            return _exp_weight(
-                                weight, (z1, ph1[:, None] * z2 if turn else z2), r2i[sl],
-                                density)
+                            return _exp_weight(weight, (z1, ph1[:, None] * z2 if turn else z2))
 
-                    rows = _rows(exp_phi, _powers(pw_scale * w2[i] * r2i, r2i, ns),
-                                 sel.size * ph1.size * ph.size)
+                    rows = _rows(exp_phi, P, sel.size * ph1.size * ph.size)
                     k = len(order)
                     stack[k:k + sel.size] = \
                         rows.reshape(ns, sel.size, -1).transpose(1, 0, 2)
@@ -470,9 +463,9 @@ def _gram(weight, degree, rule, density=None):
         return _bidisk_gram(weight, degree, rule, density)
     ph = _evaluated_phases(rule, bool(getattr(weight, "conjugation_symmetric", False)))
     pw = (2.0 * np.pi / rule.angular_order) * rule.radial_weights * rule.radii
-    P = pw[:, None] * rule.radii[:, None] ** np.arange(2 * degree + 1)[None, :]
-    grid, r = _grid(ph), rule.radii
-    R = _rows(lambda sl: _exp_weight(weight, (grid(r[sl]),), r[sl], density), P, ph.size)
+    r, P = _powers(pw, rule.radii, 2 * degree + 1, density)
+    grid = _grid(ph)
+    R = _rows(lambda sl: _exp_weight(weight, (grid(r[sl]),)), P, ph.size)
     return list(range(degree + 1)), _angular(R, rule, degree)[_pairs(degree)]
 
 

@@ -56,11 +56,14 @@ def parse_complex_list(text):
 def parse_grid(text):
     """'1..8' (integer range) or a comma-separated list of numbers."""
     text = str(text).strip()
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    vals = [float(t) for t in text.split(",") if t.strip()]
-    return [int(v) if v == int(v) else v for v in vals]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..")
+            return list(range(int(lo), int(hi) + 1))
+        vals = [float(t) for t in text.split(",") if t.strip()]
+        return [int(v) if v == int(v) else v for v in vals]
+    except (ValueError, OverflowError) as exc:
+        raise ParameterError("cannot parse grid %r: %s" % (text, exc))
 
 
 class _Parser(argparse.ArgumentParser):

@@ -81,6 +81,12 @@ class NormSpec:
             raise ParameterError("conic_k must be 2 or 3 when given")
 
 
+def _check_domain(weight, domain, kind):
+    if weight.domain != domain:
+        raise ParameterError("%s needs a %s weight, got a %s weight"
+                             % (kind, domain, weight.domain))
+
+
 def log_weighted_bulk_norm(U, weight, spec=None, rule=None):
     """int |U|^2 / (|z1 z2|^2 log^2(e^{-d}|z1|^2) log^2(e^{-d}|z2|^2)) e^{-phi}.
 
@@ -91,6 +97,7 @@ def log_weighted_bulk_norm(U, weight, spec=None, rule=None):
     """
     if spec is None:
         spec = NormSpec("log_weighted_bulk")
+    _check_domain(weight, "bidisk", "log_weighted_bulk")
     U = np.atleast_2d(np.asarray(U, dtype=complex))
     if not np.abs(U).max():
         return 0.0
@@ -184,6 +191,7 @@ def gamma_branch_norm(u, weight, gamma=0.0, variant="theorem", rule=None,
         raise ParameterError("gamma must lie in [0,1], got %r" % gamma)
     if variant not in ("theorem", "conjecture"):
         raise ParameterError("variant must be 'theorem' or 'conjecture'")
+    _check_domain(weight, "disk", "gamma_branch")
     c = np.asarray(u, dtype=complex)
     if c.size == 0 or not np.abs(c).max():
         return 0.0

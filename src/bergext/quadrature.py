@@ -2,11 +2,14 @@
 
 Rules are tensor products of composite Gauss-Legendre in the radius and a
 uniform trapezoid (periodic) rule in the angle.  The radial mesh is
-geometrically refined toward prescribed grading centers so that integrable
-singularities (log|z|^2, |z|^{-2a} with a<1, 1/(eps^2+|z|^2)) converge as the
-orders grow.  Nodes are strictly interior: Gauss-Legendre nodes never touch
-cell endpoints, so a disk rule has no node at the origin or on the circle of
-a grading center's radius.
+geometrically refined toward 0, with ratio 1/2, so that integrable
+singularities at the origin (log|z|^2, |z|^{-2a} with a<1, 1/(eps^2+|z|^2))
+converge as the orders grow.  The breakpoints are the powers 2^-j, so rules
+with different numbers of levels share their outer cells bit for bit
+(``functionals._branch_rules`` relies on it for its shared cells).  Nodes
+are strictly interior: Gauss-Legendre nodes never touch cell endpoints, so a
+disk rule has no node at the origin, and a diagonally graded inner rule none
+at its outer radius.
 
 Every radial rule comes from one vectorized builder, ``_radial_rules``: a
 disk rule's, and the second-factor rules of a diagonally graded bidisk rule
@@ -34,30 +37,26 @@ from .errors import EvaluationError, ParameterError
 _MIN_CELL = 1e-14
 
 
-def _radial_rules(centers, order, ratio, levels):
-    """Composite Gauss-Legendre radial rules on [0,1], one per row of
-    ``centers`` (shape (k, m), radii in [0, 1]), as groups (index, radii,
-    weights).
+def _radial_rules(centers, order, levels):
+    """Composite Gauss-Legendre radial rules on [0,1], one per radius of
+    ``centers`` (shape (k,), in [0, 1]), as groups (index, radii, weights).
 
-    Row i's mesh is refined geometrically (ratio ``ratio``, ``levels`` levels)
-    toward 0 and each positive radius of centers[i], with ``order`` points per
-    cell.  The rows ``index`` of a group share a number of cells, and row j of
-    its radii and weights, shape (len(index), cells * order), is the rule of
-    centers[index[j]]: a center whose breakpoints merge with others (or with
-    the mesh toward 0) gets fewer cells, in a group of its own.
+    Row i's mesh is refined geometrically, ratio 1/2 and ``levels`` levels,
+    toward 0 and toward centers[i], with ``order`` points per cell: center 0
+    is a disk rule's, the outer radius a diagonally graded inner rule's.  The
+    rows ``index`` of a group share a number of cells, and row j of its radii
+    and weights, shape (len(index), cells * order), is the rule of
+    centers[index[j]]: a center whose breakpoints merge with the mesh toward
+    0 gets fewer cells, in a group of its own.
     """
-    # always grade toward 0: every in-scope singular weight is centered there
-    # unless a nonzero center is given
-    d = np.array([ratio**j for j in range(1, levels + 1)])
-    k = centers.shape[0]
-    c = centers[:, :, None]
+    d = 0.5 ** np.arange(1, levels + 1)
+    c = centers[:, None]
     # c(1 - d) and c + d(1 - c) lie in [0, 1], and reach 0 or 1 only where
-    # the mesh has that point already; a center at 0 adds only points of the
-    # mesh toward 0
-    pts = np.empty((k, levels + 2 + centers.shape[1] * (2 * levels + 1)))
+    # the mesh has that point already; center 0 adds only points of the mesh
+    # toward 0
+    pts = np.empty((c.shape[0], 3 * levels + 3))
     pts[:, 0], pts[:, 1], pts[:, 2:levels + 2] = 0.0, 1.0, d
-    pts[:, levels + 2:] = np.concatenate([c, c * (1.0 - d), c + d * (1.0 - c)],
-                                         axis=2).reshape(k, -1)
+    pts[:, levels + 2:] = np.concatenate([c, c * (1.0 - d), c + d * (1.0 - c)], axis=1)
     # sorted, each run of equal values and each point within _MIN_CELL of
     # its predecessor dropped: np.unique and the cell filter, row by row
     pts.sort(axis=1)
@@ -162,40 +161,21 @@ class DiskRule:
         return complex(np.dot(self.weights, vals))
 
 
-def disk_rule(
-    radial_order=64,
-    angular_order=128,
-    grading_centers=(),
-    grading_ratio=0.5,
-    grading_levels=20,
-):
+def disk_rule(radial_order=64, angular_order=128, grading_levels=20):
     """Graded tensor polar rule on the unit disk.
 
     ``radial_order`` Gauss-Legendre points per radial cell, ``angular_order``
     uniform angles per annulus.  The radial mesh is refined geometrically
-    (ratio ``grading_ratio``, ``grading_levels`` levels) toward the radius of
-    each grading center and toward 0.
+    (ratio 1/2, ``grading_levels`` levels) toward 0.
     """
     if radial_order < 2:
         raise ParameterError("radial_order must be >= 2, got %r" % radial_order)
     if angular_order < 4:
         raise ParameterError("angular_order must be >= 4, got %r" % angular_order)
-    if not (0.0 < grading_ratio < 1.0):
-        raise ParameterError("grading_ratio must lie in (0,1), got %r" % grading_ratio)
-    centers = [complex(c) for c in grading_centers]
-    for c in centers:
-        if abs(c) > 1.0 + 1e-12:
-            raise ParameterError("grading center %r outside the closed disk" % c)
-    # a center within rounding of the circle grades toward the circle itself,
-    # so that no breakpoint (and no node) lies beyond it
-    radial = np.array([[min(abs(c), 1.0) for c in centers]])
-    (_, radii, rweights), = _radial_rules(radial, radial_order, grading_ratio,
-                                          grading_levels)
+    (_, radii, rweights), = _radial_rules(np.zeros(1), radial_order, grading_levels)
     meta = {
         "radial_order": int(radial_order),
         "angular_order": int(angular_order),
-        "grading_centers": centers,
-        "grading_ratio": float(grading_ratio),
         "grading_levels": int(grading_levels),
     }
     return DiskRule(radii[0], rweights[0], angular_order, meta)
@@ -227,40 +207,30 @@ class BidiskRule:
     def _inner_rules(self, radii):
         """The second-factor radial rules at a run of outer radii, as the
         groups (index, radii, weights) of ``_radial_rules``.  Under diagonal
-        grading row j of a group is, bit for bit, the radial rule of
-        disk_rule(..., grading_centers=(radii[index[j]],),
-        grading_levels=diagonal_levels) with the second factor's orders and
-        ratio; otherwise one group holds the plain second factor's rule,
-        broadcast to every radius."""
+        grading row j of a group is the radial rule with the second factor's
+        radial order and ``diagonal_levels`` levels, graded toward 0 and
+        toward radii[index[j]]; otherwise one group holds the plain second
+        factor's rule, broadcast to every radius."""
         if not self.diagonal_grading:
             shape = (len(radii), self.rule2.radii.size)
             return [(np.arange(len(radii)), np.broadcast_to(self.rule2.radii, shape),
                      np.broadcast_to(self.rule2.radial_weights, shape))]
-        m = self.rule2.metadata
-        return _radial_rules(np.minimum(np.abs(radii), 1.0)[:, None], m["radial_order"],
-                             m["grading_ratio"], self.diagonal_levels)
-
-    def _inner_for_radius(self, r):
-        """Second-factor rule at outer radius r, before the outer phase turns
-        it (the plain second factor without diagonal grading)."""
-        if not self.diagonal_grading:
-            return self.rule2
-        (_, radii, weights), = self._inner_rules(np.array([r], dtype=float))
-        m = self.rule2.metadata
-        return DiskRule(radii[0], weights[0], m["angular_order"],
-                        dict(m, grading_centers=[complex(r)],
-                             grading_levels=self.diagonal_levels))
+        return _radial_rules(np.minimum(np.abs(radii), 1.0),
+                             self.rule2.metadata["radial_order"], self.diagonal_levels)
 
     def iter_blocks(self):
         """Yield (z1, w1, z2_nodes, z2_weights) with z1 scalar, outer radius
-        by outer radius."""
-        outer = self.rule1
+        by outer radius: the inner radial rule of ``_inner_rules`` on the
+        second factor's phases, turned by the outer phase under diagonal
+        grading."""
+        outer, ph2 = self.rule1, self.rule2._phases
         w1 = outer.radial_weights * outer.radii * (2.0 * np.pi / outer.angular_order)
         for r, w in zip(outer.radii, w1):
-            inner = self._inner_for_radius(r)
+            (_, r2, pw2), = self._inner_rules(np.array([r]))
+            z2 = (r2[0][:, None] * ph2).ravel()
+            w2 = np.repeat(pw2[0] * r2[0] * (2.0 * np.pi / ph2.size), ph2.size)
             for phase in outer._phases:
-                z2 = inner.nodes * phase if self.diagonal_grading else inner.nodes
-                yield r * phase, w, z2, inner.weights
+                yield r * phase, w, z2 * phase if self.diagonal_grading else z2, w2
 
     def integrate(self, f):
         total = 0.0 + 0.0j
@@ -280,20 +250,14 @@ class BidiskRule:
 def bidisk_rule(
     radial_order=(16, 16),
     angular_order=(32, 64),
-    grading_centers=((), ()),
-    grading_ratio=0.5,
     grading_levels=10,
     diagonal_grading=False,
     diagonal_levels=12,
 ):
     """Tensor product rule on the bidisk, optionally graded toward the
     diagonal {z1 = z2} (coordinate rotation of the second factor)."""
-    r1 = disk_rule(
-        radial_order[0], angular_order[0], grading_centers[0], grading_ratio, grading_levels
-    )
-    r2 = disk_rule(
-        radial_order[1], angular_order[1], grading_centers[1], grading_ratio, grading_levels
-    )
+    r1 = disk_rule(radial_order[0], angular_order[0], grading_levels)
+    r2 = disk_rule(radial_order[1], angular_order[1], grading_levels)
     return BidiskRule(r1, r2, diagonal_grading=diagonal_grading, diagonal_levels=diagonal_levels)
 
 
@@ -307,23 +271,17 @@ def integrate(rule, f):
     return rule.integrate(f)
 
 
-def refine(rule, factor=2):
-    """Same rule family with radial and angular orders multiplied by ``factor``
-    (used for quadrature-convergence flags)."""
+def refine(rule):
+    """Same rule family with radial and angular orders doubled (used for
+    quadrature-convergence flags)."""
     if isinstance(rule, DiskRule):
         m = rule.metadata
-        out = disk_rule(
-            m["radial_order"] * factor,
-            m["angular_order"] * factor,
-            m["grading_centers"],
-            m["grading_ratio"],
-            m["grading_levels"],
-        )
+        out = disk_rule(2 * m["radial_order"], 2 * m["angular_order"], m["grading_levels"])
         return out.rotated(m["rotation"]) if "rotation" in m else out
     if isinstance(rule, BidiskRule):
         return BidiskRule(
-            refine(rule.rule1, factor),
-            refine(rule.rule2, factor),
+            refine(rule.rule1),
+            refine(rule.rule2),
             diagonal_grading=rule.diagonal_grading,
             diagonal_levels=rule.diagonal_levels,
         )

@@ -87,6 +87,15 @@ def _parse(text, domain, holomorphic):
     if callable(expr) or expr.has(sp.Lambda):
         raise ParameterError("cannot parse expression %r: a function, not an "
                              "expression" % text)
+    # a name sympy does not know (inf, a, ...) stays a free symbol, which the
+    # compiled expression cannot bind
+    unknown = sorted(map(str, expr.free_symbols - set(variables)))
+    if unknown:
+        raise ParameterError("cannot parse expression %r: unknown names %s"
+                             % (text, unknown))
+    # nan, oo and numbers past the float range (1e400, 10**400)
+    if expr.has(sp.zoo) or not all(np.isfinite(float(n)) for n in expr.atoms(sp.Number)):
+        raise ParameterError("cannot parse expression %r: not finite" % text)
     values = []
     template = _lift(expr, values)
     return expr, template, tuple(values)
@@ -243,8 +252,9 @@ class _LogTerm:
     integrability check reads."""
 
     def __init__(self, r, f_str, domain):
-        if r < 0:
-            raise ParameterError("log-term coefficient must be >= 0, got %r" % r)
+        if not 0 <= r < np.inf:
+            raise ParameterError("log-term coefficient must be finite and >= 0, "
+                                 "got %r" % r)
         self.r = float(r)
         self.f_str = str(f_str)
         self.domain = domain
@@ -387,8 +397,8 @@ class ClampedWeight(_Spec):
     domain = "disk"
 
     def __init__(self, base, eps_coeff, floor):
-        if eps_coeff <= 0:
-            raise ParameterError("eps_coeff must be > 0, got %r" % eps_coeff)
+        if not 0 < eps_coeff < np.inf:
+            raise ParameterError("eps_coeff must be finite and > 0, got %r" % eps_coeff)
         if not np.isfinite(floor):
             raise ParameterError("floor must be finite, got %r" % floor)
         if getattr(base, "domain", "disk") != "disk":
@@ -449,8 +459,8 @@ class RegularizedLogWeight(_Spec):
     """
 
     def __init__(self, epsilon, direction="z", style="convolution"):
-        if epsilon <= 0:
-            raise ParameterError("epsilon must be > 0, got %r" % epsilon)
+        if not 0 < epsilon < np.inf:
+            raise ParameterError("epsilon must be finite and > 0, got %r" % epsilon)
         if direction not in ("z", "z1-z2"):
             raise ParameterError("direction must be 'z' or 'z1-z2'")
         if style not in ("convolution", "shifted"):
@@ -589,6 +599,8 @@ def from_dict(spec):
             kind = default if isinstance(default, type) else type(default)
             # a parameter without a default raises KeyError when missing
             params[k] = kind(spec[k]) if k in spec or kind is default else default
+            if kind is float and not np.isfinite(params[k]):
+                raise ValueError("%s must be finite" % k)
         w = build(**params)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParameterError("bad %s weight %r: %r" % (family or "free-form", spec, exc))
@@ -662,8 +674,8 @@ class CutoffFamily:
     def __init__(self, kind, epsilon, section="z", domain="disk"):
         if kind not in ("rho_eps", "xi_eps"):
             raise ParameterError("kind must be 'rho_eps' or 'xi_eps'")
-        if epsilon <= 0:
-            raise ParameterError("epsilon must be > 0")
+        if not 0 < epsilon < np.inf:
+            raise ParameterError("epsilon must be finite and > 0, got %r" % epsilon)
         self.kind = kind
         self.epsilon = float(epsilon)
         self.section_str = str(section)

@@ -267,6 +267,17 @@ def test_bidisk_generic_gram_matches_node_sum():
     assert _rel(build_model("bidisk", w, 2, rule=rule).gram, ref) < 1e-12
 
 
+def test_rotated_second_factor_under_diagonal_grading():
+    # the node sum turns the diagonally graded inner rules by the second
+    # factor's own rotation as well as by the outer phase, as the Gram does
+    rule = quadrature.BidiskRule(
+        disk_rule(4, 8, grading_levels=4),
+        disk_rule(4, 4, grading_levels=4).rotated(np.exp(0.3j)),
+        diagonal_grading=True, diagonal_levels=4)
+    w = Weight([], "0.3*x1 + 2*y2**3", "bidisk")
+    assert _rel(_gram(w, 3, rule)[1], _brute_gram(w, 3, rule)) < 1e-12
+
+
 @pytest.mark.parametrize("phase, degree", [(1.0, 12), (np.exp(0.3j), 12),
                                            (1.0, 20)])
 def test_disk_gram_matches_node_sum(phase, degree):

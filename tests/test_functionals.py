@@ -151,6 +151,31 @@ def test_bulk_norm_polar_path_matches_node_sum(style):
     assert val == pytest.approx(ref, rel=1e-12)
 
 
+def test_bulk_norm_skips_excluded_radii():
+    # the density is a radial weight: the radii where it is 0 are dropped
+    # before e^{-phi} is evaluated, in both factors
+    w = Weight.zero("bidisk")
+    seen = []
+    evaluate = w.evaluate
+
+    def recording(*zs):
+        seen.append(min(np.abs(z).min() for z in zs))
+        return evaluate(*zs)
+
+    w.evaluate = recording
+    spec = NormSpec("log_weighted_bulk", region="exclude_sing", r_sing=0.3)
+    rule = bidisk_rule(radial_order=(8, 8), angular_order=(16, 16), grading_levels=10)
+    log_weighted_bulk_norm(np.ones((2, 2)), w, spec, rule)
+    assert seen and min(seen) > 0.3
+    # a cut above every inner radius (0.965 at most) but below some outer
+    # ones (up to 0.997) leaves nothing to evaluate
+    seen.clear()
+    spec = NormSpec("log_weighted_bulk", region="exclude_sing", r_sing=0.98)
+    rule = bidisk_rule(radial_order=(16, 4), angular_order=(16, 16), grading_levels=4)
+    assert log_weighted_bulk_norm(np.ones((2, 2)), w, spec, rule) == 0.0
+    assert not seen
+
+
 def test_bulk_norm_builds_no_nodes():
     rule = bidisk_rule(**_BULK_RULES["tensor"])
     U = np.zeros((3, 3), complex)

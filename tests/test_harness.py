@@ -270,6 +270,28 @@ def test_cli_unparsable_weight_expression(capsys):
         assert "error: cannot parse expression" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--degree", "2", "--weight", "reglog:nan"],
+    ["kernel", "--degree", "2", "--weight", "clamp:nan:5"],
+    ["kernel", "--degree", "2", "--weight", "halfplane:nan"],
+    ["kernel", "--degree", "2", "--weight", "halfplane:inf"],
+    ["kernel", "--degree", "2", "--weight", '{"family": "point_log", "r": NaN}'],
+    ["norms", "--kind", "gamma_branch", "--weight", "zero:bidisk", "--data", "0,1"],
+    ["norms", "--kind", "gamma_branch", "--weight", "reglog:0.1"],
+    ["norms", "--kind", "log_weighted_bulk", "--weight", "zero", "--data", "0,0;0,1"],
+    ["claim1", "--m", "1.."],
+    ["claim1", "--m", "a,b"],
+], ids=["reglog-nan", "clamp-nan", "halfplane-nan", "halfplane-inf",
+        "point-log-nan", "branch-bidisk-weight", "branch-reglog-shorthand",
+        "bulk-disk-weight", "grid-open-range", "grid-not-numbers"])
+def test_cli_bad_input_is_a_usage_error(capsys, argv):
+    # non-finite weight parameters, a weight of the wrong domain for a norm
+    # and a malformed grid exit 1 with an error line, not a traceback or a
+    # wrong model
+    assert cli.main(argv) == 1
+    assert "error: " in capsys.readouterr().err
+
+
 def test_cli_claim_csv(tmp_path):
     out = tmp_path / "c1.csv"
     rc = cli.main(["claim1", "--m", "1..2", "--no-check", "--out", str(out)])
@@ -315,3 +337,6 @@ def test_cli_weight_parsing():
     grid = cli.parse_grid("1..4")
     assert grid == [1, 2, 3, 4]
     assert cli.parse_grid("0.4,0.2") == [0.4, 0.2]
+    for bad in ("1..", "a,b", "1..x"):
+        with pytest.raises(ParameterError):
+            cli.parse_grid(bad)

@@ -40,18 +40,6 @@ def test_shifted_pole():
     assert val == pytest.approx(math.pi * math.log(1 + 1 / eps**2), rel=1e-10)
 
 
-def test_offcenter_grading():
-    # peaked integrand at z = 0.5: int 1/(d^2+|z-c|^2) over the disk
-    c, d = 0.5, 0.05
-    r = disk_rule(radial_order=24, angular_order=256, grading_centers=(c,),
-                  grading_levels=16)
-    val = integrate(r, lambda z: 1.0 / (d**2 + np.abs(z - c) ** 2)).real
-    r2 = disk_rule(radial_order=32, angular_order=512, grading_centers=(c,),
-                   grading_levels=20)
-    val2 = integrate(r2, lambda z: 1.0 / (d**2 + np.abs(z - c) ** 2)).real
-    assert val == pytest.approx(val2, rel=1e-8)
-
-
 def test_rotation_preserves_rule():
     r = disk_rule(radial_order=8, angular_order=16)
     rot = r.rotated(np.exp(0.3j))
@@ -78,13 +66,17 @@ def test_rules_share_one_read_only_phase_vector():
 
 
 def test_nodes_strictly_interior():
-    r = disk_rule(radial_order=8, angular_order=16, grading_centers=(0.5,))
+    r = disk_rule(radial_order=8, angular_order=16)
     a = np.abs(r.nodes)
     assert a.min() > 0 and a.max() < 1
-    # a center within rounding of the circle grades toward the circle
-    r = disk_rule(radial_order=8, angular_order=16, grading_centers=(1 + 5e-13,),
-                  grading_levels=4)
-    assert r.radii.min() > 0 and r.radii.max() < 1
+    # the diagonally graded inner rules: radii in (0, 1), none at the outer
+    # radius, also for an outer radius within rounding of the circle
+    br = bidisk_rule(radial_order=(8, 8), angular_order=(8, 16), grading_levels=4,
+                     diagonal_grading=True, diagonal_levels=4)
+    radii = np.array([0.5, 0.3, 1 - 1e-3, 1 + 5e-13])
+    for index, r2, _ in br._inner_rules(radii):
+        assert r2.min() > 0 and r2.max() < 1
+        assert not np.any(r2 == np.minimum(radii[index], 1.0)[:, None])
 
 
 def test_refine_commutes_with_rotation():
@@ -99,18 +91,18 @@ def test_refine_commutes_with_rotation():
     assert abs(integrate(a, f) - integrate(refine(r), f)) > 1e-2
 
 
-def _reference_radial_rule(order, centers=(), ratio=0.5, levels=20):
-    """Per-cell composite Gauss-Legendre on the mesh graded toward 0 and each
-    center radius, written out one breakpoint and one cell at a time."""
+def _reference_radial_rule(order, center=0.0, levels=20):
+    """Per-cell composite Gauss-Legendre on the mesh graded (ratio 1/2)
+    toward 0 and the center radius, written out one breakpoint and one cell
+    at a time."""
     pts = {0.0, 1.0}
     for j in range(1, levels + 1):
-        pts.add(ratio**j)
-    for rc in (min(abs(complex(c)), 1.0) for c in centers):
-        if rc <= 0.0:
-            continue
+        pts.add(0.5**j)
+    rc = min(abs(complex(center)), 1.0)
+    if rc > 0.0:
         pts.add(rc)
         for j in range(1, levels + 1):
-            d = ratio**j
+            d = 0.5**j
             if rc * (1.0 - d) > 0.0:
                 pts.add(rc * (1.0 - d))
             if rc + d * (1.0 - rc) < 1.0:
@@ -129,44 +121,37 @@ def test_radial_rule_matches_per_cell_loop():
     # the claim34 rule
     br = bidisk_rule(radial_order=(16, 16), angular_order=(8, 256), grading_levels=10,
                      diagonal_grading=True, diagonal_levels=12)
-    rules = [disk_rule(), disk_rule(grading_centers=(0.37,)), br.rule1, br.rule2]
+    rules = [disk_rule(), br.rule1, br.rule2]
     rules += [refine(r) for r in rules]
     for r in rules:
         m = r.metadata
-        ref = _reference_radial_rule(m["radial_order"], m["grading_centers"],
-                                     m["grading_ratio"], m["grading_levels"])
+        ref = _reference_radial_rule(m["radial_order"], levels=m["grading_levels"])
         assert np.array_equal(r.radii, ref[0])
         assert np.array_equal(r.radial_weights, ref[1])
     for b in (br, refine(br)):
-        m = b.rule2.metadata
         for r1 in b.rule1.radii:
-            inner = b._inner_for_radius(r1)
-            ref = _reference_radial_rule(m["radial_order"], (r1,), m["grading_ratio"],
-                                         b.diagonal_levels)
-            assert np.array_equal(inner.radii, ref[0])
-            assert np.array_equal(inner.radial_weights, ref[1])
+            (_, r2, w2), = b._inner_rules(np.array([r1]))
+            ref = _per_radius_rule(b, r1)
+            assert np.array_equal(r2[0], ref[0])
+            assert np.array_equal(w2[0], ref[1])
 
 
 def _per_radius_rule(br, r):
-    m = br.rule2.metadata
-    return disk_rule(m["radial_order"], m["angular_order"], grading_centers=(r,),
-                     grading_ratio=m["grading_ratio"], grading_levels=br.diagonal_levels)
+    """The per-cell loop's inner radial rule (radii, weights) of a
+    diagonally graded ``br`` at outer radius r."""
+    return _reference_radial_rule(br.rule2.metadata["radial_order"], r, br.diagonal_levels)
 
 
 def _check_inner_rules(br, radii):
-    """The vectorized inner rules at ``radii`` against one disk rule per
-    radius and the per-cell loop, bit for bit; returns the group of each."""
-    m = br.rule2.metadata
+    """The vectorized inner rules at ``radii`` against the per-cell loop, bit
+    for bit; returns the group of each."""
     group = np.full(radii.size, -1)
     for g, (index, r2, w2) in enumerate(br._inner_rules(radii)):
         assert r2.shape == w2.shape == (index.size, r2.shape[1])
         for j, i in enumerate(index):
             ref = _per_radius_rule(br, radii[i])
-            loop = _reference_radial_rule(m["radial_order"], (radii[i],),
-                                          m["grading_ratio"], br.diagonal_levels)
-            for got, want in ((r2[j], ref.radii), (w2[j], ref.radial_weights),
-                              (r2[j], loop[0]), (w2[j], loop[1])):
-                assert np.array_equal(got, want)
+            assert np.array_equal(r2[j], ref[0])
+            assert np.array_equal(w2[j], ref[1])
             group[i] = g
     assert (group >= 0).all()
     return group
@@ -188,7 +173,7 @@ def test_inner_rules_match_per_radius_disk_rules():
     radii = np.array([0.3, 0.5, 0.25, 0.7])
     group = _check_inner_rules(br, radii)
     assert group[0] == group[3] != group[1] == group[2]
-    sizes = [_per_radius_rule(br, r).radii.size for r in radii]
+    sizes = [_per_radius_rule(br, r)[0].size for r in radii]
     assert sizes[1] < sizes[0] and sizes[2] < sizes[0]
     # without diagonal grading every radius shares the second factor's rule
     plain = bidisk_rule(radial_order=(8, 8), angular_order=(16, 16))
@@ -252,10 +237,6 @@ def test_parameter_validation():
         disk_rule(radial_order=1)
     with pytest.raises(ParameterError):
         disk_rule(angular_order=2)
-    with pytest.raises(ParameterError):
-        disk_rule(grading_ratio=1.5)
-    with pytest.raises(ParameterError):
-        disk_rule(grading_centers=(2.0,))
 
 
 def test_nonfinite_integrand_reported():

@@ -273,6 +273,43 @@ def test_spec_validation():
     assert parse_weight("halfplane").to_dict() == {"family": "halfplane", "m": 1.0}
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: RegularizedLogWeight(_NAN),
+    lambda: RegularizedLogWeight(_INF, "z1-z2"),
+    lambda: clamp_max(Weight.zero(), _NAN, 5.0),
+    lambda: clamp_max(Weight.zero(), _INF, 5.0),
+    lambda: Weight([(_NAN, "z")]),
+    lambda: Weight([(_INF, "z1 - z2")], "0", "bidisk"),
+    lambda: CutoffFamily("rho_eps", _NAN),
+    lambda: CutoffFamily("xi_eps", _INF),
+    lambda: from_dict({"family": "halfplane", "m": _NAN}),
+    lambda: from_dict({"family": "halfplane", "m": -_INF}),
+    lambda: from_dict({"family": "point_log", "r": _NAN}),
+    lambda: from_dict({"family": "reglog", "epsilon": _NAN}),
+    lambda: from_dict({"family": "clamp", "base": {"family": "zero"},
+                       "eps_coeff": _NAN, "floor": 5.0}),
+    lambda: Weight([], "nan*x"),
+    lambda: Weight([], "inf*x"),
+    lambda: Weight([], "-oo*x"),
+    lambda: Weight([], "1e400*y"),
+    lambda: Weight([], "10**400*x"),
+    lambda: Weight([(0.5, "z - zoo")]),
+    lambda: Weight([], "a*x"),
+], ids=["reglog-nan", "reglog-inf", "clamp-nan", "clamp-inf", "log-term-nan",
+        "log-term-inf", "rho-nan", "xi-inf", "halfplane-nan", "halfplane-inf",
+        "point-log-nan", "spec-reglog-nan", "spec-clamp-nan", "expr-nan",
+        "expr-inf-name", "expr-oo", "expr-float-overflow", "expr-int-overflow",
+        "expr-zoo", "expr-unknown-name"])
+def test_non_finite_parameters_refused(build):
+    # a NaN or infinite parameter would otherwise give a wrong model (an
+    # empty eps-tube, a clamp at the floor everywhere) or a traceback
+    with pytest.raises(ParameterError):
+        build()
+
+
 def test_function_valued_expression_refused(capsys):
     # a Python lambda sympifies to a sympy Lambda, an Expr that is a
     # function: refused as unparsable, at the spec and at the CLI, instead
