@@ -10,16 +10,17 @@ orthogonal ladder E_0 > E_1 > ... as the columns of the lower-triangular
 log-kernel gradient at the origin) is read off those columns.
 
 Every Gram matrix follows the convention G[a,b] = int conj(e_a) e_b e^{-phi}
-and comes from one entry, ``_gram``, over one moment kernel in two linear
-stages: ``_rows`` takes e^{-phi} on a polar tensor grid, block by block from
-a callback, and contracts it over the radii first (a real matrix product with
-the radial moments, leaving 2D+1 rows per angle, checked finite once), and
-``_angular`` takes one rfft of those rows over the angles (exact for every
-Fourier offset).  The callbacks evaluate the weight at complex nodes
-(``_grid``), except on the invariant bidisk path for the regularized log,
-whose e^{-phi} is a function of |z1 - z2|^2, formed there from real polar
-arrays (``_polar_exp``).  Conjugation-symmetric weights, phi(conj z) =
-phi(z), are evaluated on half the angles of an unrotated rule.
+and comes from one entry, ``_gram``.  On a polar tensor rule it uses one
+moment kernel in two linear stages: ``_rows`` takes e^{-phi} on a polar
+tensor grid, block by block from a callback, and contracts it over the radii
+first (a real matrix product with the radial moments, leaving 2D+1 rows per
+angle, checked finite once), and ``_angular`` takes one rfft of those rows
+over the angles (exact for every Fourier offset).  The callbacks evaluate
+the weight at complex nodes (``_grid``), except on the invariant bidisk path
+for the regularized log, whose e^{-phi} is a function of |z1 - z2|^2, formed
+there from real polar arrays (``_polar_exp``).  Conjugation-symmetric
+weights, phi(conj z) = phi(z), are evaluated on half the angles of an
+unrotated rule.
 The disk Gram is the two stages on the disk rule's grid.  The bidisk uses
 the full tensor grid z1^m z2^n with m,n <= D so that cross constraints are
 exactly expressible.  Its Gram takes the inner rows at every outer node
@@ -30,6 +31,11 @@ sums the outer angles with a second FFT.  For weights invariant
 under the simultaneous rotation (z1,z2) -> (e^{ia}z1, e^{ia}z2) the outer
 angular integral is exact: entries vanish unless m+n = m'+n', and only the
 outer angle 0 is evaluated.
+The regularized log's default bidisk rule is no tensor rule but a lens rule
+(``_lens_gram``): with e^{-phi} = f(|z1 - z2|^2), each total-degree block is
+one integral in t = |z1 - z2|, 2 pi int f(t^2) t K_k(t) dt, over the moment
+table K_k of the lens D n (D - t), which does not depend on the weight; f
+is evaluated at a few hundred t-nodes only.
 Quadratic functionals (the bulk norm, the branch integral at gamma = 0) are
 Gram forms q^H G q from ``_gram``.  Their radial density is a radial weight:
 every radial factor of a Gram (quadrature weight, density, power) is in one
@@ -43,7 +49,7 @@ import math
 import numpy as np
 
 from .errors import COND_LIMIT, DegeneracyError, ParameterError
-from .quadrature import bidisk_rule, disk_rule
+from .quadrature import LensRule, bidisk_rule, disk_rule
 from . import weights as wmod
 
 
@@ -452,13 +458,47 @@ def _bidisk_gram(weight, degree, rule, density=None):
     return mons, G.reshape(nb * nb, nb * nb)
 
 
+def _lens_gram(weight, degree, rule, density=None):
+    """Gram of z1^m z2^n (m, n <= degree) on a lens rule, for a bidisk weight
+    with e^{-phi} = f(|z1 - z2|^2) (``_exp_neg_phi_a2``), as one integral in
+    t = |z1 - z2|.
+
+    f is evaluated at the t-nodes t_j only.  Per total degree k the weighted
+    values w_j f(t_j^2) t_j are contracted with the Lagrange basis L of the
+    block's table nodes at the t-nodes (``LensRule.block``):
+    c_i = sum_j w_j f(t_j^2) t_j L[j, i], and G_k = 2 pi sum_i c_i K[i].
+    Entries with m + n != m' + n' are exact zeros.
+    """
+    if density is not None or getattr(weight, "domain", None) != "bidisk" \
+            or not hasattr(weight, "_exp_neg_phi_a2"):
+        raise ParameterError(
+            "a lens rule takes a bidisk weight whose e^{-phi} is a function "
+            "of |z1 - z2|^2, with no density")
+    t = rule.t
+    g = 2.0 * np.pi * rule.weights * t * weight._exp_neg_phi_a2(t * t)
+    if not np.all(np.isfinite(g)):
+        raise DegeneracyError("weight produced non-finite e^{-phi} at quadrature nodes")
+    nb = degree + 1
+    G = np.zeros((nb, nb, nb, nb), dtype=complex)
+    for k in range(2 * degree + 1):
+        lo = max(0, k - degree)
+        L, K = rule.block(k, lo)
+        m = np.arange(lo, k - lo + 1)
+        G[m[:, None], k - m[:, None], m, k - m] = np.tensordot(g @ L, K, 1)
+    mons = [(a, b) for a in range(nb) for b in range(nb)]
+    return mons, G.reshape(nb * nb, nb * nb)
+
+
 def _gram(weight, degree, rule, density=None):
     """(monomials, G), G[a,b] = int conj(e_a) e_b rho e^{-phi} for z^n on a
     disk rule or z1^m z2^n on a bidisk rule (all exponents <= degree); rho(r)
     is an optional radial density, applied as rho(|z1|) rho(|z2|) on the
     bidisk.  The integral is the sum of w conj(e_a) e_b rho e^{-phi} over the
     rule's nodes, except for diagonally invariant bidisk weights, whose outer
-    angular integral is exact (see ``_bidisk_gram``)."""
+    angular integral is exact (see ``_bidisk_gram``), and on a lens rule,
+    where it is one integral in t = |z1 - z2| (see ``_lens_gram``)."""
+    if isinstance(rule, LensRule):
+        return _lens_gram(weight, degree, rule, density)
     if rule.domain == "bidisk":
         return _bidisk_gram(weight, degree, rule, density)
     ph = _evaluated_phases(rule, bool(getattr(weight, "conjugation_symmetric", False)))
@@ -470,8 +510,15 @@ def _gram(weight, degree, rule, density=None):
 
 
 def default_rule(domain, weight=None):
+    """The rule ``build_model`` takes when given none: a graded polar rule on
+    the disk; on the bidisk, the lens rule at the weight's scale eps for a
+    weight whose e^{-phi} is a function of |z1 - z2|^2 (the regularized log),
+    and otherwise a tensor rule, diagonally graded for a weight invariant
+    under the joint rotation."""
     if domain == "disk":
         return disk_rule(radial_order=48, angular_order=128, grading_levels=16)
+    if hasattr(weight, "_exp_neg_phi_a2"):
+        return LensRule(weight.epsilon)
     diag = bool(getattr(weight, "diagonal_rotation_invariant", False))
     return bidisk_rule(
         radial_order=(16, 16),

@@ -53,8 +53,9 @@ class NormSpec:
 
     ``section_normalization`` (delta) replaces |z_j|^2 by e^{-delta}|z_j|^2
     inside the squared logs of the bulk density; delta > 0 keeps the density
-    integrable up to the boundary.  ``conic_k`` optionally multiplies branch
-    integrands by the conic density |z|^{-2(1-1/k)}.
+    integrable up to the boundary, and other values are refused.
+    ``conic_k`` optionally multiplies branch integrands by the conic density
+    |z|^{-2(1-1/k)}.
     """
 
     kind: str
@@ -75,6 +76,10 @@ class NormSpec:
             raise ParameterError("region must be 'full' or 'exclude_sing'")
         if not (0.0 < self.r_sing < 1.0):
             raise ParameterError("r_sing must lie in (0,1), got %r" % self.r_sing)
+        # at delta <= 0 the bulk density is not integrable on |z_j| = e^{delta/2}
+        if not (0.0 < self.section_normalization < np.inf):
+            raise ParameterError("section_normalization must be finite and > 0, "
+                                 "got %r" % self.section_normalization)
         if self.variant not in ("theorem", "conjecture"):
             raise ParameterError("variant must be 'theorem' or 'conjecture'")
         if self.conic_k is not None and self.conic_k not in (2, 3):

@@ -2,10 +2,11 @@
 
 Each row is one ``solve(rule)`` on a fixed quadrature rule: ``solve`` builds
 the model and returns ``(value, model)``.  ``_checked`` flags the row
-converged when ``solve(refine(rule))``, at doubled radial and angular orders,
-agrees with the value within 1% relative; a ``BergextError`` in that
-recompute gives ``False``.  ``_result`` attaches the provenance block (a hash
-of the canonical config) and writes the file.  Grids are sorted before their
+converged when ``solve(refine(rule))``, at doubled radial and angular orders
+(on claim34's lens rule, the doubled t-order), agrees with the value within
+1% relative; a ``BergextError`` in that recompute gives ``False``.
+``_result`` attaches the provenance block (a hash of the canonical config)
+and writes the file.  Grids are sorted before their
 rows run, so identical configs give bit-identical files.
 """
 
@@ -21,10 +22,11 @@ import numpy as np
 
 from . import __version__
 from .errors import BergextError, ParameterError
-from .bergman import _gram, build_model, higher_kernel, bergman_metric_at_zero
+from .bergman import (_gram, bergman_metric_at_zero, build_model, default_rule,
+                      higher_kernel)
 from .extension import CrossData, Jet, extend_cross, extend_jet_direct
 from .functionals import derivative_norm_on_Y
-from .quadrature import bidisk_rule, disk_rule, refine
+from .quadrature import disk_rule, refine
 from .weights import RegularizedLogWeight, Weight, clamp_max
 
 _EXPERIMENTS = ("claim1", "claim2", "claim34", "lemmas")
@@ -204,10 +206,7 @@ def run_claim2(eps_list=(0.4, 0.2, 0.1, 0.05), A=20.0, m=4.0, degree=24,
 def _claim34_row(eps, degree, style, check):
     w = RegularizedLogWeight(eps, "z1-z2", style=style)
     data = CrossData((0.0,), (0.0, 1.0))
-    inner_ang = int(min(512, max(256, round(8.0 / eps))))
-    rule = bidisk_rule(radial_order=(16, 16), angular_order=(8, inner_ang),
-                       grading_levels=10, diagonal_grading=True,
-                       diagonal_levels=12)
+    rule = default_rule("bidisk", w)
 
     def solve(r):
         model = build_model("bidisk", w, degree, rule=r)
@@ -236,7 +235,8 @@ def run_claim34(eps_list=(0.2, 0.1, 0.05, 0.025), degree=16, style="convolution"
             for e in eps_list]
     return _result(
         "claim34", {"eps": eps_list, "degree": degree, "style": style}, rows,
-        out, fmt, rule="bidisk diagonal-graded, angular-reduced Gram",
+        out, fmt, rule="bidisk lens: one integral in t = |z1 - z2| over "
+                       "the lens moment table, 16 Gauss points per t-cell",
         data="f = (0, z1)",
         divergence_criterion="strict monotone growth across >= 4 parameter "
                              "halvings and super-threshold final/initial ratio")

@@ -530,6 +530,44 @@ def test_invariant_gram_ignores_outer_angular_order():
     assert np.array_equal(grams[0], grams[1])
 
 
+def _jacobi_rel(A, B):
+    d = np.sqrt(np.diag(B).real)
+    return (np.abs(A - B) / np.outer(d, d)).max()
+
+
+def test_lens_gram_matches_refined_graded_gram():
+    # a diagonally graded rule with 256 inner angles, refined to (32, 32)
+    # radial and (16, 512) angular orders, against the lens rule
+    w = RegularizedLogWeight(0.1, "z1-z2", style="shifted")
+    graded = bidisk_rule(radial_order=(16, 16), angular_order=(8, 256),
+                         grading_levels=10, diagonal_grading=True,
+                         diagonal_levels=12)
+    ref = _gram(w, 12, quadrature.refine(graded))[1]
+    lens = default_rule("bidisk", w)
+    assert isinstance(lens, quadrature.LensRule) and lens.scale == 0.1
+    mons, G = _gram(w, 12, lens)
+    assert mons == [(m, n) for m in range(13) for n in range(13)]
+    assert _jacobi_rel(G, ref) < 1e-12
+    # off the total-degree blocks the lens Gram is exactly 0
+    k = np.array([m + n for m, n in mons])
+    assert not G[k[:, None] != k].any()
+
+
+def test_lens_rule_refuses_other_integrands():
+    lens = default_rule("bidisk", RegularizedLogWeight(0.1, "z1-z2"))
+    with pytest.raises(ParameterError):
+        _gram(RegularizedLogWeight(0.1, "z1-z2"), 2, lens,
+              density=lambda r: np.ones_like(r))
+    for w in (Weight.zero("bidisk"), Weight([(0.5, "z1 - z2")], "0", "bidisk"),
+              RegularizedLogWeight(0.1, "z")):
+        with pytest.raises(ParameterError):
+            _gram(w, 2, lens)
+    with pytest.raises(ParameterError):
+        build_model("bidisk", Weight.zero("bidisk"), 2, rule=lens)
+    with pytest.raises(ParameterError):
+        quadrature.integrate(lens, lambda z1, z2: np.ones_like(z2))
+
+
 def test_summary_json(unweighted_disk):
     import json
 

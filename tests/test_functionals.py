@@ -30,6 +30,12 @@ def test_norm_spec_validation():
         NormSpec("gamma_branch", r_sing=1.5)
     with pytest.raises(ParameterError):
         NormSpec("gamma_branch", variant="other")
+    # at delta <= 0 the bulk density is not integrable on the circle
+    # |z_j| = e^{delta/2}, and the bulk norm grew with the rule (12905,
+    # 190393, 2852088 at delta = 0)
+    for delta in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ParameterError):
+            NormSpec("log_weighted_bulk", section_normalization=delta)
 
 
 def test_bulk_norm_divisible_oracle():

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -119,21 +120,58 @@ def test_claim34_norm_independent_of_degree():
     assert norms[0] == norms[1] == norms[2]
 
 
+def _lens_m2(t):
+    """int |v|^2 dA(v) over the lens D n (D - t): the segment Re w > a = t/2
+    of the unit disk about 0 (mirrored) plus the same segment about -t, on
+    which |v|^2 = |w|^2 - 2t Re w + t^2 for w = v + t."""
+    a = t / 2
+    s = mp.sqrt(1 - a * a)
+    phi = mp.acos(a)
+    second = phi / 2 - (a**3 * s + a * s**3 / 3) / 2  # int |w|^2
+    first = 2 * s**3 / 3                               # int Re w
+    area = phi - a * s
+    return 2 * second - 2 * t * first + t * t * area
+
+
+def _claim34_oracle(eps, style):
+    """The claim34 norm 2 pi int_0^2 f(t^2) t m2(t) dt, e^{-phi} = f(|z1 - z2|^2):
+    under the invariant weight the Gram is block-diagonal in the total
+    degree, the data fix the degree-1 block to z1 and every higher block is
+    free, so the norm is G[z1, z1]."""
+    with mp.workdps(25):
+        e2 = mp.mpf(eps) ** 2
+        if style == "shifted":
+            def f(a2):
+                return 1 / (e2 + a2)
+        else:
+            def f(a2):
+                return mp.exp(max(e2 - a2, 0) / e2) / max(a2, e2)
+        cuts = [0] + [mp.mpf(eps) * 2**j for j in range(64) if eps * 2**j < 2] + [2]
+        return float(2 * mp.pi * mp.quad(lambda t: f(t * t) * t * _lens_m2(t), cuts))
+
+
+@pytest.mark.parametrize("style", ["convolution", "shifted"])
+@pytest.mark.parametrize("eps", [0.2, 0.05, 1e-3, 1e-6])
+def test_claim34_norm_matches_oracle(eps, style):
+    row = sweeps.run_claim34([eps], degree=2, style=style,
+                             check_convergence=False).rows[0]
+    assert row["norm"] == pytest.approx(_claim34_oracle(eps, style), rel=1e-12)
+
+
 @pytest.mark.parametrize("style, pinned", [
-    ("convolution", [(24.398653399987978, 3.1327421945696496, 252.515085171784),
-                     (30.945383695453266, 3.139380038834757, 454.049749380329)]),
-    ("shifted", [(17.015081633636665, 2.996604366478392, 118.059042576408),
-                 (23.064487681639918, 3.094516190624975, 241.286364119695)]),
+    ("convolution", [(3.1327421945696496, 252.5047053246753),
+                     (3.139380038834757, 454.1874234387683)]),
+    ("shifted", [(2.996604366478392, 118.05904260900203),
+                 (3.094516190624975, 241.28590007658804)]),
 ])
 def test_claim34_values_pinned(style, pinned):
-    # claim34 rows at eps 0.1 and 0.05, degree 12, as the bidisk Gram gave
-    # them when it summed the inner angles per outer radius: the order in
-    # which it sums moves them only at rounding level
+    # claim34 rows at eps 0.1 and 0.05, degree 12: the norms against the 1-D
+    # oracle, rhs_data (a disk branch Gram) and the condition number pinned
     rows = sweeps.run_claim34([0.1, 0.05], degree=12, style=style,
                               check_convergence=False).rows
     assert [row["eps"] for row in rows] == [0.1, 0.05]
-    for row, (norm, rhs_data, condition) in zip(rows, pinned):
-        assert row["norm"] == pytest.approx(norm, rel=1e-12)
+    for row, (rhs_data, condition) in zip(rows, pinned):
+        assert row["norm"] == pytest.approx(_claim34_oracle(row["eps"], style), rel=1e-12)
         assert row["rhs_data"] == pytest.approx(rhs_data, rel=1e-12)
         assert row["condition"] == pytest.approx(condition, rel=1e-10)
 
@@ -141,13 +179,14 @@ def test_claim34_values_pinned(style, pinned):
 def test_claim34_norm_log_rate():
     # the norm is int |z1|^2 e^{-phi_eps} over the bidisk, whose analytic rate
     # is pi^2 log(1/eps): pi/2 from int |z1|^2 times 2 pi log(1/eps) from the
-    # transverse integral across the diagonal
-    eps = [0.2 / 2**k for k in range(6)]
+    # transverse integral across the diagonal.  Over eps 1e-3 .. 3.125e-5 the
+    # oracle's slope is 0.99984 pi^2
+    eps = [1e-3 / 2**k for k in range(6)]
     rows = sweeps.run_claim34(eps_list=eps, degree=2,
                               check_convergence=False).rows
     by_eps = {row["eps"]: row["norm"] for row in rows}
     slope = np.polyfit(np.log(1.0 / np.array(eps)), [by_eps[e] for e in eps], 1)[0]
-    assert slope == pytest.approx(math.pi**2, rel=0.02)
+    assert slope == pytest.approx(math.pi**2, rel=1e-3)
 
 
 def test_lemma_suite_all_pass():

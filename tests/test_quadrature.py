@@ -1,11 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
 from bergext import ParameterError, bidisk_rule, disk_rule, integrate, quadrature, refine
-from bergext.bergman import _gram
+from bergext.bergman import _gram, default_rule
 from bergext.errors import EvaluationError
 from bergext.weights import RegularizedLogWeight
 
@@ -118,7 +121,7 @@ def _reference_radial_rule(order, center=0.0, levels=20):
 
 
 def test_radial_rule_matches_per_cell_loop():
-    # the claim34 rule
+    # a diagonally graded rule with few outer and many inner angles
     br = bidisk_rule(radial_order=(16, 16), angular_order=(8, 256), grading_levels=10,
                      diagonal_grading=True, diagonal_levels=12)
     rules = [disk_rule(), br.rule1, br.rule2]
@@ -158,7 +161,8 @@ def _check_inner_rules(br, radii):
 
 
 def test_inner_rules_match_per_radius_disk_rules():
-    # the claim34 rule, the cross-extension benchmark rule, the default rule
+    # diagonally graded rules: few outer and many inner angles, the
+    # cross-extension benchmark rule, the default rule
     for kw in (dict(radial_order=(16, 16), angular_order=(8, 256)),
                dict(radial_order=(8, 8), angular_order=(32, 128)),
                dict(radial_order=(16, 16), angular_order=(64, 256))):
@@ -232,11 +236,61 @@ def test_refine_doubles_orders():
     assert r2.metadata["angular_order"] == 32
 
 
+def _lens_rule(eps=0.1):
+    return default_rule("bidisk", RegularizedLogWeight(eps, "z1-z2"))
+
+
+def test_refine_doubles_lens_t_order():
+    r = _lens_rule()
+    r2 = refine(r)
+    assert (r.order, r2.order) == (16, 32) and r2.scale == r.scale
+    assert r2.metadata["cells"] == r.metadata["cells"]
+    assert len(r2) == 2 * len(r)
+    # the t-rule integrates t^3 over [0, 2] exactly
+    assert np.dot(r.weights, r.t**3) == pytest.approx(4.0, rel=1e-14)
+
+
+def test_lens_table_drift_at_doubled_orders(monkeypatch):
+    w = RegularizedLogWeight(1e-3, "z1-z2")
+    G = _gram(w, 16, _lens_rule(1e-3))[1]
+    orders = quadrature._lens_orders
+    monkeypatch.setattr(quadrature, "_lens_orders", lambda k: tuple(2 * n for n in orders(k)))
+    monkeypatch.setattr(quadrature, "_LENS", {})
+    G2 = _gram(w, 16, _lens_rule(1e-3))[1]
+    d = np.sqrt(np.diag(G2).real)
+    assert (np.abs(G - G2) / np.outer(d, d)).max() < 1e-13
+
+
+def test_lens_table_reused_across_degrees(monkeypatch):
+    monkeypatch.setattr(quadrature, "_LENS", {})
+    beta, bw, K = quadrature._lens_block(6, 0)  # degree >= 6: the whole block
+    entry = quadrature._LENS[6]
+    # degree 4 needs m = 2..4 only: a slice of the same table, not a rebuild
+    beta4, bw4, K4 = quadrature._lens_block(6, 2)
+    assert quadrature._LENS[6] is entry and beta4 is beta and bw4 is bw
+    assert np.shares_memory(K4, K) and np.array_equal(K4, K[:, 2:5, 2:5])
+    assert not K4.flags.writeable
+    # built at degree 4 first, the block is rebuilt over the wider range
+    monkeypatch.setattr(quadrature, "_LENS", {})
+    quadrature._lens_block(6, 2)
+    assert quadrature._lens_block(6, 0)[2].shape == (beta.size, 7, 7)
+
+
+def test_lens_table_not_built_at_import():
+    code = ("import bergext, bergext.quadrature as q, bergext.sweeps; "
+            "assert not q._LENS")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+
+
 def test_parameter_validation():
     with pytest.raises(ParameterError):
         disk_rule(radial_order=1)
     with pytest.raises(ParameterError):
         disk_rule(angular_order=2)
+    for scale, order in ((0.0, 16), (float("nan"), 16), (float("inf"), 16), (0.1, 1)):
+        with pytest.raises(ParameterError):
+            quadrature.LensRule(scale, order)
 
 
 def test_nonfinite_integrand_reported():
