@@ -7,7 +7,13 @@ Gram matrix gives the unit vectors e_k of the steps E_k (-) E_{k+1} of the
 orthogonal ladder E_0 > E_1 > ... as the columns of the lower-triangular
 ``basis_coeffs`` (``BergmanModel._factorize``).  Every kernel quantity
 (B_0(z,w), the higher-order kernels B_k(0), the Bergman metric and the
-log-kernel gradient at the origin) is read off those columns.
+log-kernel gradient at the origin) is read off those columns.  A bidisk
+Gram that is block-diagonal in the total degree m + n (every entry between
+two total degrees an exact 0, as for a weight invariant under the joint
+rotation) is factored per block instead: the blocks, each at most D+1
+monomials, go through the same checks and the same reverse Cholesky as one
+padded stack, and ``extension._pinned_solve`` solves per block.  Every
+other Gram (the disk, the generic bidisk) is factored whole.
 
 Every Gram matrix follows the convention G[a,b] = int conj(e_a) e_b e^{-phi}
 and comes from one entry, ``_gram``.  On a polar tensor rule it uses one
@@ -44,6 +50,7 @@ table (``_powers``), and radii where the density is 0 are never evaluated.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -75,46 +82,53 @@ class BergmanModel:
         (E_k spanned by the monomials from index k on) with a positive k-th
         coefficient, and needs no sign or order fixing.  On the bidisk only
         column 0 (the monomial 1 comes first) is a ladder vector.
+
+        A bidisk Gram whose entries between different total degrees m + n
+        are all exact zeros (an invariant weight's, ``_lens_gram`` and the
+        invariant path of ``_bidisk_gram``) is checked and factored per
+        total-degree block (``_degree_split``).  Each block keeps its index
+        order, so L, E and the eigenvalues of Gs are the blocks', and E is
+        scattered back into the dense lower-triangular ``basis_coeffs``.  The
+        blocks are one stack, each padded to (D+1) x (D+1) with the identity:
+        a Jacobi-scaled block has a unit diagonal, so lambda_min <= 1 <=
+        lambda_max and the padding leaves the condition number unchanged.
+        ``gram`` stays dense, and ``_blocks`` keeps each block's indices for
+        ``extension._pinned_solve``.  Every other Gram (the disk, the generic
+        bidisk) is factored whole, with ``_blocks`` None.
         """
         G = self.gram
-        herm_defect = np.abs(G - G.conj().T).max()
-        scale = np.abs(G).max()
+        self._blocks, at, ab = _degree_split(self.domain, self.degree, G)
+        # the entries checked and factored (all, or those in a block), and
+        # their transposes
+        g, gt = (G, G.T) if ab is None else (G[ab], G[ab[::-1]])
+        herm_defect = np.abs(g - gt.conj()).max()
+        scale = np.abs(g).max()
         if not np.isfinite(scale) or scale == 0:
             raise DegeneracyError("non-finite Gram matrix", self.monomials)
         if herm_defect > 1e-10 * scale:
             raise DegeneracyError("Gram matrix not Hermitian (defect %.2e)" % herm_defect)
-        G = 0.5 * (G + G.conj().T)
+        g = 0.5 * (g + gt.conj())
+        if ab is None:
+            G = g
+        else:
+            G = np.zeros_like(G)
+            G[ab] = g
         self.gram = G
         d = np.sqrt(np.diag(G).real)
         if not np.all(np.isfinite(d)) or np.any(d <= 0):
             bad = [self.monomials[i] for i in np.flatnonzero(~(np.isfinite(d) & (d > 0)))]
             raise DegeneracyError(
                 "weight is not integrable against monomials %s" % bad, bad)
-        Gs = G / d[:, None] / d[None, :]
-        lam = np.linalg.eigvalsh(Gs)
-        if lam[0] <= 0 or not np.isfinite(lam[-1]):
-            raise DegeneracyError(
-                "Gram matrix numerically singular (min eigenvalue %.3e); "
-                "lower the degree or change the quadrature grading" % lam[0])
-        self.condition_number = float(lam[-1] / lam[0])
-        if self.condition_number > COND_LIMIT:
-            raise DegeneracyError(
-                "Gram condition number %.3e exceeds %.0e; lower the degree or "
-                "change the quadrature grading" % (self.condition_number, COND_LIMIT))
-        try:  # Gs = L^H L: the Cholesky factor of Gs reversed in both axes
-            L = np.linalg.cholesky(Gs[::-1, ::-1])[::-1, ::-1].conj().T
-        except np.linalg.LinAlgError as exc:
-            raise DegeneracyError(
-                "Gram matrix numerically singular (Cholesky failed); lower "
-                "the degree or change the quadrature grading") from exc
-        # L^{-1} by forward substitution: exactly lower-triangular with a real
-        # diagonal, where the pivoted np.linalg.inv fills the upper triangle
-        E = np.zeros_like(L)
-        for i in range(L.shape[0]):
-            E[i, :i + 1] = -(L[i, :i] @ E[:i, :i + 1])
-            E[i, i] += 1.0
-            E[i, :i + 1] /= L[i, i]
-        self.basis_coeffs = E / d[:, None]
+        if ab is None:
+            E, self.condition_number = _ladder(G / d[:, None] / d[None, :])
+            self.basis_coeffs = E / d[:, None]
+            return
+        # the Jacobi-scaled blocks over a stack of identities
+        S = np.tile(np.eye(self.degree + 1, dtype=g.dtype), (len(self._blocks), 1, 1))
+        S[at] = g / d[ab[0]] / d[ab[1]]
+        E, self.condition_number = _ladder(S)
+        self.basis_coeffs = np.zeros_like(G)
+        self.basis_coeffs[ab] = E[at] / d[ab[0]]
 
     # -- evaluation of basis / kernel ---------------------------------------
 
@@ -184,6 +198,75 @@ def _check_integrable(weight, degree, domain):
         raise DegeneracyError(
             "weight's multiplier ideal kills monomials %s "
             "(log order %.3g at the origin)" % (killed, order0), killed)
+
+
+def _ladder(Gs):
+    """(E, condition number) of a Jacobi-scaled Gram Gs, or of a stack of
+    them taken as one block-diagonal matrix: Gs = L^H L by the Cholesky of Gs
+    with both axes reversed, and E = L^{-1} by forward substitution."""
+    lam = np.linalg.eigvalsh(Gs)
+    lo, hi = lam[..., 0].min(), lam[..., -1].max()
+    if lo <= 0 or not np.isfinite(hi):
+        raise DegeneracyError(
+            "Gram matrix numerically singular (min eigenvalue %.3e); "
+            "lower the degree or change the quadrature grading" % lo)
+    condition = float(hi / lo)
+    if condition > COND_LIMIT:
+        raise DegeneracyError(
+            "Gram condition number %.3e exceeds %.0e; lower the degree or "
+            "change the quadrature grading" % (condition, COND_LIMIT))
+    try:  # Gs = L^H L: the Cholesky factor of Gs reversed in both axes
+        L = np.linalg.cholesky(Gs[..., ::-1, ::-1])[..., ::-1, ::-1]
+        L = L.conj().swapaxes(-1, -2)
+    except np.linalg.LinAlgError as exc:
+        raise DegeneracyError(
+            "Gram matrix numerically singular (Cholesky failed); lower "
+            "the degree or change the quadrature grading") from exc
+    # L^{-1} by forward substitution: exactly lower-triangular with a real
+    # diagonal, where the pivoted np.linalg.inv fills the upper triangle
+    E = np.zeros_like(L)
+    for i in range(L.shape[-1]):
+        E[..., i, :i + 1] = -(L[..., i, None, :i] @ E[..., :i, :i + 1])[..., 0, :]
+        E[..., i, i] += 1.0
+        E[..., i, :i + 1] /= L[..., i, i, None]
+    return E, condition
+
+
+@functools.lru_cache(maxsize=16)
+def _degree_blocks(degree):
+    """(blocks, at, ab): the total-degree blocks of the bidisk monomials
+    z1^m z2^n (m, n <= degree, at index m (degree + 1) + n), built once per
+    degree and read-only.
+
+    ``blocks[k]`` holds the ascending indices of the monomials with m + n = k.
+    Over every pair (a, b) of indices in one block, ``at`` = (k, i, j) is its
+    place in a stack of blocks (i, j its rows within block k) and ``ab`` =
+    (a, b) its place in the Gram."""
+    nb = degree + 1
+    blocks = []
+    for k in range(2 * degree + 1):
+        m = np.arange(max(0, k - degree), min(k, degree) + 1)
+        blocks.append(m * nb + k - m)
+    sizes = [b.size for b in blocks]
+    at = (np.repeat(np.arange(len(blocks)), np.square(sizes)),
+          np.concatenate([np.repeat(np.arange(s), s) for s in sizes]),
+          np.concatenate([np.tile(np.arange(s), s) for s in sizes]))
+    ab = (np.concatenate([np.repeat(b, b.size) for b in blocks]),
+          np.concatenate([np.tile(b, b.size) for b in blocks]))
+    for arr in blocks + list(at + ab):
+        arr.flags.writeable = False
+    return blocks, at, ab
+
+
+def _degree_split(domain, degree, G):
+    """``_degree_blocks(degree)`` for a bidisk Gram G whose every entry between
+    two total degrees is an exact 0, read off its nonzero count; (None, None,
+    None) for any other Gram."""
+    if domain == "bidisk":
+        blocks, at, ab = _degree_blocks(degree)
+        if np.count_nonzero(G) == np.count_nonzero(G[ab]):
+            return blocks, at, ab
+    return None, None, None
 
 
 # e^{-phi} is evaluated on blocks of about this many nodes: the grid block and

@@ -5,7 +5,8 @@ cross data on {z1 z2 = 0} in the bidisk pins the coefficients of the pure
 powers z1^m and z2^n.  Both extensions are therefore the same
 equality-constrained least squares problem, solved by direct elimination in
 ``_pinned_solve``: fix the pinned coefficients and solve the Schur-complement
-system on the free ones.
+system on the free ones (per total-degree block on a bidisk model whose Gram
+was factored per block).
 Jets have a second, independent route, the level-by-level recursion through
 the orthogonal ladder E_0 > E_1 > ...: it reads the ladder vectors e_k, the
 columns of the model's ``basis_coeffs``, and never calls the Schur solve (the
@@ -107,21 +108,29 @@ def _solve_hermitian(G, b):
     return np.linalg.solve(G / d[:, None] / d[None, :], b / d) / d
 
 
-def _pinned_solve(G, F, c_F):
-    """Minimize c^H G c subject to c[F] = c_F.
+def _pinned_solve(model, F, c_F):
+    """Minimize c^H G c subject to c[F] = c_F, G the model's Gram.
 
     Direct elimination: solve G_RR c_R = -G_RF c_F on the free indices R.
+    On a Gram factored per total-degree block (``BergmanModel._blocks``) the
+    solve separates by block: a block with pinned and free indices is solved
+    on its own, and the free coefficients of a block with no pin are 0.  The
+    cross pins only (0, k) and (k, 0), so every block with k > D is 0.
     Returns the coefficients, c^H G c and the stationarity residual
     max |(G c)_R|.
     """
+    G = model.gram
     R = np.ones(G.shape[0], dtype=bool)
     R[F] = False
     coeffs = np.zeros(G.shape[0], dtype=complex)
     coeffs[F] = c_F
-    if R.any():
-        GR = G[R]
+    for idx in model._blocks or [np.arange(G.shape[0])]:
+        free = R[idx]
+        if free.all() or not free.any():
+            continue
+        GR = G[idx[free, None], idx]
         try:  # coeffs still vanishes on R, so GR @ coeffs is G_RF c_F
-            coeffs[R] = _solve_hermitian(GR[:, R], -(GR @ coeffs))
+            coeffs[idx[free]] = _solve_hermitian(GR[:, free], -(GR @ coeffs[idx]))
         except np.linalg.LinAlgError as exc:
             raise DegeneracyError("free-block Gram singular") from exc
     Gc = G @ coeffs
@@ -149,7 +158,7 @@ def extend_jet_direct(model, jet):
     a = _jet_constraints(model, jet)
     F = [model.index[k] for k in range(len(a))]
     fact = np.array([math.factorial(k) for k in range(len(a))], dtype=float)
-    coeffs, norm_sq, stationarity = _pinned_solve(model.gram, F, a / fact)
+    coeffs, norm_sq, stationarity = _pinned_solve(model, F, a / fact)
     return ExtensionReport(
         coefficients=coeffs,
         monomials=model.monomials,
@@ -246,7 +255,7 @@ def extend_cross(model, cross):
     if model.domain != "bidisk":
         raise ParameterError("cross extension needs a bidisk model")
     F, cF = _cross_fixed_vector(model, cross)
-    coeffs, norm_sq, stationarity = _pinned_solve(model.gram, F, cF)
+    coeffs, norm_sq, stationarity = _pinned_solve(model, F, cF)
     parts = _cross_parts(model, cross, coeffs)
     report = ExtensionReport(
         coefficients=coeffs,

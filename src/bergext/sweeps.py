@@ -4,7 +4,8 @@ Each row is one ``solve(rule)`` on a fixed quadrature rule: ``solve`` builds
 the model and returns ``(value, model)``.  ``_checked`` flags the row
 converged when ``solve(refine(rule))``, at doubled radial and angular orders
 (on claim34's lens rule, the doubled t-order), agrees with the value within
-1% relative; a ``BergextError`` in that recompute gives ``False``.
+1% relative; a ``BergextError`` in that recompute gives ``False``, and its
+message goes to the ``bergext.sweeps`` logger at WARNING.
 ``_result`` attaches the provenance block (a hash of the canonical config)
 and writes the file.  Grids are sorted before their
 rows run, so identical configs give bit-identical files.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -30,6 +32,7 @@ from .quadrature import disk_rule, refine
 from .weights import RegularizedLogWeight, Weight, clamp_max
 
 _EXPERIMENTS = ("claim1", "claim2", "claim34", "lemmas")
+_log = logging.getLogger("bergext.sweeps")
 
 
 @dataclass(frozen=True)
@@ -111,13 +114,16 @@ def _csv_cell(v):
 
 def _checked(solve, rule, check):
     """(value, model, converged) from ``solve(rule) -> (value, model)``;
-    converged when ``solve(refine(rule))`` agrees within 1% relative."""
+    converged when ``solve(refine(rule))`` agrees within 1% relative.  When
+    that recompute raises a ``BergextError``, its message is logged."""
     value, model = solve(rule)
     if not check:
         return value, model, True
     try:
         other = solve(refine(rule))[0]
-    except BergextError:
+    except BergextError as exc:
+        _log.warning("convergence check failed on the refined rule: %s: %s",
+                     type(exc).__name__, exc)
         return value, model, False
     if value == 0 and other == 0:
         return value, model, True

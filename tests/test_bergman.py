@@ -1,11 +1,13 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bergext import (
+    CrossData,
     DegeneracyError,
     ParameterError,
     RegularizedLogWeight,
@@ -13,6 +15,7 @@ from bergext import (
     bergman_metric_at_zero,
     clamp_max,
     build_model,
+    extend_cross,
     higher_kernel,
     log_kernel_gradient_at_zero,
     unit_ek,
@@ -566,6 +569,121 @@ def test_lens_rule_refuses_other_integrands():
         build_model("bidisk", Weight.zero("bidisk"), 2, rule=lens)
     with pytest.raises(ParameterError):
         quadrature.integrate(lens, lambda z1, z2: np.ones_like(z2))
+
+
+def _whole_gram_ladder(G):
+    """(E, condition number) of the whole-Gram factorization, written out:
+    symmetrize, Jacobi-scale, eigvalsh, the reverse Cholesky and a forward
+    substitution over every row."""
+    G = 0.5 * (G + G.conj().T)
+    d = np.sqrt(np.diag(G).real)
+    Gs = G / d[:, None] / d[None, :]
+    lam = np.linalg.eigvalsh(Gs)
+    L = np.linalg.cholesky(Gs[::-1, ::-1])[::-1, ::-1].conj().T
+    E = np.zeros_like(L)
+    for i in range(L.shape[0]):
+        E[i, :i + 1] = -(L[i, :i] @ E[:i, :i + 1])
+        E[i, i] += 1.0
+        E[i, :i + 1] /= L[i, i]
+    return E / d[:, None], float(lam[-1] / lam[0])
+
+
+def _whole_gram_model(monkeypatch, weight, degree, mons, G, rule):
+    """The model of a Gram with the total-degree split turned off."""
+    with monkeypatch.context() as m:
+        m.setattr(bergman, "_degree_split", lambda *args: (None, None, None))
+        return bergman.BergmanModel("bidisk", weight, degree, mons, G, rule)
+
+
+_TENSOR_INVARIANT = dict(radial_order=(8, 8), angular_order=(32, 128),
+                         grading_levels=10, diagonal_grading=True)
+
+
+@pytest.mark.parametrize("weight, degree, tensor", [
+    (RegularizedLogWeight(0.05, "z1-z2"), 4, False),
+    (RegularizedLogWeight(0.05, "z1-z2"), 16, False),
+    (RegularizedLogWeight(0.05, "z1-z2"), 24, False),
+    (RegularizedLogWeight(0.1, "z1-z2"), 8, True),
+    (RegularizedLogWeight(0.1, "z1-z2", style="shifted"), 8, True),
+    (Weight.zero("bidisk"), 8, True),
+], ids=["lens-4", "lens-16", "lens-24", "tensor-convolution", "tensor-shifted",
+        "tensor-zero"])
+def test_block_factorization_matches_whole_gram(monkeypatch, weight, degree, tensor):
+    # an invariant Gram is factored and solved per total-degree block; the
+    # whole-Gram path on the same Gram agrees to 10 cond eps
+    rule = bidisk_rule(**_TENSOR_INVARIANT) if tensor else default_rule("bidisk", weight)
+    model = build_model("bidisk", weight, degree, rule=rule)
+    whole = _whole_gram_model(monkeypatch, weight, degree, model.monomials,
+                              model.gram, rule)
+    assert len(model._blocks) == 2 * degree + 1 and whole._blocks is None
+    tol = 10 * whole.condition_number * np.finfo(float).eps
+    assert _rel(model.basis_coeffs, whole.basis_coeffs) <= tol
+    assert np.array_equal(np.tril(model.basis_coeffs), model.basis_coeffs)
+    assert model.condition_number == pytest.approx(whole.condition_number, rel=tol)
+    assert higher_kernel(model, 0) == pytest.approx(higher_kernel(whole, 0), rel=tol)
+    data = CrossData((1.0, 0.3, 0.2j), (1.0, 0.5, -0.1, 0.05j))
+    rep, ref = extend_cross(model, data), extend_cross(whole, data)
+    assert _rel(rep.coefficients, ref.coefficients) <= tol
+    assert rep.norm_sq == pytest.approx(ref.norm_sq, rel=tol)
+    assert rep.cross_parts == pytest.approx(ref.cross_parts, rel=tol)
+    # blocks of total degree above the pins' are 0
+    k = np.array([m + n for m, n in model.monomials])
+    assert not rep.coefficients[k > 3].any()
+
+
+@pytest.mark.parametrize("domain, weight, degree, rule", [
+    ("disk", Weight.halfplane(2.0), 16, None),
+    ("disk", Weight.point_log(0.5), 24, None),
+    ("bidisk", Weight([], "0.5*x1 + -0.3*y1", "bidisk"), 3,
+     bidisk_rule(radial_order=(4, 4), angular_order=(8, 8), grading_levels=4)),
+], ids=["disk-halfplane", "disk-point-log", "bidisk-tilted"])
+def test_whole_gram_path_unchanged(domain, weight, degree, rule):
+    # disk and generic bidisk Grams are factored whole, bit for bit as the
+    # written-out factorization
+    rule = rule or default_rule(domain, weight)
+    mons, G = _gram(weight, degree, rule)
+    model = build_model(domain, weight, degree, rule=rule)
+    E, cond = _whole_gram_ladder(G)
+    assert model._blocks is None
+    assert np.array_equal(model.basis_coeffs, E)
+    assert model.condition_number == cond
+
+
+def test_gram_with_an_entry_off_the_blocks_factored_whole():
+    w = RegularizedLogWeight(0.05, "z1-z2")
+    lens = default_rule("bidisk", w)
+    mons, G = _gram(w, 6, lens)
+    G = G.copy()
+    G[mons.index((0, 1)), mons.index((2, 0))] = 1e-13 * np.abs(G).max()
+    model = bergman.BergmanModel("bidisk", w, 6, mons, G, lens)
+    E, cond = _whole_gram_ladder(G)
+    assert model._blocks is None
+    assert np.array_equal(model.basis_coeffs, E)
+    assert model.condition_number == cond
+
+
+@pytest.mark.parametrize("factor", [1.0, 2.0], ids=["singular", "indefinite"])
+def test_singular_block_same_error_as_whole_gram(monkeypatch, factor):
+    # the block of total degree 1 made singular (Jacobi-scaled [[1, 1], [1, 1]])
+    # or indefinite ([[1, 2], [2, 1]])
+    w = RegularizedLogWeight(0.05, "z1-z2")
+    lens = default_rule("bidisk", w)
+    mons, G = _gram(w, 6, lens)
+    G = G.copy()
+    a, b = mons.index((0, 1)), mons.index((1, 0))
+    G[a, b] = G[b, a] = factor * np.sqrt(G[a, a].real * G[b, b].real)
+    with pytest.raises(DegeneracyError) as blocks:
+        bergman.BergmanModel("bidisk", w, 6, mons, G, lens)
+    with pytest.raises(DegeneracyError) as whole:
+        _whole_gram_model(monkeypatch, w, 6, mons, G, lens)
+    if factor == 2.0:
+        assert "min eigenvalue -1.000e+00" in str(blocks.value)
+        assert str(blocks.value) == str(whole.value)
+    else:  # the size of a rounding-level eigenvalue is the factorization's
+        def shape(e):
+            return re.sub(r"-?\d\.\d{3}e[+-]\d+", "#", str(e.value))
+
+        assert shape(blocks) == shape(whole)
 
 
 def test_summary_json(unweighted_disk):

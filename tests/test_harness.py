@@ -1,12 +1,14 @@
 import csv
 import json
+import logging
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from bergext import ParameterError, Weight, build_model, extend_jet_direct, Jet
+from bergext import (DegeneracyError, ParameterError, Weight, build_model,
+                     extend_jet_direct, Jet)
 from bergext import RegularizedLogWeight, disk_rule
 from bergext import cli, sweeps
 from bergext.weights import clamp_max
@@ -38,6 +40,27 @@ def test_claim1_rows_sorted_and_flagged(tmp_path):
     text = (tmp_path / "c1.csv").read_text()
     assert text.splitlines()[0].startswith("#")
     assert "m,degree,norm,ratio,condition,converged" in text
+
+
+def test_failed_convergence_check_is_logged(caplog):
+    # a BergextError in the refined recompute gives converged False and
+    # logs why, at WARNING on the bergext.sweeps logger
+    rule = disk_rule(radial_order=8, angular_order=16, grading_levels=4)
+
+    def solve(r):
+        if r is not rule:
+            raise DegeneracyError("Gram condition number 3.000e+14 exceeds 1e+14")
+        return 1.0, "model"
+
+    with caplog.at_level(logging.WARNING, logger="bergext.sweeps"):
+        assert sweeps._checked(solve, rule, True) == (1.0, "model", False)
+    [record] = caplog.records
+    assert record.name == "bergext.sweeps" and record.levelno == logging.WARNING
+    assert "DegeneracyError: Gram condition number 3.000e+14" in record.getMessage()
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="bergext.sweeps"):
+        assert sweeps._checked(lambda r: (1.0, "model"), rule, True)[2]
+    assert not caplog.records
 
 
 def test_csv_cells_parse(tmp_path):
