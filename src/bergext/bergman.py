@@ -22,7 +22,7 @@ tensor grid, block by block from a callback, and contracts it over the radii
 first (a real matrix product with the radial moments, leaving 2D+1 rows per
 angle, checked finite once), and ``_angular`` takes one rfft of those rows
 over the angles (exact for every Fourier offset).  The callbacks evaluate
-the weight at complex nodes (``_grid``), except on the invariant bidisk path
+the weight at complex nodes r x phases, except on the invariant bidisk path
 for the regularized log, whose e^{-phi} is a function of |z1 - z2|^2, formed
 there from real polar arrays (``_polar_exp``).  Conjugation-symmetric
 weights, phi(conj z) = phi(z), are evaluated on half the angles of an
@@ -313,18 +313,6 @@ def _rows(exp_phi, P, width):
     return R
 
 
-def _grid(ph):
-    """r -> the complex nodes r x ph of a polar grid, r the radii of one
-    block of ``_rows``: each block is written into one buffer, so that no
-    block allocates its grid anew."""
-    buf = np.empty(max(_BLOCK, ph.size), dtype=complex)
-
-    def grid(r):
-        return np.multiply(r[:, None], ph, out=buf[:r.size * ph.size].reshape(r.size, -1))
-
-    return grid
-
-
 def _powers(pw, r, n, density=None):
     """(r, P): every radial factor of a Gram in one table, the radial moments
     P[i, s] = pw_i rho(r_i) r_i^s (s < n) of the radii r_i that it keeps.
@@ -385,46 +373,24 @@ def _exp_weight(weight, zs):
     return np.exp(-np.asarray(weight.evaluate(*zs), dtype=float))
 
 
-def _polar_exp(weight, r1, r2, vers, tube, buf):
+def _polar_exp(weight, r1, r2, vers):
     """The ``_rows`` callback of the invariant bidisk path for a weight whose
     e^{-phi} is a function of a2 = |z1 - z2|^2 (the regularized log), at the
     real z1 = r1 (a batch of outer radii) and z2 = r2 e^{i theta}:
         a2 = (r1 - r2)^2 + 2 r1 r2 vers,   vers = 2 sin^2(theta/2) = 1 - cos theta,
     one real matrix product of a pair of arrays over the rows (r2, r1) with
-    (vers, 1) over the angles, written into ``buf`` (one buffer per Gram, of
-    at least one block): no complex grid, and no cancellation of
+    (vers, 1) over the angles: no complex grid, and no cancellation of
     r1 - r2 cos theta near the diagonal.  r2 are the inner radii that
     ``_powers`` keeps; any density is in its moments.
-
-    ``tube`` is the weight's ``_tube`` eps^2 (e^{-phi} is 1/a2 outside the
-    tube a2 < eps^2) when vers is non-decreasing (the angles 0..pi in order),
-    None otherwise.  The tube then lies in a box, found once here:
-    the run of rows (r2, r1) from the first to the last with
-    (r1 - r2)^2 < eps^2 and, on them, the angles with vers below the largest
-    (eps^2 - (r1 - r2)^2)/(2 r1 r2) of those rows (a prefix), both with a
-    margin far above rounding.  The weight evaluates its exp on the box only.
     """
     d = r2[:, None] - r1
     L = np.stack([2.0 * r2[:, None] * r1, d * d], axis=-1).reshape(-1, 2)
     V = np.stack([vers, np.ones_like(vers)])
-    g, na = r1.size, vers.size
-    first = last = k = 0  # the box: rows first:last, angles :k
-    if tube is not None:
-        edge = tube * (1.0 + 1e-12)
-        rows = np.flatnonzero(L[:, 1] < edge)
-        if rows.size:
-            first, last = rows[0], rows[-1] + 1
-            k = np.searchsorted(vers, ((edge - L[rows, 1]) / L[rows, 0]).max())
+    g = r1.size
 
     def exp_phi(sl):
-        lo = sl.start * g
-        Lb = L[lo:sl.stop * g]
-        n = Lb.shape[0]
-        a2 = np.matmul(Lb, V, out=buf[:n * na].reshape(n, na))
-        box = None
-        if tube is not None:
-            box = slice(max(first - lo, 0), max(last - lo, 0)), k
-        return weight._exp_neg_phi_a2(a2, box=box).reshape(n // g, -1)
+        a2 = L[sl.start * g:sl.stop * g] @ V
+        return weight._exp_neg_phi_a2(a2).reshape(a2.shape[0] // g, -1)
 
     return exp_phi
 
@@ -461,8 +427,7 @@ def _bidisk_gram(weight, degree, rule, density=None):
     path z1 is real and the inner rule unturned, so a conjugation-symmetric
     weight is evaluated on the inner angles 0..n2/2 only; the generic path
     evaluates every angle.  There the regularized log needs no complex nodes:
-    ``_polar_exp`` forms |z1 - z2|^2 from the radii and 1 - cos theta, and
-    confines the convolution style's exp to the nodes of its eps-tube.
+    ``_polar_exp`` forms |z1 - z2|^2 from the radii and 1 - cos theta.
     """
     D = degree
     nb, ns = D + 1, 2 * D + 1
@@ -476,12 +441,7 @@ def _bidisk_gram(weight, degree, rule, density=None):
     symmetric = invariant and bool(getattr(weight, "conjugation_symmetric", False))
     ph = _evaluated_phases(rule.rule2, symmetric)
     polar = invariant and hasattr(weight, "_exp_neg_phi_a2")
-    if polar:
-        vers = 2.0 * np.sin(0.5 * np.angle(ph)) ** 2  # 1 - cos theta
-        tube = weight._tube if np.all(np.diff(vers) >= 0) else None
-        buf = np.empty(max(_BLOCK, ph.size))  # a2 of one rows block
-    else:
-        grid = _grid(ph)
+    vers = 2.0 * np.sin(0.5 * np.angle(ph)) ** 2  # 1 - cos theta
     radii, C = _powers(outer.radial_weights * outer.radii, outer.radii, ns, density)
     pw_scale = 2.0 * np.pi / n2
     span = max(1, _BLOCK // (ns * ph.size))  # outer angles per accumulator
@@ -501,26 +461,23 @@ def _bidisk_gram(weight, degree, rule, density=None):
         R = np.zeros((ns, width))  # R[s1, s2 * outer angle * inner angle]
         cols = max(1, _WORK // ns)  # columns of R per update
         for lo in range(0, radii.size, run):
-            order = []
-            for index, r2, w2 in rule._inner_rules(radii[lo:lo + run]):
-                for i in range(0, index.size, g):
-                    sel = lo + index[i:i + g]
-                    r2i, P = _powers(pw_scale * w2[i] * r2[i], r2[i], ns, density)
-                    if polar:
-                        exp_phi = _polar_exp(weight, radii[sel], r2i, vers, tube, buf)
-                    else:
-                        z1 = (radii[sel, None] * ph1).reshape(-1, 1)
+            r2, w2 = rule._inner_rules(radii[lo:lo + run])
+            n = len(r2)
+            for i in range(0, n, g):
+                r1 = radii[lo + i:lo + min(i + g, n)]
+                r2i, P = _powers(pw_scale * w2[i] * r2[i], r2[i], ns, density)
+                if polar:
+                    exp_phi = _polar_exp(weight, r1, r2i, vers)
+                else:
+                    z1 = (r1[:, None] * ph1).reshape(-1, 1)
 
-                        def exp_phi(sl):
-                            z2 = grid(r2i[sl])[:, None, :]
-                            return _exp_weight(weight, (z1, ph1[:, None] * z2 if turn else z2))
+                    def exp_phi(sl):
+                        z2 = (r2i[sl, None] * ph)[:, None, :]
+                        return _exp_weight(weight, (z1, ph1[:, None] * z2 if turn else z2))
 
-                    rows = _rows(exp_phi, P, sel.size * ph1.size * ph.size)
-                    k = len(order)
-                    stack[k:k + sel.size] = \
-                        rows.reshape(ns, sel.size, -1).transpose(1, 0, 2)
-                    order.extend(sel)
-            Ct, flat = C[order].T, stack[:len(order)].reshape(len(order), -1)
+                rows = _rows(exp_phi, P, r1.size * ph1.size * ph.size)
+                stack[i:i + r1.size] = rows.reshape(ns, r1.size, -1).transpose(1, 0, 2)
+            Ct, flat = C[lo:lo + n].T, stack[:n].reshape(n, -1)
             for c0 in range(0, width, cols):
                 R[:, c0:c0 + cols] += Ct @ flat[:, c0:c0 + cols]
         del stack
@@ -587,8 +544,7 @@ def _gram(weight, degree, rule, density=None):
     ph = _evaluated_phases(rule, bool(getattr(weight, "conjugation_symmetric", False)))
     pw = (2.0 * np.pi / rule.angular_order) * rule.radial_weights * rule.radii
     r, P = _powers(pw, rule.radii, 2 * degree + 1, density)
-    grid = _grid(ph)
-    R = _rows(lambda sl: _exp_weight(weight, (grid(r[sl]),)), P, ph.size)
+    R = _rows(lambda sl: _exp_weight(weight, (r[sl, None] * ph,)), P, ph.size)
     return list(range(degree + 1)), _angular(R, rule, degree)[_pairs(degree)]
 
 

@@ -50,6 +50,8 @@ def parse_complex_list(text):
             out.append(complex(tok.replace("i", "j")))
         except ValueError:
             raise ParameterError("cannot parse %r as a complex number" % tok)
+        if not np.isfinite(out[-1]):
+            raise ParameterError("%r is not a finite number" % tok)
     return out
 
 

@@ -41,6 +41,8 @@ class Jet:
         object.__setattr__(self, "values", vals)
         if len(vals) < 1:
             raise ParameterError("a jet needs at least one value")
+        if not np.all(np.isfinite(vals)):
+            raise ParameterError("jet values must be finite, got %r" % (vals,))
 
     def __len__(self):
         return len(self.values)
@@ -57,6 +59,8 @@ class CrossData:
     def __post_init__(self):
         f1 = tuple(complex(v) for v in (self.f1 or (0.0,)))
         f2 = tuple(complex(v) for v in (self.f2 or (0.0,)))
+        if not np.all(np.isfinite(f1 + f2)):
+            raise ParameterError("cross data must be finite, got %r, %r" % (f1, f2))
         if f1[0] != f2[0]:
             raise ParameterError(
                 "cross data incompatible: f1(0)=%r != f2(0)=%r" % (f1[0], f2[0]))

@@ -104,6 +104,8 @@ def log_weighted_bulk_norm(U, weight, spec=None, rule=None):
         spec = NormSpec("log_weighted_bulk")
     _check_domain(weight, "bidisk", "log_weighted_bulk")
     U = np.atleast_2d(np.asarray(U, dtype=complex))
+    if not np.all(np.isfinite(U)):
+        raise ParameterError("bulk norm coefficients must be finite")
     if not np.abs(U).max():
         return 0.0
     if rule is None:
@@ -198,6 +200,8 @@ def gamma_branch_norm(u, weight, gamma=0.0, variant="theorem", rule=None,
         raise ParameterError("variant must be 'theorem' or 'conjecture'")
     _check_domain(weight, "disk", "gamma_branch")
     c = np.asarray(u, dtype=complex)
+    if not np.all(np.isfinite(c)):
+        raise ParameterError("branch norm coefficients must be finite")
     if c.size == 0 or not np.abs(c).max():
         return 0.0
     power = 2.0 / (1.0 + gamma)

@@ -11,9 +11,11 @@ are strictly interior: Gauss-Legendre nodes never touch cell endpoints, so a
 disk rule has no node at the origin, and a diagonally graded inner rule none
 at its outer radius.
 
-Every radial rule comes from one vectorized builder, ``_radial_rules``: a
-disk rule's, and the second-factor rules of a diagonally graded bidisk rule
-for a whole run of outer radii at once.
+Every radial rule is composite Gauss-Legendre on a mesh of breakpoints
+(``_composite``): a disk rule's on the dyadic mesh [0, 2^-L, ..., 1/2, 1],
+and the second-factor rules of a diagonally graded bidisk rule for a whole
+run of outer radii at once (``_radial_rules``), every one with the same
+cells.
 
 Bidisk rules are tensor products of two disk rules.  With
 ``diagonal_grading=True`` the second-factor rule depends on the outer
@@ -45,41 +47,40 @@ from .errors import EvaluationError, ParameterError
 _MIN_CELL = 1e-14
 
 
+def _composite(breakpoints, order):
+    """Composite Gauss-Legendre rule with ``order`` points per cell on the
+    ascending ``breakpoints`` (shape (..., n), one mesh per row): (nodes,
+    weights), each of shape (..., (n - 1) * order)."""
+    x, w = _gauss_legendre(order)
+    a, b = breakpoints[..., :-1, None], breakpoints[..., 1:, None]
+    shape = breakpoints.shape[:-1] + (-1,)
+    return ((0.5 * (a + b) + 0.5 * (b - a) * x).reshape(shape),
+            (0.5 * (b - a) * w).reshape(shape))
+
+
 def _radial_rules(centers, order, levels):
     """Composite Gauss-Legendre radial rules on [0,1], one per radius of
-    ``centers`` (shape (k,), in [0, 1]), as groups (index, radii, weights).
+    ``centers`` (shape (k,), in (0, 1)): (radii, weights), each of shape
+    (k, (3 * levels + 2) * order).
 
     Row i's mesh is refined geometrically, ratio 1/2 and ``levels`` levels,
-    toward 0 and toward centers[i], with ``order`` points per cell: center 0
-    is a disk rule's, the outer radius a diagonally graded inner rule's.  The
-    rows ``index`` of a group share a number of cells, and row j of its radii
-    and weights, shape (len(index), cells * order), is the rule of
-    centers[index[j]]: a center whose breakpoints merge with the mesh toward
-    0 gets fewer cells, in a group of its own.
+    toward 0 and toward centers[i], with ``order`` points per cell: a
+    diagonally graded inner rule at the outer radius centers[i].  A center
+    outside (0, 1), or one whose breakpoints meet those of the mesh toward 0
+    (a cell of width below ``_MIN_CELL``), is refused, so that every row has
+    the same cells and no node lies at its center.
     """
     d = 0.5 ** np.arange(1, levels + 1)
     c = centers[:, None]
-    # c(1 - d) and c + d(1 - c) lie in [0, 1], and reach 0 or 1 only where
-    # the mesh has that point already; center 0 adds only points of the mesh
-    # toward 0
     pts = np.empty((c.shape[0], 3 * levels + 3))
     pts[:, 0], pts[:, 1], pts[:, 2:levels + 2] = 0.0, 1.0, d
     pts[:, levels + 2:] = np.concatenate([c, c * (1.0 - d), c + d * (1.0 - c)], axis=1)
-    # sorted, each run of equal values and each point within _MIN_CELL of
-    # its predecessor dropped: np.unique and the cell filter, row by row
     pts.sort(axis=1)
-    keep = np.ones(pts.shape, dtype=bool)
-    np.greater(np.diff(pts, axis=1), _MIN_CELL, out=keep[:, 1:])
-    counts = keep.sum(axis=1)
-    x, w = _gauss_legendre(order)
-    groups = []
-    for n in sorted(set(counts.tolist())):
-        index = np.flatnonzero(counts == n)
-        bps = pts[index][keep[index]].reshape(index.size, n)
-        a, b = bps[:, :-1, None], bps[:, 1:, None]
-        groups.append((index, (0.5 * (a + b) + 0.5 * (b - a) * x).reshape(index.size, -1),
-                       (0.5 * (b - a) * w).reshape(index.size, -1)))
-    return groups
+    bad = ~((centers > 0.0) & (centers < 1.0)) | (np.diff(pts, axis=1) <= _MIN_CELL).any(axis=1)
+    if bad.any():
+        raise ParameterError("outer radius %r is not in (0, 1) or falls on a breakpoint "
+                             "of the mesh toward 0" % float(centers[bad][0]))
+    return _composite(pts, order)
 
 
 # Gauss rules on [-1, 1] keyed by (family, order), and the angular phases
@@ -180,13 +181,14 @@ def disk_rule(radial_order=64, angular_order=128, grading_levels=20):
         raise ParameterError("radial_order must be >= 2, got %r" % radial_order)
     if angular_order < 4:
         raise ParameterError("angular_order must be >= 4, got %r" % angular_order)
-    (_, radii, rweights), = _radial_rules(np.zeros(1), radial_order, grading_levels)
+    mesh = np.concatenate([[0.0], 0.5 ** np.arange(grading_levels, 0, -1), [1.0]])
+    radii, rweights = _composite(mesh, radial_order)
     meta = {
         "radial_order": int(radial_order),
         "angular_order": int(angular_order),
         "grading_levels": int(grading_levels),
     }
-    return DiskRule(radii[0], rweights[0], angular_order, meta)
+    return DiskRule(radii, rweights, angular_order, meta)
 
 
 class BidiskRule:
@@ -213,18 +215,17 @@ class BidiskRule:
         }
 
     def _inner_rules(self, radii):
-        """The second-factor radial rules at a run of outer radii, as the
-        groups (index, radii, weights) of ``_radial_rules``.  Under diagonal
-        grading row j of a group is the radial rule with the second factor's
+        """The second-factor radial rules at a run of outer radii, as
+        (radii, weights), row j the rule at radii[j].  Under diagonal grading
+        that is the radial rule of ``_radial_rules`` with the second factor's
         radial order and ``diagonal_levels`` levels, graded toward 0 and
-        toward radii[index[j]]; otherwise one group holds the plain second
-        factor's rule, broadcast to every radius."""
+        toward radii[j]; otherwise the plain second factor's rule, broadcast
+        to every radius."""
         if not self.diagonal_grading:
             shape = (len(radii), self.rule2.radii.size)
-            return [(np.arange(len(radii)), np.broadcast_to(self.rule2.radii, shape),
-                     np.broadcast_to(self.rule2.radial_weights, shape))]
-        return _radial_rules(np.minimum(np.abs(radii), 1.0),
-                             self.rule2.metadata["radial_order"], self.diagonal_levels)
+            return (np.broadcast_to(self.rule2.radii, shape),
+                    np.broadcast_to(self.rule2.radial_weights, shape))
+        return _radial_rules(radii, self.rule2.metadata["radial_order"], self.diagonal_levels)
 
     def iter_blocks(self):
         """Yield (z1, w1, z2_nodes, z2_weights) with z1 scalar, outer radius
@@ -234,9 +235,9 @@ class BidiskRule:
         outer, ph2 = self.rule1, self.rule2._phases
         w1 = outer.radial_weights * outer.radii * (2.0 * np.pi / outer.angular_order)
         for r, w in zip(outer.radii, w1):
-            (_, r2, pw2), = self._inner_rules(np.array([r]))
-            z2 = (r2[0][:, None] * ph2).ravel()
-            w2 = np.repeat(pw2[0] * r2[0] * (2.0 * np.pi / ph2.size), ph2.size)
+            (r2,), (pw2,) = self._inner_rules(np.array([r]))
+            z2 = (r2[:, None] * ph2).ravel()
+            w2 = np.repeat(pw2 * r2 * (2.0 * np.pi / ph2.size), ph2.size)
             for phase in outer._phases:
                 yield r * phase, w, z2 * phase if self.diagonal_grading else z2, w2
 
@@ -379,10 +380,7 @@ class LensRule:
             [[0.0, 2.0], grade, 2.0 - 0.5 ** np.arange(_LENS_LEVELS + 1)]))
         pts = pts[pts <= 2.0]
         pts = pts[np.concatenate([[True], np.diff(pts) > _MIN_CELL * pts[1:]])]
-        x, w = _gauss_legendre(self.order)
-        a, b = pts[:-1, None], pts[1:, None]
-        self.t = (0.5 * (a + b) + 0.5 * (b - a) * x).ravel()
-        self.weights = (0.5 * (b - a) * w).ravel()
+        self.t, self.weights = _composite(pts, self.order)
         self.metadata = {"scale": self.scale, "t_order": self.order,
                          "cells": pts.size - 1}
 

@@ -3,8 +3,11 @@ regularized variants, twisted derivatives, and cut-off families.
 
 A weight is phi(z) = sum_j r_j log|f_j(z)|^2 + psi(z) with polynomial factors
 f_j and a real-polynomial smooth part psi.  Evaluation at a zero of some f_j
-returns -inf (a tagged sentinel, never an exception): downstream integrands
-multiply by e^{-phi} and quadrature nodes avoid singular centers anyway.
+returns -inf (a tagged sentinel, never an exception), so e^{-phi} is +inf
+there when r_j > 0.  Quadrature nodes can lie on such zeros: plain tensor
+bidisk rules put nodes on the curves z1 = c z2, |c| = 1.  A Gram matrix then
+fails its finite check with DegeneracyError, and a node sum (``integrate``)
+raises EvaluationError naming the node.
 
 Each f_j, psi and cut-off section is a sympy string, compiled once per shape:
 parsed once per (text, domain), its float coefficients lifted to symbols, and
@@ -473,8 +476,6 @@ class RegularizedLogWeight(_Spec):
                      "style": style, "direction": direction}
         self.diagonal_rotation_invariant = direction == "z1-z2"
         self.conjugation_symmetric = True  # phi_eps depends on |zeta| only
-        # e^{-phi_eps} = 1/a2 wherever a2 >= _tube (convolution only)
-        self._tube = self.epsilon**2 if style == "convolution" else None
 
     def _a2(self, *zs):
         """|zeta|^2 at complex nodes."""
@@ -490,31 +491,16 @@ class RegularizedLogWeight(_Spec):
             outer = np.log(a2)
         return np.where(a2 < e2, (a2 - e2) / e2 + np.log(e2), outer)
 
-    def _exp_neg_phi_a2(self, a2, box=None):
+    def _exp_neg_phi_a2(self, a2):
         """e^{-phi_eps} at a2 = |zeta|^2, without the log/exp round trip and
         finite everywhere: 1/(eps^2 + a2) (shifted), or
         exp(max(eps^2 - a2, 0)/eps^2) / max(a2, eps^2) (convolution), which
         is 1/a2 outside the eps-tube a2 < eps^2.
-
-        ``box = (rows, k)`` on a 2-D a2 says that every node in the tube lies
-        in a2[rows, :k] (rows a slice or an index array); the convolution
-        then evaluates its exp on that box only and 1/a2 elsewhere, with the
-        same values to the bit.
         """
         e2 = self.epsilon**2
         if self.style == "shifted":
             return 1.0 / (e2 + a2)
-
-        def full(a):  # the clamped exponent is 0 outside, where no exp underflows
-            return np.exp(np.maximum(e2 - a, 0.0) / e2) / np.maximum(a, e2)
-
-        if box is None:
-            return full(a2)
-        rows, k = box
-        with np.errstate(divide="ignore"):  # a2 = 0 lies in the box
-            e = 1.0 / a2
-        e[rows, :k] = full(a2[rows, :k])
-        return e
+        return np.exp(np.maximum(e2 - a2, 0.0) / e2) / np.maximum(a2, e2)
 
     def _d_zeta(self, zeta):
         a2 = np.abs(zeta) ** 2

@@ -131,29 +131,15 @@ def test_bulk_norm_matches_node_sum(rule_name, weight_name, region, divisible):
 @pytest.mark.parametrize("style", ["convolution", "shifted"])
 def test_bulk_norm_polar_path_matches_node_sum(style):
     # the regularized log's invariant Gram forms |z1 - z2|^2 from real polar
-    # arrays; excluding the singular cross applies the density on that path,
-    # and the convolution's eps-tube box is a strict part of some blocks
+    # arrays; excluding the singular cross applies the density on that path
     rng = np.random.default_rng(11)
     U = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     spec = NormSpec("log_weighted_bulk", region="exclude_sing", r_sing=0.2)
     rule = dict(radial_order=(4, 4), angular_order=(8, 32), grading_levels=6,
                 diagonal_grading=True, diagonal_levels=6)
     w = RegularizedLogWeight(0.1, "z1-z2", style)
-    boxes = []
-    method = w._exp_neg_phi_a2
-
-    def recording(a2, box=None):
-        boxes.append(None if box is None else box[1] < a2.shape[1])
-        return method(a2, box)
-
-    w._exp_neg_phi_a2 = recording
     val = log_weighted_bulk_norm(U, w, spec, bidisk_rule(**rule))
-    if style == "convolution":
-        assert None not in boxes and any(boxes)
-    else:
-        assert boxes and set(boxes) == {None}
-    ref = _bulk_node_sum(U, RegularizedLogWeight(0.1, "z1-z2", style), spec,
-                         bidisk_rule(**rule))
+    ref = _bulk_node_sum(U, w, spec, bidisk_rule(**rule))
     assert val == pytest.approx(ref, rel=1e-12)
 
 

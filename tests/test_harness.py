@@ -7,10 +7,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from bergext import (DegeneracyError, ParameterError, Weight, build_model,
+from bergext import (CrossData, DegeneracyError, ParameterError, Weight, build_model,
                      extend_jet_direct, Jet)
 from bergext import RegularizedLogWeight, disk_rule
 from bergext import cli, sweeps
+from bergext.functionals import gamma_branch_norm, log_weighted_bulk_norm
 from bergext.weights import clamp_max
 
 
@@ -343,15 +344,35 @@ def test_cli_unparsable_weight_expression(capsys):
     ["norms", "--kind", "log_weighted_bulk", "--weight", "zero", "--data", "0,0;0,1"],
     ["claim1", "--m", "1.."],
     ["claim1", "--m", "a,b"],
+    ["norms", "--kind", "gamma_branch", "--weight", "zero", "--data", "nan,1"],
+    ["norms", "--kind", "log_weighted_bulk", "--weight", "zero:bidisk", "--data", "0,0;0,nan"],
+    ["extend-jet", "--jet", "1e400,1", "--degree", "4"],
+    ["extend-cross", "--f1", "nan", "--f2", "nan,1"],
 ], ids=["reglog-nan", "clamp-nan", "halfplane-nan", "halfplane-inf",
         "point-log-nan", "branch-bidisk-weight", "branch-reglog-shorthand",
-        "bulk-disk-weight", "grid-open-range", "grid-not-numbers"])
+        "bulk-disk-weight", "grid-open-range", "grid-not-numbers",
+        "branch-data-nan", "bulk-data-nan", "jet-overflow", "cross-data-nan"])
 def test_cli_bad_input_is_a_usage_error(capsys, argv):
-    # non-finite weight parameters, a weight of the wrong domain for a norm
-    # and a malformed grid exit 1 with an error line, not a traceback or a
-    # wrong model
+    # non-finite weight parameters or data, a weight of the wrong domain for
+    # a norm and a malformed grid exit 1 with an error line, not a traceback,
+    # a wrong model or a NaN result
     assert cli.main(argv) == 1
     assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cli.parse_complex_list("1,1e400"),
+    lambda: Jet((1.0, float("nan"))),
+    lambda: CrossData((float("nan"),), (float("nan"), 1.0)),
+    lambda: CrossData((1.0, float("inf")), (1.0,)),
+    lambda: log_weighted_bulk_norm([[0, 0], [0, np.nan]], Weight.zero("bidisk")),
+    lambda: gamma_branch_norm([np.inf, 1.0], Weight.zero()),
+], ids=["complex-list", "jet", "cross-nan-at-0", "cross-inf", "bulk", "branch"])
+def test_non_finite_data_refused(make):
+    # non-finite data is refused where it enters, not carried into a NaN
+    # coefficient or norm (or a misleading compatibility error)
+    with pytest.raises(ParameterError, match="finite"):
+        make()
 
 
 def test_cli_claim_csv(tmp_path):

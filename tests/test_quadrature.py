@@ -72,14 +72,16 @@ def test_nodes_strictly_interior():
     r = disk_rule(radial_order=8, angular_order=16)
     a = np.abs(r.nodes)
     assert a.min() > 0 and a.max() < 1
-    # the diagonally graded inner rules: radii in (0, 1), none at the outer
-    # radius, also for an outer radius within rounding of the circle
+    # the diagonally graded inner rules: one row of 3L + 2 cells per outer
+    # radius, radii in (0, 1) and none at the outer radius, also for an outer
+    # radius close to the circle
     br = bidisk_rule(radial_order=(8, 8), angular_order=(8, 16), grading_levels=4,
                      diagonal_grading=True, diagonal_levels=4)
-    radii = np.array([0.5, 0.3, 1 - 1e-3, 1 + 5e-13])
-    for index, r2, _ in br._inner_rules(radii):
-        assert r2.min() > 0 and r2.max() < 1
-        assert not np.any(r2 == np.minimum(radii[index], 1.0)[:, None])
+    radii = np.concatenate([[0.3, 0.7, 1 - 1e-3, 1 - 1e-9], br.rule1.radii])
+    r2, w2 = br._inner_rules(radii)
+    assert r2.shape == w2.shape == (radii.size, (3 * 4 + 2) * 8)
+    assert r2.min() > 0 and r2.max() < 1
+    assert not np.any(r2 == radii[:, None])
 
 
 def test_refine_commutes_with_rotation():
@@ -133,10 +135,10 @@ def test_radial_rule_matches_per_cell_loop():
         assert np.array_equal(r.radial_weights, ref[1])
     for b in (br, refine(br)):
         for r1 in b.rule1.radii:
-            (_, r2, w2), = b._inner_rules(np.array([r1]))
+            (r2,), (w2,) = b._inner_rules(np.array([r1]))
             ref = _per_radius_rule(b, r1)
-            assert np.array_equal(r2[0], ref[0])
-            assert np.array_equal(w2[0], ref[1])
+            assert np.array_equal(r2, ref[0])
+            assert np.array_equal(w2, ref[1])
 
 
 def _per_radius_rule(br, r):
@@ -145,44 +147,33 @@ def _per_radius_rule(br, r):
     return _reference_radial_rule(br.rule2.metadata["radial_order"], r, br.diagonal_levels)
 
 
-def _check_inner_rules(br, radii):
-    """The vectorized inner rules at ``radii`` against the per-cell loop, bit
-    for bit; returns the group of each."""
-    group = np.full(radii.size, -1)
-    for g, (index, r2, w2) in enumerate(br._inner_rules(radii)):
-        assert r2.shape == w2.shape == (index.size, r2.shape[1])
-        for j, i in enumerate(index):
-            ref = _per_radius_rule(br, radii[i])
-            assert np.array_equal(r2[j], ref[0])
-            assert np.array_equal(w2[j], ref[1])
-            group[i] = g
-    assert (group >= 0).all()
-    return group
-
-
 def test_inner_rules_match_per_radius_disk_rules():
     # diagonally graded rules: few outer and many inner angles, the
-    # cross-extension benchmark rule, the default rule
-    for kw in (dict(radial_order=(16, 16), angular_order=(8, 256)),
-               dict(radial_order=(8, 8), angular_order=(32, 128)),
-               dict(radial_order=(16, 16), angular_order=(64, 256))):
-        br = bidisk_rule(grading_levels=10, diagonal_grading=True, diagonal_levels=12,
-                         **kw)
-        _check_inner_rules(br, br.rule1.radii)
+    # cross-extension benchmark rule, the default rule, and their refinements
+    rules = [bidisk_rule(grading_levels=10, diagonal_grading=True, diagonal_levels=12, **kw)
+             for kw in (dict(radial_order=(16, 16), angular_order=(8, 256)),
+                        dict(radial_order=(8, 8), angular_order=(32, 128)),
+                        dict(radial_order=(16, 16), angular_order=(64, 256)))]
+    for br in rules + [refine(br) for br in rules]:
+        radii = br.rule1.radii
+        r2, w2 = br._inner_rules(radii)
+        cells = 3 * br.diagonal_levels + 2
+        assert r2.shape == w2.shape == (radii.size, cells * br.rule2.metadata["radial_order"])
+        for i, r in enumerate(radii):
+            ref = _per_radius_rule(br, r)
+            assert np.array_equal(r2[i], ref[0])
+            assert np.array_equal(w2[i], ref[1])
     # at r = 0.5 = d_1 and r = 0.25 = d_2 the breakpoints r and r(1 - d_1) fall
-    # on the grading points d_j toward 0 and merge, so those radii get fewer
-    # cells than 0.3 and 0.7, in a group of their own
-    br = bidisk_rule(radial_order=(16, 16), angular_order=(8, 256), grading_levels=10,
-                     diagonal_grading=True, diagonal_levels=12)
-    radii = np.array([0.3, 0.5, 0.25, 0.7])
-    group = _check_inner_rules(br, radii)
-    assert group[0] == group[3] != group[1] == group[2]
-    sizes = [_per_radius_rule(br, r)[0].size for r in radii]
-    assert sizes[1] < sizes[0] and sizes[2] < sizes[0]
+    # on the grading points d_j toward 0, which would leave a zero-width
+    # cell, and 1 + 5e-13 lies past the circle: such outer radii are refused
+    br = rules[0]
+    for bad in (0.5, 0.25, 1 + 5e-13):
+        with pytest.raises(ParameterError, match="outer radius"):
+            br._inner_rules(np.array([0.3, bad, 0.7]))
     # without diagonal grading every radius shares the second factor's rule
+    radii = np.array([0.3, 0.5, 0.25, 0.7])
     plain = bidisk_rule(radial_order=(8, 8), angular_order=(16, 16))
-    (index, r2, w2), = plain._inner_rules(radii)
-    assert np.array_equal(index, np.arange(4))
+    r2, w2 = plain._inner_rules(radii)
     assert np.array_equal(r2, np.tile(plain.rule2.radii, (4, 1)))
     assert np.array_equal(w2, np.tile(plain.rule2.radial_weights, (4, 1)))
 

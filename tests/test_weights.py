@@ -129,10 +129,6 @@ def test_regularized_log_direct_exp(style):
     ref = np.exp(-w2.evaluate(zeta + z2, z2))
     a2 = w2._a2(zeta + z2, z2)
     assert np.allclose(w2._exp_neg_phi_a2(a2), ref, rtol=1e-15, atol=0)
-    # a box holding every node with a2 < eps^2 gives the same values
-    rows = np.flatnonzero((a2 < eps**2).any(axis=1))
-    k = np.flatnonzero((a2 < eps**2).any(axis=0)).max() + 1
-    assert np.array_equal(w2._exp_neg_phi_a2(a2, box=(rows, k)), w2._exp_neg_phi_a2(a2))
 
 
 def test_conjugation_symmetry_inferred():
