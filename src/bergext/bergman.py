@@ -42,10 +42,13 @@ The regularized log's default bidisk rule is no tensor rule but a lens rule
 one integral in t = |z1 - z2|, 2 pi int f(t^2) t K_k(t) dt, over the moment
 table K_k of the lens D n (D - t), which does not depend on the weight; f
 is evaluated at a few hundred t-nodes only.
-Quadratic functionals (the bulk norm, the branch integral at gamma = 0) are
-Gram forms q^H G q from ``_gram``.  Their radial density is a radial weight:
-every radial factor of a Gram (quadrature weight, density, power) is in one
-table (``_powers``), and radii where the density is 0 are never evaluated.
+Quadratic functionals are Gram forms q^H G q: the bulk norm and the branch
+integral at gamma = 0 from ``_gram``, and the twisted-derivative norm from
+``_twisted_gram``, the same two stages on five real fields of e^{-phi} and
+dphi (an odd one among them mirrored with a sign).  Their radial density is
+a radial weight: every radial factor of a Gram (quadrature weight, density,
+power) is in one table (``_powers``), and radii where the density is 0 are
+never evaluated.
 """
 
 from __future__ import annotations
@@ -298,9 +301,10 @@ def _rows(exp_phi, P, width):
     (``_powers``).  ``exp_phi(sl)`` returns e^{-phi} on the radii of the
     slice ``sl`` as T[radius, *batch, angle], ``width`` values per radius;
     the slices are blocks of about ``_BLOCK`` nodes, each contracted by one
-    real matrix product, whatever the batch shape.  The finite check is made
-    once, on R: every P[i, 0] is positive and e^{-phi} >= 0, so a non-finite
-    e^{-phi} at any node makes the row s = 0 non-finite.
+    real matrix product, whatever the batch shape (e^{-phi} itself, or a
+    stack of real fields).  The finite check is made once, on R: every
+    P[i, 0] is positive, so a non-finite value at any node makes the row
+    s = 0 non-finite.
     """
     step = max(1, _BLOCK // width)
     R = np.zeros((P.shape[1], width))
@@ -333,19 +337,21 @@ def _powers(pw, r, n, density=None):
     return r, Pt.T
 
 
-def _angular(R, rule, degree):
+def _angular(R, rule, degree, sign=1.0):
     """K[..., d + degree] = sum_k R[..., k] (phase_0 e^{i theta_k})^d for the
     offsets d = -degree..degree: the angular stage of the moment kernel, on
     real rows R[..., angle] over the angles of ``rule``.
 
-    Rows over the angles 0..na/2 only (``_evaluated_phases`` of an e^{-phi}
-    even in the angle) are mirrored back to all na angles first.  One rfft
-    then gives every offset at once (the trapezoid sum is a DFT, aliasing
-    included); offsets past na/2 are conjugates, since the rows are real.
+    Rows over the angles 0..na/2 only (``_evaluated_phases`` of fields even
+    or odd in the angle) are mirrored back to all na angles first, each row
+    times its ``sign`` (broadcast against R[..., :1]): 1 for an even row,
+    -1 for an odd one.  One rfft then gives every offset at once (the
+    trapezoid sum is a DFT, aliasing included); offsets past na/2 are
+    conjugates, since the rows are real.
     """
     na = rule.angular_order
     if R.shape[-1] < na:
-        R = np.concatenate([R, R[..., -2:0:-1]], axis=-1)
+        R = np.concatenate([R, sign * R[..., -2:0:-1]], axis=-1)
     F = np.fft.rfft(R, axis=-1)
     # sum_k R_k (phase_0 e^{i theta_k})^d = phase_0^d F[-d mod na], and
     # F[k] = conj(F[na - k]) for the real R
@@ -546,6 +552,66 @@ def _gram(weight, degree, rule, density=None):
     r, P = _powers(pw, rule.radii, 2 * degree + 1, density)
     R = _rows(lambda sl: _exp_weight(weight, (r[sl, None] * ph,)), P, ph.size)
     return list(range(degree + 1)), _angular(R, rule, degree)[_pairs(degree)]
+
+
+def _abs2(x):
+    return x.real * x.real + x.imag * x.imag
+
+
+# the sign of each field of ``_twisted_gram`` under theta -> -theta, for a
+# conjugation-symmetric weight: only Im(dphi e^{-phi}) is odd
+_TWISTED_SIGN = np.array([1.0, 1.0, -1.0, 1.0, 1.0])[:, None]
+
+
+def _twisted_gram(weight, degree, rule, density=None):
+    """M[j, k] = sum w conj(b_j) b_k rho e^{-phi} over the nodes of a disk
+    rule, for the twisted derivatives b_j = d^phi(z^j) = j z^(j-1) - z^j dphi
+    (j <= degree, dphi = d_holomorphic) and an optional radial density rho.
+
+    In the form b_0 = -dphi, b_j = z^(j-1) ((j-1) + v) with v = 1 - z dphi,
+    every entry is a sum of the moments sum w conj(z)^a z^b F rho of five
+    real fields F: e = e^{-phi}, the real and imaginary parts of dphi e,
+    |dphi|^2 e and |v|^2 e, taken in one pass of the moment kernel (the
+    fields are the batch of ``_rows``).  The moments of v e = e - z dphi e,
+    which enter for j >= 2 only, come from those of e and dphi e.  Data
+    f = z reads sum w |v|^2 e rho, with no cancellation between moments.  A
+    conjugation-symmetric weight has dphi(conj z) = conj(dphi(z)): its
+    Im(dphi e) is odd in the angle, the other fields even, and half the
+    angles are evaluated.
+    """
+    D = degree
+    ph = _evaluated_phases(rule, bool(getattr(weight, "conjugation_symmetric", False)))
+    pw = (2.0 * np.pi / rule.angular_order) * rule.radial_weights * rule.radii
+    # the entries take the moments up to r^(2D - 1)
+    r, P = _powers(pw, rule.radii, max(2 * D, 1), density)
+
+    def fields(sl):
+        z = r[sl, None] * ph
+        dphi = weight.d_holomorphic(z)
+        # a non-finite field fails the finite check of ``_rows``
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = _exp_weight(weight, (z,))
+            g = dphi * e
+            return np.stack([e, g.real, g.imag, _abs2(dphi) * e,
+                             _abs2(1.0 - z * dphi) * e], axis=1)
+
+    R = _rows(fields, P, 5 * ph.size).reshape(P.shape[1], 5, ph.size)
+    K = _angular(R, rule, D, _TWISTED_SIGN)  # K[a + b, field, b - a + D]
+    e, Q, V = K[:, 0], K[:, 3], K[:, 4]
+    G = K[:, 1] + 1j * K[:, 2]
+    M = np.empty((D + 1, D + 1), dtype=complex)
+    k = np.arange(1, D + 1)
+    # conj(b_0) b_k e = |dphi|^2 z^k e - k conj(dphi e) z^(k-1)
+    M[0, 0] = Q[0, D]
+    M[0, 1:] = Q[k, D + k] - k * G[k - 1, D - k + 1].conj()
+    M[1:, 0] = M[0, 1:].conj()
+    # j, k >= 1, a = j - 1, b = k - 1: conj(z)^a z^b ((a + conj v)(b + v)) e
+    a = k - 1
+    s, d = a[:, None] + a, a - a[:, None] + D
+    ve = e[s, d] - G[s + 1, d + 1]  # the moments of v e
+    M[1:, 1:] = (a[:, None] * a) * e[s, d] + a[:, None] * ve \
+        + a * ve.T.conj() + V[s, d]
+    return M
 
 
 def default_rule(domain, weight=None):

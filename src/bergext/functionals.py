@@ -10,8 +10,11 @@ Three families of functionals evaluated on the model:
 
 The bulk norm is a Gram form q^H G q (``bergman._gram``), its density radial
 in each variable.  The branch integral is a Gram form at gamma = 0 only, where
-it is |f|^2 e^{-phi} against a radial density; its gamma > 0 powers and the
-twisted-derivative integral are not squared polynomials and stay node sums.
+it is |f|^2 e^{-phi} against a radial density; its gamma > 0 powers are not
+squared polynomials and stay node sums.  The twisted-derivative integral is
+quadratic in the data: per branch a Gram form c^H M c over the twisted
+derivatives of the monomials (``bergman._twisted_gram``), its log^2 factor a
+radial density.
 The divergence check of the branch norm compares two grading levels that
 share their outer cells, and evaluates those shared cells once.
 
@@ -27,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bergman import _gram
+from .bergman import _gram, _twisted_gram
 from .errors import DegeneracyError, EvaluationError, ParameterError
 from .quadrature import DiskRule, bidisk_rule, disk_rule
-from .weights import RegularizedLogWeight, twisted_derivative
+from .weights import RegularizedLogWeight
 
 _KINDS = ("log_weighted_bulk", "gamma_branch", "derivative_on_Y", "final_example")
 
@@ -225,25 +228,28 @@ def derivative_norm_on_Y(data, weight, rule=None, include_log=True):
     ``data`` is :class:`~bergext.extension.CrossData`; on branch V_i the max
     over the two coordinate sections reduces to |z|^2 of the branch variable.
     With ``include_log=False`` the bare twisted-derivative integral is
-    returned.
+    returned.  Per branch it is the Gram form c^H M c of the twisted
+    derivatives of the monomials (``bergman._twisted_gram``) on a disk rule,
+    the log^2 a radial density.
     """
     if rule is None:
         rule = disk_rule(radial_order=32, angular_order=64, grading_levels=16)
+    if not isinstance(rule, DiskRule):
+        raise ParameterError("derivative_on_Y integrates over the branches: "
+                             "it needs a disk rule, got %s" % type(rule).__name__)
+    density = (lambda r: np.log(r * r) ** 2) if include_log else None
     total = 0.0
     for branch, coeffs in ((1, data.f1), (2, data.f2)):
         c = np.asarray(coeffs, dtype=complex)
         if not c.size or not np.abs(c).max():
             continue
         wb = weight.restrict_to_branch(branch) if weight.domain == "bidisk" else weight
-
-        def f(z):
-            td2 = np.abs(twisted_derivative(wb, c, z)) ** 2
-            phi = np.asarray(wb.evaluate(z), dtype=float)
-            with np.errstate(over="ignore", invalid="ignore"):
-                vals = np.where(td2 == 0.0, 0.0, td2 * np.exp(-phi))
-            return vals * np.log(np.abs(z) ** 2) ** 2 if include_log else vals
-
-        total += float(np.real(rule.integrate(f)))
+        try:
+            M = _twisted_gram(wb, c.size - 1, rule, density)
+        except DegeneracyError as exc:  # a non-finite field at a node
+            raise EvaluationError("non-finite twisted derivative or e^{-phi} "
+                                  "at quadrature nodes") from exc
+        total += float(np.real(np.vdot(c, M @ c)))
     return total
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bergext import CrossData, RegularizedLogWeight, Weight
-from bergext.errors import EvaluationError, ParameterError
+from bergext.errors import DegeneracyError, EvaluationError, ParameterError
 from bergext.functionals import (
     _BRANCH_LEVELS,
     DivergentNorm,
@@ -18,7 +18,7 @@ from bergext.functionals import (
 )
 from bergext.cli import main
 from bergext.quadrature import bidisk_rule, disk_rule
-from bergext.weights import clamp_max
+from bergext.weights import clamp_max, twisted_derivative
 
 
 def test_norm_spec_validation():
@@ -320,6 +320,99 @@ def test_derivative_norm_regularized_bounded():
 def test_derivative_norm_zero_data():
     cd = CrossData((0.0,), (0.0,))
     assert derivative_norm_on_Y(cd, Weight.diagonal_log()) == 0.0
+
+
+def _derivative_node_sum(data, weight, rule, include_log):
+    """The twisted-derivative norm as a sum over the rule's nodes
+    (DiskRule.integrate) of |d^phi f|^2 e^{-phi} [log^2 |z|^2] per branch."""
+    total = 0.0
+    for branch, c in ((1, data.f1), (2, data.f2)):
+        wb = weight.restrict_to_branch(branch) if weight.domain == "bidisk" else weight
+
+        def f(z):
+            vals = np.abs(twisted_derivative(wb, c, z)) ** 2 \
+                * np.exp(-np.asarray(wb.evaluate(z), float))
+            return vals * np.log(np.abs(z) ** 2) ** 2 if include_log else vals
+
+        total += rule.integrate(f).real
+    return total
+
+
+_DERIVATIVE_WEIGHTS = {
+    "zero": Weight.zero,
+    "halfplane": lambda: Weight.halfplane(1.5),
+    "point_log": lambda: Weight.point_log(0.4),
+    "clamp": lambda: clamp_max(Weight.halfplane(1.0), 0.2, 6.0),
+    "reglog": lambda: RegularizedLogWeight(0.1, "z1-z2"),
+    "reglog_shifted": lambda: RegularizedLogWeight(0.1, "z1-z2", style="shifted"),
+    # not conjugation symmetric: every angle is evaluated
+    "asymmetric": lambda: Weight([], "x*y + 0.5*y"),
+}
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["plain", "rotated"])
+@pytest.mark.parametrize("include_log", [True, False], ids=["log", "bare"])
+@pytest.mark.parametrize("weight_name", sorted(_DERIVATIVE_WEIGHTS))
+def test_derivative_gram_form_matches_node_sum(weight_name, include_log, rotated):
+    # a rotated rule evaluates every angle
+    rule = disk_rule(radial_order=12, angular_order=32, grading_levels=12)
+    if rotated:
+        rule = rule.rotated(np.exp(0.3j))
+    w = _DERIVATIVE_WEIGHTS[weight_name]()
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 5, 8):
+        f1, f2 = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        f2[0] = f1[0]
+        cd = CrossData(tuple(f1), tuple(f2))
+        val = derivative_norm_on_Y(cd, w, rule=rule, include_log=include_log)
+        ref = _derivative_node_sum(cd, w, rule, include_log)
+        assert val == pytest.approx(ref, rel=1e-12)
+
+
+def test_derivative_norm_closed_forms():
+    # zero weight: d^phi f = f', and int log^2|z|^2 |z^(j-1)|^2 j^2 = 2 pi / j
+    f = (0.5, 1.0 - 0.5j, 0.0, 2.0 + 1.0j, 0.3, -0.7j)
+    cd = CrossData(f[:3], f)
+    exact = 2.0 * math.pi * sum(abs(a) ** 2 / j
+                                for g in (cd.f1, cd.f2) for j, a in enumerate(g) if j)
+    for w in (Weight.zero(), Weight.zero("bidisk")):
+        assert derivative_norm_on_Y(cd, w) == pytest.approx(exact, rel=1e-12)
+    # f = (0, z), no log: d^phi z e^{-phi/2} is eps^2/(eps^2 + |z|^2)^(3/2)
+    # under the shifted regularization, and sqrt(e) (1 - u) e^{-u/2}/eps with
+    # u = |z|^2/eps^2 inside the eps-disk (0 outside) under the convolution
+    cd = CrossData((0.0,), (0.0, 1.0))
+    for eps in (0.2, 0.1, 0.05, 0.025):
+        shifted = RegularizedLogWeight(eps, "z1-z2", style="shifted")
+        assert derivative_norm_on_Y(cd, shifted, include_log=False) == pytest.approx(
+            0.5 * math.pi * (1.0 - eps**4 / (1.0 + eps**2) ** 2), rel=1e-12)
+        # the default rule does not grade toward the kink at |z| = eps
+        conv = RegularizedLogWeight(eps, "z1-z2")
+        assert derivative_norm_on_Y(cd, conv, include_log=False) == pytest.approx(
+            math.pi * (math.e - 2.0), rel=1e-5)
+
+
+def test_derivative_norm_refuses_non_disk_rule():
+    cd = CrossData((0.0,), (0.0, 1.0))
+    rule = bidisk_rule(radial_order=(8, 8), angular_order=(16, 16), grading_levels=8)
+    with pytest.raises(ParameterError):
+        derivative_norm_on_Y(cd, Weight.zero("bidisk"), rule=rule)
+
+
+def test_derivative_norm_non_finite_raises_evaluation_error():
+    cd = CrossData((0.0,), (0.0, 1.0))
+    # a log zero exactly on a real node of the default rule
+    node = float(disk_rule(radial_order=32, angular_order=64,
+                           grading_levels=16).radii[300])
+    w = Weight([(0.5, "z1 - %r" % node)], "0", "bidisk")
+    with pytest.raises(EvaluationError):
+        derivative_norm_on_Y(cd, w)
+    assert main(["norms", "--kind", "derivative_on_Y", "--weight",
+                 json.dumps(w.to_dict()), "--data", "0;0,1"]) == 1
+    # e^{-phi} = e^{2000 x} overflows on the right half of the disk: the
+    # finite check of the moment rows fails
+    with pytest.raises(EvaluationError) as err:
+        derivative_norm_on_Y(cd, Weight.halfplane(1000.0))
+    assert isinstance(err.value.__cause__, DegeneracyError)
 
 
 def test_quadratic_homogeneity_branch():
