@@ -7,13 +7,13 @@ Gram matrix gives the unit vectors e_k of the steps E_k (-) E_{k+1} of the
 orthogonal ladder E_0 > E_1 > ... as the columns of the lower-triangular
 ``basis_coeffs`` (``BergmanModel._factorize``).  Every kernel quantity
 (B_0(z,w), the higher-order kernels B_k(0), the Bergman metric and the
-log-kernel gradient at the origin) is read off those columns.  A bidisk
-Gram that is block-diagonal in the total degree m + n (every entry between
-two total degrees an exact 0, as for a weight invariant under the joint
-rotation) is factored per block instead: the blocks, each at most D+1
-monomials, go through the same checks and the same reverse Cholesky as one
-padded stack, and ``extension._pinned_solve`` solves per block.  Every
-other Gram (the disk, the generic bidisk) is factored whole.
+log-kernel gradient at the origin) is read off those columns.  Every Gram
+is checked, factored and solved (``extension._pinned_solve``) as a padded
+stack of index blocks: the total-degree blocks m + n = k, each at most D+1
+monomials, for a bidisk Gram that is block-diagonal in the total degree
+(every entry between two total degrees an exact 0, as for a weight
+invariant under the joint rotation), and one block of every index for any
+other Gram (the disk, the generic bidisk).
 
 Every Gram matrix follows the convention G[a,b] = int conj(e_a) e_b e^{-phi}
 and comes from one entry, ``_gram``.  On a polar tensor rule it uses one
@@ -86,24 +86,23 @@ class BergmanModel:
         coefficient, and needs no sign or order fixing.  On the bidisk only
         column 0 (the monomial 1 comes first) is a ladder vector.
 
-        A bidisk Gram whose entries between different total degrees m + n
-        are all exact zeros (an invariant weight's, ``_lens_gram`` and the
-        invariant path of ``_bidisk_gram``) is checked and factored per
-        total-degree block (``_degree_split``).  Each block keeps its index
-        order, so L, E and the eigenvalues of Gs are the blocks', and E is
-        scattered back into the dense lower-triangular ``basis_coeffs``.  The
-        blocks are one stack, each padded to (D+1) x (D+1) with the identity:
-        a Jacobi-scaled block has a unit diagonal, so lambda_min <= 1 <=
-        lambda_max and the padding leaves the condition number unchanged.
-        ``gram`` stays dense, and ``_blocks`` keeps each block's indices for
-        ``extension._pinned_solve``.  Every other Gram (the disk, the generic
-        bidisk) is factored whole, with ``_blocks`` None.
+        The checks and the factorization run on the index blocks of
+        ``_degree_split``: the total-degree blocks of a bidisk Gram whose
+        entries between different total degrees m + n are all exact zeros
+        (an invariant weight's, ``_lens_gram`` and the invariant path of
+        ``_bidisk_gram``), one block of every index for any other Gram.  Each
+        block keeps its index order, so L, E and the eigenvalues of Gs are
+        the blocks', and E is scattered back into the dense lower-triangular
+        ``basis_coeffs``.  The blocks are one stack, each padded to the size
+        of the largest with the identity: a Jacobi-scaled block has a unit
+        diagonal, so lambda_min <= 1 <= lambda_max and the padding leaves the
+        condition number unchanged.  ``gram`` stays dense, and ``_blocks``
+        keeps each block's indices for ``extension._pinned_solve``.
         """
         G = self.gram
-        self._blocks, at, ab = _degree_split(self.domain, self.degree, G)
-        # the entries checked and factored (all, or those in a block), and
-        # their transposes
-        g, gt = (G, G.T) if ab is None else (G[ab], G[ab[::-1]])
+        self._blocks, at, ab, ba, a, b = _degree_split(self.domain, self.degree, G)
+        # the entries checked and factored, and their transposes
+        g, gt = G.take(ab), G.take(ba)
         herm_defect = np.abs(g - gt.conj()).max()
         scale = np.abs(g).max()
         if not np.isfinite(scale) or scale == 0:
@@ -111,27 +110,20 @@ class BergmanModel:
         if herm_defect > 1e-10 * scale:
             raise DegeneracyError("Gram matrix not Hermitian (defect %.2e)" % herm_defect)
         g = 0.5 * (g + gt.conj())
-        if ab is None:
-            G = g
-        else:
-            G = np.zeros_like(G)
-            G[ab] = g
-        self.gram = G
-        d = np.sqrt(np.diag(G).real)
+        self.gram = np.zeros(G.shape, G.dtype)
+        self.gram.put(ab, g)
+        d = np.sqrt(np.diag(self.gram).real)
         if not np.all(np.isfinite(d)) or np.any(d <= 0):
             bad = [self.monomials[i] for i in np.flatnonzero(~(np.isfinite(d) & (d > 0)))]
             raise DegeneracyError(
                 "weight is not integrable against monomials %s" % bad, bad)
-        if ab is None:
-            E, self.condition_number = _ladder(G / d[:, None] / d[None, :])
-            self.basis_coeffs = E / d[:, None]
-            return
         # the Jacobi-scaled blocks over a stack of identities
-        S = np.tile(np.eye(self.degree + 1, dtype=g.dtype), (len(self._blocks), 1, 1))
-        S[at] = g / d[ab[0]] / d[ab[1]]
+        size = max(blk.size for blk in self._blocks)
+        S = np.tile(np.eye(size, dtype=g.dtype), (len(self._blocks), 1, 1))
+        S.put(at, g / d[a] / d[b])
         E, self.condition_number = _ladder(S)
-        self.basis_coeffs = np.zeros_like(G)
-        self.basis_coeffs[ab] = E[at] / d[ab[0]]
+        self.basis_coeffs = np.zeros(G.shape, E.dtype)
+        self.basis_coeffs.put(ab, E.take(at) / d[a])
 
     # -- evaluation of basis / kernel ---------------------------------------
 
@@ -203,12 +195,12 @@ def _check_integrable(weight, degree, domain):
             "(log order %.3g at the origin)" % (killed, order0), killed)
 
 
-def _ladder(Gs):
-    """(E, condition number) of a Jacobi-scaled Gram Gs, or of a stack of
-    them taken as one block-diagonal matrix: Gs = L^H L by the Cholesky of Gs
-    with both axes reversed, and E = L^{-1} by forward substitution."""
-    lam = np.linalg.eigvalsh(Gs)
-    lo, hi = lam[..., 0].min(), lam[..., -1].max()
+def _ladder(S):
+    """(E, condition number) of a stack S of Jacobi-scaled Grams, taken as one
+    block-diagonal matrix: each S[k] = L^H L by the Cholesky of S[k] with both
+    axes reversed, and E[k] = L^{-1} by forward substitution."""
+    lam = np.linalg.eigvalsh(S)
+    lo, hi = lam[:, 0].min(), lam[:, -1].max()
     if lo <= 0 or not np.isfinite(hi):
         raise DegeneracyError(
             "Gram matrix numerically singular (min eigenvalue %.3e); "
@@ -218,9 +210,9 @@ def _ladder(Gs):
         raise DegeneracyError(
             "Gram condition number %.3e exceeds %.0e; lower the degree or "
             "change the quadrature grading" % (condition, COND_LIMIT))
-    try:  # Gs = L^H L: the Cholesky factor of Gs reversed in both axes
-        L = np.linalg.cholesky(Gs[..., ::-1, ::-1])[..., ::-1, ::-1]
-        L = L.conj().swapaxes(-1, -2)
+    try:  # S = L^H L: the Cholesky factor of S reversed in both axes
+        L = np.linalg.cholesky(S[:, ::-1, ::-1])[:, ::-1, ::-1]
+        L = L.conj().swapaxes(1, 2)
     except np.linalg.LinAlgError as exc:
         raise DegeneracyError(
             "Gram matrix numerically singular (Cholesky failed); lower "
@@ -228,48 +220,51 @@ def _ladder(Gs):
     # L^{-1} by forward substitution: exactly lower-triangular with a real
     # diagonal, where the pivoted np.linalg.inv fills the upper triangle
     E = np.zeros_like(L)
-    for i in range(L.shape[-1]):
-        E[..., i, :i + 1] = -(L[..., i, None, :i] @ E[..., :i, :i + 1])[..., 0, :]
-        E[..., i, i] += 1.0
-        E[..., i, :i + 1] /= L[..., i, i, None]
+    for i in range(L.shape[1]):
+        E[:, i, :i + 1] = -(L[:, i, None, :i] @ E[:, :i, :i + 1])[:, 0, :]
+        E[:, i, i] += 1.0
+        E[:, i, :i + 1] /= L[:, i, i, None]
     return E, condition
 
 
-@functools.lru_cache(maxsize=16)
-def _degree_blocks(degree):
-    """(blocks, at, ab): the total-degree blocks of the bidisk monomials
-    z1^m z2^n (m, n <= degree, at index m (degree + 1) + n), built once per
-    degree and read-only.
-
-    ``blocks[k]`` holds the ascending indices of the monomials with m + n = k.
-    Over every pair (a, b) of indices in one block, ``at`` = (k, i, j) is its
-    place in a stack of blocks (i, j its rows within block k) and ``ab`` =
-    (a, b) its place in the Gram."""
-    nb = degree + 1
-    blocks = []
-    for k in range(2 * degree + 1):
-        m = np.arange(max(0, k - degree), min(k, degree) + 1)
-        blocks.append(m * nb + k - m)
-    sizes = [b.size for b in blocks]
-    at = (np.repeat(np.arange(len(blocks)), np.square(sizes)),
-          np.concatenate([np.repeat(np.arange(s), s) for s in sizes]),
-          np.concatenate([np.tile(np.arange(s), s) for s in sizes]))
-    ab = (np.concatenate([np.repeat(b, b.size) for b in blocks]),
-          np.concatenate([np.tile(b, b.size) for b in blocks]))
-    for arr in blocks + list(at + ab):
+@functools.lru_cache(maxsize=32)
+def _index_split(n, degree=None):
+    """(blocks, at, ab, ba, a, b): the index blocks of an n x n Gram, built
+    once and read-only: given a degree, ``blocks[k]`` holds the bidisk
+    monomials z1^m z2^n (m, n <= degree, at index m (degree + 1) + n) with
+    m + n = k; otherwise one block holds every index.  Over every pair (a, b)
+    of indices in one block, ``at`` is its flat place in a stack of
+    (len(blocks), size, size) blocks (size the largest block's), ``ab`` and
+    ``ba`` those of G[a, b] and G[b, a], and ``a`` and ``b`` its row and
+    column."""
+    if degree is None:
+        blocks = [np.arange(n)]
+    else:  # z1^m z2^(k-m) is at index m (degree + 1) + k - m
+        blocks = [np.arange(max(0, k - degree), min(k, degree) + 1) * degree + k
+                  for k in range(2 * degree + 1)]
+    sizes = [blk.size for blk in blocks]
+    size = max(sizes)
+    k = np.repeat(np.arange(len(blocks)), np.square(sizes))
+    i = np.concatenate([np.repeat(np.arange(s), s) for s in sizes])
+    j = np.concatenate([np.tile(np.arange(s), s) for s in sizes])
+    a = np.concatenate([np.repeat(blk, blk.size) for blk in blocks])
+    b = np.concatenate([np.tile(blk, blk.size) for blk in blocks])
+    split = (blocks, (k * size + i) * size + j, a * n + b, b * n + a, a, b)
+    for arr in blocks + list(split[1:]):
         arr.flags.writeable = False
-    return blocks, at, ab
+    return split
 
 
 def _degree_split(domain, degree, G):
-    """``_degree_blocks(degree)`` for a bidisk Gram G whose every entry between
-    two total degrees is an exact 0, read off its nonzero count; (None, None,
-    None) for any other Gram."""
+    """The index blocks that G is factored on: the total-degree blocks for a
+    bidisk Gram G whose every entry between two total degrees is an exact 0,
+    read off its nonzero count; one block of every index for any other Gram
+    (the disk, the generic bidisk, a Gram with an entry off the blocks)."""
     if domain == "bidisk":
-        blocks, at, ab = _degree_blocks(degree)
-        if np.count_nonzero(G) == np.count_nonzero(G[ab]):
-            return blocks, at, ab
-    return None, None, None
+        split = _index_split(G.shape[0], degree)
+        if np.count_nonzero(G) == np.count_nonzero(G.take(split[2])):
+            return split
+    return _index_split(G.shape[0])
 
 
 # e^{-phi} is evaluated on blocks of about this many nodes: the grid block and
@@ -277,10 +272,8 @@ def _degree_split(domain, degree, G):
 # complex values), where whole-grid arrays are bound by memory traffic
 _BLOCK = 1 << 14
 # the bidisk Gram contracts the rows of _RUN outer radii (or of one rows call,
-# if that holds more) per matrix product; it updates its accumulator, and
-# mirrors it for the angular stage, about _WORK reals at a time
+# if that holds more) into its accumulator per matrix product
 _RUN = 16
-_WORK = 1 << 17
 
 
 def _evaluated_phases(rule, symmetric):
@@ -465,7 +458,6 @@ def _bidisk_gram(weight, degree, rule, density=None):
         run = max(g, _RUN)
         stack = np.empty((min(run, radii.size), ns, width // ns))
         R = np.zeros((ns, width))  # R[s1, s2 * outer angle * inner angle]
-        cols = max(1, _WORK // ns)  # columns of R per update
         for lo in range(0, radii.size, run):
             r2, w2 = rule._inner_rules(radii[lo:lo + run])
             n = len(r2)
@@ -483,17 +475,11 @@ def _bidisk_gram(weight, degree, rule, density=None):
 
                 rows = _rows(exp_phi, P, r1.size * ph1.size * ph.size)
                 stack[i:i + r1.size] = rows.reshape(ns, r1.size, -1).transpose(1, 0, 2)
-            Ct, flat = C[lo:lo + n].T, stack[:n].reshape(n, -1)
-            for c0 in range(0, width, cols):
-                R[:, c0:c0 + cols] += Ct @ flat[:, c0:c0 + cols]
+            R += C[lo:lo + n].T @ stack[:n].reshape(n, -1)
         del stack
-        # the angular stage, on runs of s1 that keep its mirror and rfft small
-        R = R.reshape(ns, ns, ph1.size, ph.size)
-        c = max(1, _WORK // (ns * ph1.size * n2))
-        for lo in range(0, ns, c):
-            K = _angular(R[lo:lo + c], rule.rule2, D)
-            S[lo:lo + c, a0:a0 + span] = K[:, s2, :, d2].transpose(2, 3, 0, 1)
-        del R  # not held through the outer FFT and the gather
+        K = _angular(R.reshape(ns, ns, ph1.size, ph.size), rule.rule2, D)
+        S[:, a0:a0 + span] = K[:, s2, :, d2].transpose(2, 3, 0, 1)
+        del R, K  # not held through the outer FFT and the gather
     A = np.fft.fft(S, axis=1) * (2.0 * np.pi / phases.size)
     m, n, mp, np_ = np.ogrid[:nb, :nb, :nb, :nb]
     e = (mp - m) + turn * (np_ - n)

@@ -68,6 +68,21 @@ def parse_grid(text):
         raise ParameterError("cannot parse grid %r: %s" % (text, exc))
 
 
+def _join_number_lists(argv):
+    """argv with ``--jet -1j,1`` joined into ``--jet=-1j,1`` (also --f1, --f2
+    and --data): argparse reads a separate value that starts with "-" and is
+    not a plain number as an option.  An option after them ("--..." or
+    "-h") is left alone, so a missing value is still an error."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--jet", "--f1", "--f2", "--data") \
+                and arg[:1] == "-" and arg[:2] != "--" and arg != "-h":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ParameterError(message)
@@ -265,7 +280,7 @@ def _rows_text(res):
 
 def main(argv=None):
     parser, registry = _build_parser()
-    argv = list(sys.argv[1:] if argv is None else argv)
+    argv = _join_number_lists(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
         if args.config:

@@ -5,8 +5,9 @@ cross data on {z1 z2 = 0} in the bidisk pins the coefficients of the pure
 powers z1^m and z2^n.  Both extensions are therefore the same
 equality-constrained least squares problem, solved by direct elimination in
 ``_pinned_solve``: fix the pinned coefficients and solve the Schur-complement
-system on the free ones (per total-degree block on a bidisk model whose Gram
-was factored per block).
+system on the free ones, per index block of the model's factorization (one
+block of every index, or the total-degree blocks of an invariant bidisk
+Gram).
 Jets have a second, independent route, the level-by-level recursion through
 the orthogonal ladder E_0 > E_1 > ...: it reads the ladder vectors e_k, the
 columns of the model's ``basis_coeffs``, and never calls the Schur solve (the
@@ -115,11 +116,13 @@ def _solve_hermitian(G, b):
 def _pinned_solve(model, F, c_F):
     """Minimize c^H G c subject to c[F] = c_F, G the model's Gram.
 
-    Direct elimination: solve G_RR c_R = -G_RF c_F on the free indices R.
-    On a Gram factored per total-degree block (``BergmanModel._blocks``) the
-    solve separates by block: a block with pinned and free indices is solved
-    on its own, and the free coefficients of a block with no pin are 0.  The
-    cross pins only (0, k) and (k, 0), so every block with k > D is 0.
+    Direct elimination: solve G_RR c_R = -G_RF c_F on the free indices R,
+    one index block of the model's factorization (``BergmanModel._blocks``)
+    at a time: G is 0 between blocks, so a block with pinned and free
+    indices is solved on its own, and the free coefficients of a block with
+    no pin are 0.  A disk or generic bidisk Gram is one block; on a Gram
+    split by total degree the cross pins only (0, k) and (k, 0), so every
+    block with k > D is 0.
     Returns the coefficients, c^H G c and the stationarity residual
     max |(G c)_R|.
     """
@@ -128,7 +131,7 @@ def _pinned_solve(model, F, c_F):
     R[F] = False
     coeffs = np.zeros(G.shape[0], dtype=complex)
     coeffs[F] = c_F
-    for idx in model._blocks or [np.arange(G.shape[0])]:
+    for idx in model._blocks:
         free = R[idx]
         if free.all() or not free.any():
             continue

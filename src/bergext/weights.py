@@ -327,20 +327,22 @@ class Weight(_Spec):
                 out = out + t.r * np.log(a2)
         return out
 
+    def _d(self, j, *zs):
+        """dphi/dz_j at the nodes zs.  EvaluationError at a log singularity."""
+        out = self.smooth.derivative(j, *zs)
+        for t in self.log_terms:
+            fv = t.f.values(*zs)
+            if np.any(fv == 0):
+                raise EvaluationError(
+                    "derivative of %s requested at a singular point" % self.describe())
+            out = out + t.r * t.f.derivative(j, *zs) / fv
+        return out
+
     def d_holomorphic(self, *zs):
         """dphi/dz (disk).  EvaluationError at a log singularity."""
         if self.domain != "disk":
             raise ParameterError("d_holomorphic is a one-variable operation")
-        z = np.asarray(zs[0], dtype=complex)
-        out = self.smooth.derivative(0, z)
-        for t in self.log_terms:
-            fv = t.f.values(z)
-            if np.any(fv == 0):
-                raise EvaluationError(
-                    "derivative of %s requested at a singular point" % self.describe()
-                )
-            out = out + t.r * t.f.derivative(0, z) / fv
-        return out
+        return self._d(0, np.asarray(zs[0], dtype=complex))
 
     def d_branch(self, branch, z):
         """Holomorphic derivative along branch 1 ({z1=0}, variable z2) or
@@ -349,14 +351,7 @@ class Weight(_Spec):
             raise ParameterError("d_branch needs a bidisk weight")
         z = np.asarray(z, dtype=complex)
         z1, z2 = (np.zeros_like(z), z) if branch == 1 else (z, np.zeros_like(z))
-        j = 2 - branch  # the free variable: z2 on V_1, z1 on V_2
-        out = self.smooth.derivative(j, z1, z2)
-        for t in self.log_terms:
-            fv = t.f.values(z1, z2)
-            if np.any(fv == 0):
-                raise EvaluationError("branch derivative at a singular point")
-            out = out + t.r * t.f.derivative(j, z1, z2) / fv
-        return out
+        return self._d(2 - branch, z1, z2)  # the free variable: z2 on V_1, z1 on V_2
 
     def restrict_to_branch(self, branch):
         """Disk-like evaluator of a bidisk weight on V_1={z1=0} or V_2={z2=0}."""
@@ -422,11 +417,7 @@ class ClampedWeight(_Spec):
 
     def d_holomorphic(self, z):
         z = np.asarray(z, dtype=complex)
-        with np.errstate(divide="ignore"):
-            raw = self.base.evaluate(z) + self.eps_coeff * np.where(
-                z == 0, -np.inf, np.log(np.where(z == 0, 1.0, np.abs(z) ** 2))
-            )
-        clamped = raw <= -self.floor
+        clamped = self.evaluate(z) <= -self.floor
         safe = np.where(z == 0, 1.0, z)
         d = self.base.d_holomorphic(z) + self.eps_coeff / safe
         return np.where(clamped, 0.0, d)

@@ -562,9 +562,11 @@ def _whole_gram_ladder(G):
 
 
 def _whole_gram_model(monkeypatch, weight, degree, mons, G, rule):
-    """The model of a Gram with the total-degree split turned off."""
+    """The model of a Gram with the total-degree split turned off: the Gram
+    factored as one block of every index."""
     with monkeypatch.context() as m:
-        m.setattr(bergman, "_degree_split", lambda *args: (None, None, None))
+        m.setattr(bergman, "_degree_split",
+                  lambda domain, degree, G: bergman._index_split(G.shape[0]))
         return bergman.BergmanModel("bidisk", weight, degree, mons, G, rule)
 
 
@@ -588,7 +590,7 @@ def test_block_factorization_matches_whole_gram(monkeypatch, weight, degree, ten
     model = build_model("bidisk", weight, degree, rule=rule)
     whole = _whole_gram_model(monkeypatch, weight, degree, model.monomials,
                               model.gram, rule)
-    assert len(model._blocks) == 2 * degree + 1 and whole._blocks is None
+    assert len(model._blocks) == 2 * degree + 1 and len(whole._blocks) == 1
     tol = 10 * whole.condition_number * np.finfo(float).eps
     assert _rel(model.basis_coeffs, whole.basis_coeffs) <= tol
     assert np.array_equal(np.tril(model.basis_coeffs), model.basis_coeffs)
@@ -611,13 +613,14 @@ def test_block_factorization_matches_whole_gram(monkeypatch, weight, degree, ten
      bidisk_rule(radial_order=(4, 4), angular_order=(8, 8), grading_levels=4)),
 ], ids=["disk-halfplane", "disk-point-log", "bidisk-tilted"])
 def test_whole_gram_path_unchanged(domain, weight, degree, rule):
-    # disk and generic bidisk Grams are factored whole, bit for bit as the
-    # written-out factorization
+    # disk and generic bidisk Grams are factored as one block of every index,
+    # bit for bit as the written-out whole-Gram factorization
     rule = rule or default_rule(domain, weight)
     mons, G = _gram(weight, degree, rule)
     model = build_model(domain, weight, degree, rule=rule)
     E, cond = _whole_gram_ladder(G)
-    assert model._blocks is None
+    assert len(model._blocks) == 1
+    assert np.array_equal(model._blocks[0], np.arange(len(mons)))
     assert np.array_equal(model.basis_coeffs, E)
     assert model.condition_number == cond
 
@@ -630,7 +633,8 @@ def test_gram_with_an_entry_off_the_blocks_factored_whole():
     G[mons.index((0, 1)), mons.index((2, 0))] = 1e-13 * np.abs(G).max()
     model = bergman.BergmanModel("bidisk", w, 6, mons, G, lens)
     E, cond = _whole_gram_ladder(G)
-    assert model._blocks is None
+    assert len(model._blocks) == 1
+    assert np.array_equal(model._blocks[0], np.arange(len(mons)))
     assert np.array_equal(model.basis_coeffs, E)
     assert model.condition_number == cond
 

@@ -308,6 +308,33 @@ def test_cli_extend_cross(capsys):
     assert doc["norm_sq"] == pytest.approx(math.pi**2 * 1.5, rel=1e-8)
 
 
+def test_cli_values_starting_with_minus(capsys):
+    # a number list may start with "-" and still be a separate argument,
+    # as it is with "=": the same output either way
+    for opt, argv in [
+        ("--jet", ["extend-jet", "--degree", "6", "--jet", "-0.0673j,1"]),
+        ("--data", ["norms", "--kind", "gamma_branch", "--weight", "zero",
+                    "--data", "-1j,1"]),
+        ("--f1", ["extend-cross", "--degree", "4", "--f2", "-1j,1", "--f1", "-1j"]),
+        ("--f2", ["extend-cross", "--degree", "4", "--f1", "-1j", "--f2", "-1j,1"]),
+    ]:
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        i = argv.index(opt)
+        joined = argv[:i] + [opt + "=" + argv[i + 1]] + argv[i + 2:]
+        assert cli.main(joined) == 0
+        assert capsys.readouterr().out == out
+    assert cli.main(["extend-jet", "--degree", "6", "--jet", "-1,2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["coefficients"][:2] == [[-1.0, 0.0], [2.0, 0.0]]
+    # a missing value is still a usage error
+    for argv in (["extend-jet", "--jet", "--degree", "4"],
+                 ["extend-jet", "--degree", "4", "--jet"],
+                 ["extend-cross", "--f1", "--f2", "1"]):
+        assert cli.main(argv) == 1
+        assert "expected one argument" in capsys.readouterr().err
+
+
 def test_cli_exit_codes(capsys, tmp_path):
     assert cli.main(["no-such-command"]) == 1
     assert cli.main(["--config"]) == 1
