@@ -9,6 +9,7 @@ error, 2 numerical degeneracy.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -88,7 +89,10 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
+@functools.cache
 def _build_parser():
+    """The parser and its subcommand parsers by name, built once per process:
+    parsing reads them and never sets a default."""
     p = _Parser(prog="bergext", description=__doc__)
     p.add_argument("--config", help="JSON config file (schema 1)")
     sub = p.add_subparsers(dest="command")

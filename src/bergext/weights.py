@@ -10,10 +10,12 @@ fails its finite check with DegeneracyError, and a node sum (``integrate``)
 raises EvaluationError naming the node.
 
 Each f_j, psi and cut-off section is a sympy string, compiled once per shape:
-parsed once per (text, domain), its float coefficients lifted to symbols, and
-the shape with its derivatives lambdified once, so that halfplane(m) weights
-of every m share one compiled function and bind their coefficient at call
-time.
+the text with its nonzero float literals outside exponents tokenized into
+coefficient names (``_shape_text``).  Only a new shape is sympified and
+lambdified, so halfplane(m) weights of every m share one compiled function and
+bind their coefficient at call time; arithmetic between literals (2.0*x*3.0)
+is evaluated as written.  sympy loads with the first parse, so weights that
+parse no expression (reglog) never import it.
 
 Every weight has one canonical spec, a JSON-ready dict: a family of
 ``_FAMILIES`` with all of its parameters, or the ``log_terms``/``smooth``/
@@ -26,82 +28,133 @@ from __future__ import annotations
 
 import copy
 import functools
+import io
+import itertools
+import math
+import tokenize
 
 import numpy as np
-import sympy as sp
 
 from .errors import EvaluationError, ParameterError
 from .quadrature import _gauss_legendre
 
-_Z = sp.symbols("z")
-_Z1, _Z2 = sp.symbols("z1 z2")
-_X, _Y = sp.symbols("x y", real=True)
-_X1, _Y1, _X2, _Y2 = sp.symbols("x1 y1 x2 y2", real=True)
-
-# the variables of an expression, by (domain, holomorphic): log factors and
-# sections are holomorphic in z or (z1, z2), smooth parts are real functions
-# of (x, y) or (x1, y1, x2, y2)
-_VARIABLES = {("disk", True): (_Z,), ("bidisk", True): (_Z1, _Z2),
-              ("disk", False): (_X, _Y), ("bidisk", False): (_X1, _Y1, _X2, _Y2)}
-
-# entries of the parse cache (one per expression text and domain) and of the
-# compile cache (one per expression shape)
+# entries of the zeros cache (one per log-factor text and domain) and of the
+# shape cache (one per shape text and domain, which texts that differ only in
+# their float literals share)
 _PARSE_CACHE_SIZE = 256
 _SHAPE_CACHE_SIZE = 64
 
-
-def _coeff(i):
-    return sp.Symbol("_c%d" % i, real=True)
-
-
-def _lift(expr, values):
-    """``expr`` with every nonzero Float outside an exponent replaced by
-    +-_c<i>, one real symbol per distinct magnitude (so that c*x1*y2 -
-    c*x2*y1 keeps its cancellations); ``values`` collects the magnitudes in
-    symbol order."""
-    if isinstance(expr, sp.Float):
-        if expr == 0:
-            return expr
-        v = float(expr)
-        if abs(v) not in values:
-            values.append(abs(v))
-        c = _coeff(values.index(abs(v)))
-        return -c if v < 0 else c
-    if isinstance(expr, sp.Pow):
-        return sp.Pow(_lift(expr.base, values), expr.exp)
-    if not expr.args:
-        return expr
-    return expr.func(*(_lift(a, values) for a in expr.args))
+# the prefix of the coefficient names _c0, _c1, ... of a shape text
+_COEFF = "_c"
+_POWER = ("**", "^")  # sympify reads x^2 as x**2
+_UNARY = ("+", "-", "~")
 
 
-@functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
+def _symbols(domain, holomorphic):
+    """The sympy variables of an expression: log factors and sections are
+    holomorphic in z or (z1, z2), smooth parts are real functions of (x, y)
+    or (x1, y1, x2, y2)."""
+    import sympy as sp
+    if holomorphic:
+        return sp.symbols("z" if domain == "disk" else "z1 z2", seq=True)
+    return sp.symbols("x y" if domain == "disk" else "x1 y1 x2 y2", seq=True,
+                      real=True)
+
+
+def _shape_text(text):
+    """(shape text, literals, values): ``text`` with each nonzero float
+    literal outside an exponent replaced by a coefficient name, one name per
+    distinct value, and the literals in name order, as written and as
+    floats.  A unary minus stays in the text, so that c*x1*y2 - c*x2*y1 keeps
+    its cancellation.  Zero, integer and complex literals, whole call
+    arguments and repeated decimals stay as written.  tokenize.TokenError on
+    an unclosed bracket."""
+    lines = io.StringIO(text).readlines()
+    starts = list(itertools.accumulate(map(len, lines), initial=0))
+    toks = [t for t in tokenize.generate_tokens(iter(lines).__next__) if t.string.strip()]
+    if any(t.type == tokenize.NAME and t.string.startswith(_COEFF) for t in toks):
+        return text, (), ()  # the text's own _c names must stay unknown names
+    pieces, literals, values, pos = [], [], [], 0
+    calls, exponent = [], None  # calls: whether each open bracket is a call's
+    for k, t in enumerate(toks):
+        s, prev = t.string, toks[k - 1] if k else t
+        after = toks[k + 1].string if k + 1 < len(toks) else ""
+        # a binary operator, a comma or a closer at its depth ends an exponent
+        if exponent == len(calls) and t.type == tokenize.OP \
+                and s not in _POWER + ("(", "[", ".") \
+                and not (s in _UNARY and prev.string in _POWER + _UNARY):
+            exponent = None
+        if s in _POWER and exponent is None:
+            exponent = len(calls)
+        if s in ("(", "[", "{"):
+            calls.append(s == "(" and (prev.type == tokenize.NAME
+                                       or prev.string in (")", "]")))
+        elif s in (")", "]", "}") and calls:
+            calls.pop()
+        nonzero_float = t.type == tokenize.NUMBER and s[-1] not in "jJ" \
+            and s[:2].lower() != "0x" and ("." in s or "e" in s.lower()) and float(s) != 0
+        # a whole call argument (Float(0.5), round(2.5, 1)) and a repeated
+        # decimal (1.2[3]) stay as written: sympify needs their numbers
+        argument = calls and calls[-1] and prev.string in ("(", ",") and after in (")", ",")
+        if not nonzero_float or exponent is not None or argument or after == "[":
+            continue
+        if float(s) not in values:
+            values.append(float(s))
+            literals.append(s)
+        start = starts[t.start[0] - 1]  # a number is on one line
+        pieces += [text[pos:start + t.start[1]], _COEFF + str(values.index(float(s)))]
+        pos = start + t.end[1]
+    return "".join(pieces) + text[pos:], tuple(literals), tuple(values)
+
+
 def _parse(text, domain, holomorphic):
-    """(expr, template, coefficients): the sympy expression of ``text``, its
-    shape (``_lift``) and the coefficient values that make the shape expr."""
-    variables = _VARIABLES[domain, holomorphic]
+    """(shape, literals, values): the compiled shape of an expression text
+    (``_shape_text``), and the float literals its coefficient names stand
+    for, as written and as values.  Errors quote ``text``."""
+    try:
+        shape_text, literals, values = _shape_text(text)
+    except (tokenize.TokenError, SyntaxError):
+        shape_text, literals, values = text, (), ()  # sympify reports the error
+    try:
+        shape = _compile(shape_text, len(literals), domain, holomorphic)
+        if not all(map(math.isfinite, values)):  # 1e400
+            raise ParameterError("not finite")
+    except ParameterError as exc:
+        raise ParameterError("cannot parse expression %r: %s"
+                             % (text, str(exc).replace(shape_text, text))) from None
+    return shape, literals, values
+
+
+@functools.lru_cache(maxsize=_SHAPE_CACHE_SIZE)
+def _compile(text, n_coeffs, domain, holomorphic):
+    """The ``_Shape`` of a shape text with coefficient names _c0, ...,
+    _c<n_coeffs - 1>.  ParameterError, naming what is wrong, on a text that
+    is not a finite expression in the domain's variables."""
+    import sympy as sp
+    variables = _symbols(domain, holomorphic)
+    # the literals are unsigned: a minus sign stays in the text
+    coefficients = tuple(sp.Symbol(_COEFF + str(i), positive=True)
+                         for i in range(n_coeffs))
+    names = {str(v): v for v in variables + coefficients}
     try:  # attribute access and subscripts fail inside sympify's eval
-        expr = sp.sympify(text, locals={str(v): v for v in variables})
+        expr = sp.sympify(text, locals=names)
     except (sp.SympifyError, AttributeError, TypeError, IndexError) as exc:
-        raise ParameterError("cannot parse expression %r: %s" % (text, exc))
+        raise ParameterError(exc)
     if not isinstance(expr, sp.Expr):  # a relation, a Python builtin, ...
-        raise ParameterError("cannot parse expression %r: not an expression" % text)
+        raise ParameterError("not an expression")
     # a Python lambda sympifies to a sympy Lambda, which is an Expr but a
     # function, not a value at the variables
     if callable(expr) or expr.has(sp.Lambda):
-        raise ParameterError("cannot parse expression %r: a function, not an "
-                             "expression" % text)
+        raise ParameterError("a function, not an expression")
     # a name sympy does not know (inf, a, ...) stays a free symbol, which the
     # compiled expression cannot bind
-    unknown = sorted(map(str, expr.free_symbols - set(variables)))
+    unknown = sorted(map(str, expr.free_symbols - set(names.values())))
     if unknown:
-        raise ParameterError("cannot parse expression %r: unknown names %s"
-                             % (text, unknown))
-    # nan, oo and numbers past the float range (1e400, 10**400)
+        raise ParameterError("unknown names %s" % unknown)
+    # nan, oo and numbers past the float range (10**400) left in the text
     if expr.has(sp.zoo) or not all(np.isfinite(float(n)) for n in expr.atoms(sp.Number)):
-        raise ParameterError("cannot parse expression %r: not finite" % text)
-    values = []
-    template = _lift(expr, values)
-    return expr, template, tuple(values)
+        raise ParameterError("not finite")
+    return _Shape(expr, coefficients, domain, holomorphic)
 
 
 class _Shape:
@@ -115,12 +168,14 @@ class _Shape:
     expression lacks the symmetry.  A non-polynomial expression has neither.
     """
 
-    def __init__(self, template, n_coeffs, domain, holomorphic):
+    def __init__(self, template, coefficients, domain, holomorphic):
+        import sympy as sp
         self.template = template
+        self.coefficients = coefficients
         self.domain = domain
         self.holomorphic = holomorphic
-        self.variables = _VARIABLES[domain, holomorphic]
-        args = self.variables + tuple(_coeff(i) for i in range(n_coeffs))
+        self.variables = _symbols(domain, holomorphic)
+        args = self.variables + coefficients
         if holomorphic:
             d = [sp.diff(template, z) for z in self.variables]
         else:
@@ -130,17 +185,14 @@ class _Shape:
         self.f = sp.lambdify(args, template, modules="numpy")
         self.d = [sp.lambdify(args, e, modules="numpy") for e in d]
 
-    def _poly(self, expr, *gens):
-        # the EX domain keeps the coefficient symbols as they are, and skips
-        # the mpmath context that a RealField domain builds on every call
-        return sp.Poly(expr, *gens, domain="EX")
-
     @functools.cached_property
     def conjugation_symmetric(self):
         """Whether e(conj v) = conj(e(v)) (holomorphic: real coefficients), or
         e is even in y, jointly in y1 and y2 (real)."""
-        try:
-            p = self._poly(self.template, *self.variables)
+        import sympy as sp
+        try:  # the EX domain keeps the coefficient symbols as they are, and
+            # skips the mpmath context that a RealField domain builds per call
+            p = sp.Poly(self.template, *self.variables, domain="EX")
         except sp.PolynomialError:
             return False
         if self.holomorphic:
@@ -157,24 +209,24 @@ class _Shape:
         degree."""
         if self.domain != "bidisk":
             return False
+        import sympy as sp
+        z1, z2 = _symbols("bidisk", True)
         try:
             if self.holomorphic:
-                return self._poly(self.template, _Z1, _Z2).is_homogeneous
+                return sp.Poly(self.template, z1, z2, domain="EX").is_homogeneous
             w1, w2 = sp.symbols("w1 w2")  # conj(z1), conj(z2)
-            to_z = {_X1: (_Z1 + w1) / 2, _Y1: (_Z1 - w1) / (2 * sp.I),
-                    _X2: (_Z2 + w2) / 2, _Y2: (_Z2 - w2) / (2 * sp.I)}
-            p = self._poly(sp.expand(self.template.subs(to_z)), _Z1, _Z2, w1, w2)
+            x1, y1, x2, y2 = self.variables
+            to_z = {x1: (z1 + w1) / 2, y1: (z1 - w1) / (2 * sp.I),
+                    x2: (z2 + w2) / 2, y2: (z2 - w2) / (2 * sp.I)}
+            p = sp.Poly(sp.expand(self.template.subs(to_z)), z1, z2, w1, w2, domain="EX")
         except sp.PolynomialError:
             return False
         return all(a + b == c + d for a, b, c, d in p.monoms())
 
 
-_compile = functools.lru_cache(maxsize=_SHAPE_CACHE_SIZE)(_Shape)
-
-
 class _Expression:
-    """An expression in the variables of a domain, parsed once per (text,
-    domain) and compiled once per shape, with its coefficients bound.
+    """An expression in the variables of a domain, compiled once per shape
+    (``_parse``), with its coefficients bound.
 
     ``values`` and ``derivative(j, ...)`` (see ``_Shape``) take complex
     points, of which a real expression reads the real and imaginary parts,
@@ -184,8 +236,7 @@ class _Expression:
     def __init__(self, text, domain, holomorphic):
         self.text = str(text)
         self.holomorphic = holomorphic
-        _, template, self.coeffs = _parse(self.text, domain, holomorphic)
-        self.shape = _compile(template, len(self.coeffs), domain, holomorphic)
+        self.shape, _, self.coeffs = _parse(self.text, domain, holomorphic)
 
     def _call(self, fn, zs, dtype):
         zs = np.broadcast_arrays(*[np.asarray(z) for z in zs])
@@ -203,6 +254,7 @@ class _Expression:
 def _exact(expr):
     """``expr`` with every Float replaced by the rational its decimal digits
     spell out (0.09 -> 9/100)."""
+    import sympy as sp
     return expr.xreplace({f: sp.Rational(str(f)) for f in expr.atoms(sp.Float)})
 
 
@@ -215,6 +267,7 @@ def _meets_closed_disk(factor):
     """Whether an irreducible bidisk factor counts as vanishing on the closed
     bidisk: a factor in z1 or z2 alone does exactly when one of its roots
     lies in the closed unit disk; a factor in both variables always does."""
+    import sympy as sp
     variables = factor.free_symbols
     if len(variables) != 1:
         return True
@@ -234,16 +287,21 @@ def _log_zeros(text, domain):
     however it is written: numerical root finding splits the double root of
     (z - a)**2, expanded or not, into two simple ones of half the order.
     """
+    import sympy as sp
+    shape, literals, _ = _parse(text, domain, True)
+    # the factor as written: each coefficient name back to its literal, a
+    # Float as sympify makes of it
+    expr = shape.template.xreplace(dict(zip(shape.coefficients, map(sp.Float, literals))))
     zeros = {}
-    for factor in sp.Mul.make_args(_parse(text, domain, True)[0]):
+    for factor in sp.Mul.make_args(expr):
         base, power = factor.as_base_exp()
         if domain == "disk":
             # + 0.0 turns a root's -0 parts into 0, for the messages
             found = [(np.round(complex(a), 9) + 0.0, m)
-                     for f, m in sp.sqf_list(sp.Poly(_exact(base), _Z))[1]
+                     for f, m in sp.sqf_list(sp.Poly(_exact(base), *shape.variables))[1]
                      for a in _roots(f) if abs(a) < 1.0 - 1e-12]
         else:
-            found = [(f, m) for f, m in sp.factor_list(base, _Z1, _Z2)[1]
+            found = [(f, m) for f, m in sp.factor_list(base, *shape.variables)[1]
                      if _meets_closed_disk(f)]
         for zero, mult in found:
             zeros[zero] = zeros.get(zero, 0.0) + mult * float(power)

@@ -437,6 +437,32 @@ def test_cli_config_selects_experiment(tmp_path, capsys):
     assert "omega_B" in capsys.readouterr().out
 
 
+def test_cli_parser_reuse_leaks_nothing(tmp_path, capsys):
+    # the parser is built once per process: a config value, a default or a
+    # usage error must not carry over to the next call
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, "params": {
+        "weight": "halfplane:1.5", "degree": 3, "kmax": 2}}))
+    calls = [["--config", str(cfg), "kernel"], ["kernel", "--degree", "2"],
+             ["kernel", "--degree", "two"], ["--config", str(cfg), "kernel"]]
+
+    def run(argv):
+        rc = cli.main(argv)
+        out = capsys.readouterr()
+        return rc, out.out, out.err
+
+    alone = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        alone.append(run(argv))
+    assert [rc for rc, _, _ in alone] == [0, 0, 1, 0]
+    assert '"weight": "halfplane(m=1.5)"' in alone[0][1]
+    assert '"weight": "zero(domain=\'disk\')"' in alone[1][1]
+    cli._build_parser.cache_clear()
+    assert [run(argv) for argv in calls] == alone
+    assert cli._build_parser.cache_info().misses == 1
+
+
 def test_cli_weight_parsing():
     w = cli.parse_weight('{"log_terms": [{"r": 0.5, "f": "z"}], "smooth": "0", "domain": "disk"}')
     assert w.log_terms[0].r == 0.5

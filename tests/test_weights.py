@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -527,14 +530,262 @@ def test_halfplane_weights_share_one_compiled_shape():
     assert a.smooth.shape is b.smooth.shape
     assert a.smooth.shape.f is b.smooth.shape.f
     assert np.array_equal(b.evaluate(np.array([0.5 + 0.25j])), [-2 * 6.789 * 0.5])
-    # fixed texts are parse-cache hits
+    # fixed texts are shape-cache hits
     for make in (lambda: Weight.point_log(0.5), Weight.zero,
                  lambda: Weight.diagonal_log()):
         make()
-        before = weights._parse.cache_info()
+        before = weights._compile.cache_info()
         make()
-        after = weights._parse.cache_info()
+        after = weights._compile.cache_info()
         assert after.misses == before.misses and after.hits > before.hits
+
+
+# -- the lifted parse: one sympify per expression shape ---------------------
+
+def _full_parse(text, domain, holomorphic):
+    """The parse of a whole text, kept as the reference for ``_parse``: the
+    text goes through sympify and its checks, then each nonzero Float outside
+    an exponent of the sympy tree becomes +-_c<i>, one real symbol per
+    distinct magnitude.  Returns what ``_parse`` does: (shape, literals,
+    values)."""
+    variables = weights._symbols(domain, holomorphic)
+    try:
+        expr = sp.sympify(text, locals={str(v): v for v in variables})
+    except (sp.SympifyError, AttributeError, TypeError, IndexError) as exc:
+        raise ParameterError("cannot parse expression %r: %s" % (text, exc))
+    if not isinstance(expr, sp.Expr):
+        raise ParameterError("cannot parse expression %r: not an expression" % text)
+    if callable(expr) or expr.has(sp.Lambda):
+        raise ParameterError("cannot parse expression %r: a function, not an "
+                             "expression" % text)
+    unknown = sorted(map(str, expr.free_symbols - set(variables)))
+    if unknown:
+        raise ParameterError("cannot parse expression %r: unknown names %s"
+                             % (text, unknown))
+    if expr.has(sp.zoo) or not all(np.isfinite(float(n)) for n in expr.atoms(sp.Number)):
+        raise ParameterError("cannot parse expression %r: not finite" % text)
+    values = []
+
+    def lift(e):
+        if isinstance(e, sp.Float):
+            if e == 0:
+                return e
+            v = float(e)
+            if abs(v) not in values:
+                values.append(abs(v))
+            c = sp.Symbol("_c%d" % values.index(abs(v)), real=True)
+            return -c if v < 0 else c
+        if isinstance(e, sp.Pow):
+            return sp.Pow(lift(e.base), e.exp)
+        return e.func(*map(lift, e.args)) if e.args else e
+
+    template = lift(expr)
+    coefficients = tuple(sp.Symbol("_c%d" % i, real=True) for i in range(len(values)))
+    shape = weights._Shape(template, coefficients, domain, holomorphic)
+    return shape, tuple(map(repr, values)), tuple(values)
+
+
+def _with_full_parse(monkeypatch, make):
+    with monkeypatch.context() as m:
+        m.setattr(weights, "_parse", _full_parse)
+        return make()
+
+
+def _sample(domain, seed=5, n=12):
+    """Points off every zero set of the weights below, with Re z > 0 (so
+    that x**-0.5 is real)."""
+    rng = np.random.default_rng(seed)
+    count = 1 if domain == "disk" else 2
+    return [np.sqrt(rng.uniform(0.05, 0.8, n)) * np.exp(1j * rng.uniform(-1.2, 1.2, n))
+            for _ in range(count)]
+
+
+def _outputs(w):
+    """evaluate, the holomorphic derivatives and the symmetry flags of a
+    weight at the ``_sample`` points of its domain."""
+    zs = _sample(w.domain)
+    if w.domain == "disk":
+        ds = [w.d_holomorphic(zs[0])]
+    else:
+        ds = [w.d_branch(1, zs[1]), w.d_branch(2, zs[0])]
+    flags = (getattr(w, "conjugation_symmetric", None),
+             getattr(w, "diagonal_rotation_invariant", None))
+    return w.evaluate(*zs), ds, flags
+
+
+def _gram_or_error(w):
+    if w.domain == "disk":
+        rule = disk_rule(radial_order=8, angular_order=16, grading_levels=4)
+    else:
+        rule = bidisk_rule(radial_order=(4, 4), angular_order=(8, 16),
+                           grading_levels=4, diagonal_grading=True,
+                           diagonal_levels=4)
+    try:
+        return build_model(w.domain, w, 2, rule=rule).gram
+    except (DegeneracyError, EvaluationError) as exc:
+        return str(exc)
+
+
+def _free(log_factors, smooth="0", domain="disk"):
+    return {"log_terms": [{"r": 0.5, "f": f} for f in log_factors],
+            "smooth": smooth, "domain": domain}
+
+
+def _text_of(spec):
+    """The first log factor of a ``_free`` spec, or its smooth part."""
+    return spec["log_terms"][0]["f"] if spec["log_terms"] else spec["smooth"]
+
+
+# the named families, and every expression text of tests/, README and CI
+# (texts written with a random coefficient take one value here)
+_AS_WRITTEN = [
+    {"family": "zero"}, {"family": "zero", "domain": "bidisk"},
+    {"family": "halfplane", "m": 2.0}, {"family": "halfplane", "m": 0.7},
+    {"family": "halfplane", "m": -1.5}, {"family": "halfplane", "m": 0.0},
+    {"family": "point_log", "r": 0.5}, {"family": "diagonal_log"},
+    {"family": "clamp", "base": {"family": "halfplane", "m": 2.0},
+     "eps_coeff": 0.3, "floor": 5.0},
+    {"family": "branch", "parent": {"family": "diagonal_log"}, "branch": 2},
+    _free(["z**2 - 1/4"], "-2*x + y**2"), _free(["z-0.5j"]), _free([], "x*y"),
+    _free(["z-0.5"]), _free([], "exp(x**2)"), _free(["z"], "x**2"),
+    _free([], "-3*x + 2*y"), _free([], "-2.0*x"), _free([], "-8.0*x"),
+    _free([], "-3.0*x"), _free(["z - 0.25"]), _free(["z**2 - 0.6*z + 0.09"]),
+    _free(["(z-0.3)**2"]), _free(["z-0.5", "z-0.5"]), _free([], "log(pi)"),
+    _free([], "x*y + 0.5*y"), _free(["z"], "-4*x"), _free([], "-800*x"),
+    _free([], "Lambda(x, x**2)(y)"), _free(["z - 0.4375"]),
+    _free([], "-5.6*x + 2.4*y"), _free([], "(-1.25)*x*y**2 + (0.5)*(x**2 + y**2)"),
+    _free(["(z - (0.25 + -0.5*I))**2"], "(1.5)*x**3"),
+    _free(["z1 - 1j*z2"], "0", "bidisk"),
+    _free(["2 + z1 - 1j*z2"], "0.5*x1*y2 - y1", "bidisk"),
+    _free([], "0.3*x1 + 2*y2**3", "bidisk"),
+    _free(["z1-z2"], "x1*x2 + y1*y2", "bidisk"), _free([], "-800*x1", "bidisk"),
+    _free([], "-800*(x1**2+y1**2+x2**2+y2**2)", "bidisk"),
+    _free(["z1 - 1j*z2"], "x1**2 + y1**2 + x1*x2 + y1*y2", "bidisk"),
+    _free([], "0.3*x1 + 0.2*y1", "bidisk"), _free([], "exp(x1**2 + y1**2)", "bidisk"),
+    _free(["(z1-z2)**2"], "0", "bidisk"), _free(["z1 - 1.5"], "0", "bidisk"),
+    _free(["z1 - 0.5"], "0", "bidisk"), _free(["z1 - z2"], "0", "bidisk"),
+    _free([], "0.5*x1 + -0.3*y1", "bidisk"), _free([], "-0.75*x1 + 0.25*y1", "bidisk"),
+    _free(["z1 - z2"], "0.3*x1 + 0.2*y2", "bidisk"),
+    _free([], "0.3*x1 - 0.7*y1", "bidisk"), _free(["z1 - 0.3*z2"], "0", "bidisk"),
+    _free(["z1 - 0.3125"], "0", "bidisk"),
+    _free(["(z1 - (0.5 + 0.25*I)*z2)**2"], "(0.75)*x1*y2", "bidisk"),
+]
+
+
+@pytest.mark.parametrize("spec", _AS_WRITTEN, ids=lambda s: json.dumps(s))
+def test_lifted_parse_matches_full_parse_bitwise(monkeypatch, spec):
+    # the token lift gives each of these texts the template the sympy tree
+    # walk gave, so every output is the same bit for bit
+    w = from_dict(spec)
+    ref = _with_full_parse(monkeypatch, lambda: from_dict(spec))
+    (phi, ds, flags), (ref_phi, ref_ds, ref_flags) = _outputs(w), _outputs(ref)
+    assert flags == ref_flags
+    np.testing.assert_array_equal(phi, ref_phi)
+    for d, ref_d in zip(ds, ref_ds):
+        np.testing.assert_array_equal(d, ref_d)
+    gram, ref_gram = _gram_or_error(w), _gram_or_error(ref)
+    assert type(gram) is type(ref_gram)
+    np.testing.assert_array_equal(gram, ref_gram)
+
+
+@pytest.mark.parametrize("spec", [
+    _free([], "2.0*x*3.0"), _free([], "1/2.5*x"), _free([], "(0.5*x)**2"),
+    _free([], "0.0*x1", "bidisk"), _free([], "x**2.5"), _free([], "x**-0.5"),
+    _free([], "x**(1 + 2.0)"), _free(["1j*z"]), _free([], "1e-3*x*y"),
+    _free([], "0.12345678901234567890*x"),
+    _free([], "0.5*x1*y2 - 0.5*x2*y1", "bidisk"), _free([], "-1.5*x*2.0"),
+    _free([], "Float(0.5)*x + Rational(0.25)*y + 1.2[3]*x*y"),
+    # sympify multiplied a float into a sum; the literal now multiplies it
+    _free([], "(0.75)*(x1*y2 - y1*x2)", "bidisk"),
+], ids=_text_of)
+def test_literal_arithmetic_keeps_flags_and_values(monkeypatch, spec):
+    # arithmetic between literals is evaluated as written instead of being
+    # folded by sympify: the same flags, the values within a few ulp
+    w = from_dict(spec)
+    ref = _with_full_parse(monkeypatch, lambda: from_dict(spec))
+    (phi, ds, flags), (ref_phi, ref_ds, ref_flags) = _outputs(w), _outputs(ref)
+    assert flags == ref_flags
+    np.testing.assert_array_max_ulp(phi, ref_phi, maxulp=4)
+    for d, ref_d in zip(ds, ref_ds):
+        np.testing.assert_array_max_ulp(d.real, ref_d.real, maxulp=4)
+        np.testing.assert_array_max_ulp(d.imag, ref_d.imag, maxulp=4)
+
+
+@pytest.mark.parametrize("text, shape_text, literals", [
+    ("-3.0*x", "-_c0*x", ("3.0",)),
+    ("0.5*x1*y2 - 0.5*x2*y1", "_c0*x1*y2 - _c0*x2*y1", ("0.5",)),
+    ("2.0*x*3.0 + 1e-3", "_c0*x*_c1 + _c2", ("2.0", "3.0", "1e-3")),
+    ("x**-0.5 + 0.25", "x**-0.5 + _c0", ("0.25",)),
+    ("x**(1 + 2.0)*0.5", "x**(1 + 2.0)*_c0", ("0.5",)),
+    ("(y**2.5)*x - -0.5", "(y**2.5)*x - -_c0", ("0.5",)),
+    ("x**2**1.5 + exp(0.5*x)**2.0", "x**2**1.5 + exp(_c0*x)**2.0", ("0.5",)),
+    ("x^2.5 + 2.5**x", "x^2.5 + _c0**x", ("2.5",)),
+    ("0.0*x1 + 1j*z + 0x1e + 3", "0.0*x1 + 1j*z + 0x1e + 3", ()),
+    ("Float(0.5)*x + round(0.55, 1) + 1.2[3]", "Float(0.5)*x + round(0.55, 1) + 1.2[3]", ()),
+    ("(0.5)*x + Max(0.25, x) + exp(0.5*x)", "(_c0)*x + Max(0.25, x) + exp(_c0*x)", ("0.5",)),
+])
+def test_shape_text_lifts_float_literals_outside_exponents(text, shape_text, literals):
+    assert weights._shape_text(text)[:2] == (shape_text, literals)
+
+
+@pytest.mark.parametrize("make, shapes", [
+    (Weight.halfplane, lambda w: [w.smooth.shape]),
+    (lambda c: clamp_max(Weight.halfplane(c), 0.2, 6.0),
+     lambda w: [w.base.smooth.shape]),
+    (lambda c: Weight([], "%r*x1 + %r*y1" % (c, -c / 3), "bidisk"),
+     lambda w: [w.smooth.shape]),
+    (lambda c: Weight([(0.5, "z - %r" % (c / 8))],
+                      "%r*x**2 + %r*x*y - 0.25*y**2" % (c, 2 * c)),
+     lambda w: [w.smooth.shape, w.log_terms[0].f.shape]),
+], ids=["halfplane", "clamp", "tilted", "free-form"])
+def test_new_coefficient_costs_no_sympify(monkeypatch, make, shapes):
+    known = shapes(make(1.25))
+
+    def no_sympify(*args, **kwargs):
+        raise AssertionError("sympify called for a known shape")
+
+    monkeypatch.setattr(sp, "sympify", no_sympify)
+    assert all(a is b for a, b in zip(shapes(make(3.375)), known))
+
+
+@pytest.mark.parametrize("spec", [
+    _free(["z - np.float64(0.2)"]), _free([], "lambda: 1"), _free([], "x*(0.5"),
+    _free([], "1e400*x"), _free([], "x + inf"), _free([], "x*0.5)"),
+    _free([], "_c0*x + 0.5"), _free([], "np.float64(0.2)*x*0.3"),
+], ids=_text_of)
+def test_parse_errors_quote_the_text_as_written(monkeypatch, spec):
+    text = _text_of(spec)
+    with pytest.raises(ParameterError) as err:
+        from_dict(spec)
+    with pytest.raises(ParameterError) as ref:
+        _with_full_parse(monkeypatch, lambda: from_dict(spec))
+    assert str(err.value) == str(ref.value)
+    assert str(err.value).startswith("cannot parse expression %r: " % text)
+
+
+def test_reglog_paths_never_import_sympy():
+    # sympy is loaded by the first parse of an expression, and the
+    # regularized log parses none
+    code = "\n".join([
+        "import sys",
+        "import bergext, bergext.cli",
+        "from bergext import RegularizedLogWeight, build_model",
+        "from bergext.functionals import NormSpec, evaluate_norm",
+        "build_model('bidisk', RegularizedLogWeight(0.2, 'z1-z2'), 2)",
+        "w = RegularizedLogWeight(0.2, 'z')",
+        "build_model('disk', w, 4)",
+        "evaluate_norm(NormSpec('gamma_branch', gamma=0.5), [0, 1], w)",
+        "assert 'sympy' not in sys.modules, sorted(m for m in sys.modules if 'sympy' in m)[:5]",
+        "import bergext.weights as wm",
+        "wm.Weight.halfplane(1.0)",
+        "assert 'sympy' in sys.modules",
+    ])
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 def test_second_build_model_finds_no_roots(monkeypatch):
