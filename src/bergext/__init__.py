@@ -26,7 +26,6 @@ from .weights import (
     Weight,
     clamp_max,
     sampled_laplacian_min,
-    twisted_derivative,
 )
 from .bergman import (
     BergmanModel,
@@ -68,7 +67,6 @@ __all__ = [
     "RegularizedLogWeight",
     "CutoffFamily",
     "clamp_max",
-    "twisted_derivative",
     "sampled_laplacian_min",
     "BergmanModel",
     "build_model",

@@ -41,7 +41,8 @@ The regularized log's default bidisk rule is no tensor rule but a lens rule
 (``_lens_gram``): with e^{-phi} = f(|z1 - z2|^2), each total-degree block is
 one integral in t = |z1 - z2|, 2 pi int f(t^2) t K_k(t) dt, over the moment
 table K_k of the lens D n (D - t), which does not depend on the weight; f
-is evaluated at a few hundred t-nodes only.
+is evaluated at a few hundred t-nodes only.  The table holds Chebyshev
+coefficients, so one Chebyshev matrix at the t-nodes serves every block.
 Quadratic functionals are Gram forms q^H G q: the bulk norm and the branch
 integral at gamma = 0 from ``_gram``, and the twisted-derivative norm from
 ``_twisted_gram``, the same two stages on five real fields of e^{-phi} and
@@ -59,7 +60,7 @@ import math
 import numpy as np
 
 from .errors import COND_LIMIT, DegeneracyError, ParameterError
-from .quadrature import LensRule, bidisk_rule, disk_rule
+from .quadrature import LensRule, _lens_block, bidisk_rule, disk_rule
 from . import weights as wmod
 
 
@@ -495,10 +496,10 @@ def _lens_gram(weight, degree, rule, density=None):
     with e^{-phi} = f(|z1 - z2|^2) (``_exp_neg_phi_a2``), as one integral in
     t = |z1 - z2|.
 
-    f is evaluated at the t-nodes t_j only.  Per total degree k the weighted
-    values w_j f(t_j^2) t_j are contracted with the Lagrange basis L of the
-    block's table nodes at the t-nodes (``LensRule.block``):
-    c_i = sum_j w_j f(t_j^2) t_j L[j, i], and G_k = 2 pi sum_i c_i K[i].
+    f is evaluated at the t-nodes t_j only.  The weighted values
+    g_j = 2 pi w_j f(t_j^2) t_j are contracted once with the Chebyshev matrix
+    T at the t-nodes (``LensRule.chebyshev``), and block k is
+    G_k = sum_p (g T)_p C[p], C its table's coefficients (``_lens_block``).
     Entries with m + n != m' + n' are exact zeros.
     """
     if density is not None or getattr(weight, "domain", None) != "bidisk" \
@@ -510,13 +511,14 @@ def _lens_gram(weight, degree, rule, density=None):
     g = 2.0 * np.pi * rule.weights * t * weight._exp_neg_phi_a2(t * t)
     if not np.all(np.isfinite(g)):
         raise DegeneracyError("weight produced non-finite e^{-phi} at quadrature nodes")
+    gT = g @ rule.chebyshev(degree)
     nb = degree + 1
     G = np.zeros((nb, nb, nb, nb), dtype=complex)
     for k in range(2 * degree + 1):
         lo = max(0, k - degree)
-        L, K = rule.block(k, lo)
+        C = _lens_block(k, lo)
         m = np.arange(lo, k - lo + 1)
-        G[m[:, None], k - m[:, None], m, k - m] = np.tensordot(g @ L, K, 1)
+        G[m[:, None], k - m[:, None], m, k - m] = np.tensordot(gT[:C.shape[0]], C, 1)
     mons = [(a, b) for a in range(nb) for b in range(nb)]
     return mons, G.reshape(nb * nb, nb * nb)
 

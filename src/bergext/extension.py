@@ -239,12 +239,15 @@ def rhs_estimate_jet(model, jet):
     }
 
 
+def _check_cross_degree(model, cross):
+    if max(len(cross.f1), len(cross.f2)) > model.degree + 1:
+        raise ParameterError("cross data degree exceeds the truncation degree %d; "
+                             "refusing to truncate silently" % model.degree)
+
+
 def _cross_fixed_vector(model, cross):
     D = model.degree
-    if len(cross.f1) > D + 1 or len(cross.f2) > D + 1:
-        raise ParameterError(
-            "cross data degree exceeds the truncation degree %d; "
-            "refusing to truncate silently" % D)
+    _check_cross_degree(model, cross)
     fixed_idx = []
     fixed_val = []
     for n in range(D + 1):
@@ -298,6 +301,8 @@ def _cross_parts(model, cross, coeffs):
 
 def branch_restriction(model, coeffs, branch):
     """One-variable coefficients of a bidisk coefficient vector on V_1/V_2."""
+    if branch not in (1, 2):
+        raise ParameterError("branch must be 1 or 2, got %r" % (branch,))
     D = model.degree
     out = np.zeros(D + 1, dtype=complex)
     for n in range(D + 1):
@@ -312,6 +317,7 @@ def rhs_estimate_cross(model, cross, rule_on_V=None, tol=1e-8):
     the branch disk Gram on ``rule_on_V``."""
     if model.domain != "bidisk":
         raise ParameterError("needs a bidisk model")
+    _check_cross_degree(model, cross)
     if rule_on_V is None:
         rule_on_V = disk_rule(radial_order=32, angular_order=64, grading_levels=14)
     b0 = higher_kernel(model, 0)

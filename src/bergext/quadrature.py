@@ -30,8 +30,9 @@ A lens rule (``LensRule``, domain "bidisk") is no tensor rule: it serves
 only the Gram of a weight with e^{-phi} = f(|z1 - z2|^2), as one integral in
 t = |z1 - z2| over a composite Gauss-Legendre t-rule.  Its other factor is
 the moment table of the lens D n (D - t), which does not depend on the
-weight: tabulated per total degree in beta (t = 2 cos beta), built on first
-use and cached read-only (``_lens_block``).
+weight: Chebyshev coefficients per total degree in x = 4 beta/pi - 1
+(t = 2 cos beta), built on first use, cached read-only (``_lens_block``) and
+read through one Chebyshev matrix at the t-nodes (``LensRule.chebyshev``).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import functools
 import math
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebvander
 from numpy.polynomial.legendre import leggauss
 
 from .errors import EvaluationError, ParameterError
@@ -274,7 +276,7 @@ def bidisk_rule(
 _LENS_LEVELS = 16
 # a table build holds about this many complex powers per batch of beta nodes
 _LENS_BATCH = 1 << 14
-# block k -> (lo, beta, barycentric weights, K), K[i] over m, m' = lo..k-lo
+# block k -> (lo, C), C[p] the coefficient of T_p over m, m' = lo..k-lo
 _LENS = {}
 
 
@@ -325,10 +327,10 @@ def _lens_moments(k, lo, beta):
 
 
 def _lens_block(k, lo):
-    """(beta, weights, K) of block k of the lens moment table over
-    m, m' = lo..k-lo: Chebyshev points of the second kind on [0, pi/2]
-    (``_lens_orders``), their barycentric weights (Berrut & Trefethen, SIAM
-    Rev. 2004) and ``_lens_moments`` there.
+    """C of block k of the lens moment table over m, m' = lo..k-lo, the
+    coefficients of its Chebyshev series in x = 4 beta/pi - 1 on [0, pi/2]:
+    K_k(beta) = sum_p T_p(x) C[p].  They interpolate ``_lens_moments`` at the
+    Chebyshev points x_j = -cos(pi j/(n-1)), n from ``_lens_orders``.
 
     The table does not depend on the weight.  It is built on first use and
     kept read-only, over the widest m range asked for so far: a block that
@@ -337,17 +339,14 @@ def _lens_block(k, lo):
     have = _LENS.get(k)
     if have is None or have[0] > lo:
         n = _lens_orders(k)[1]
-        j = np.arange(n)
-        beta = 0.25 * np.pi * (1.0 - np.cos(np.pi * j / (n - 1)))
-        bw = (-1.0) ** j
-        bw[[0, -1]] *= 0.5
-        K = _lens_moments(k, lo, beta)
-        for arr in (beta, bw, K):
-            arr.flags.writeable = False
-        _LENS[k] = have = lo, beta, bw, K
-    lo0, beta, bw, K = have
-    cut = slice(lo - lo0, K.shape[1] - (lo - lo0))
-    return beta, bw, K[:, cut, cut]
+        x = -np.cos(np.pi * np.arange(n) / (n - 1))
+        K = _lens_moments(k, lo, 0.25 * np.pi * (x + 1.0))
+        C = np.linalg.solve(chebvander(x, n - 1), K.reshape(n, -1)).reshape(K.shape)
+        C.flags.writeable = False
+        _LENS[k] = have = lo, C
+    lo0, C = have
+    cut = slice(lo - lo0, C.shape[1] - (lo - lo0))
+    return C[:, cut, cut]
 
 
 class LensRule:
@@ -387,20 +386,13 @@ class LensRule:
     def __len__(self):
         return self.t.size
 
-    def block(self, k, lo):
-        """(L, K) for block k of the lens moment table over m, m' = lo..k-lo:
-        K[i] = K_k(beta_i) at the table's nodes, and L[j, i] = l_i(beta(t_j))
-        their Lagrange basis at the t-nodes, beta(t) = arccos(t/2), in the
-        barycentric form.  So K_k(t_j) = sum_i L[j, i] K[i]."""
-        nodes, bw, K = _lens_block(k, lo)
-        d = np.arccos(0.5 * self.t)[:, None] - nodes
-        hit = d == 0
-        d[hit] = 1.0
-        L = bw / d
-        L /= L.sum(axis=1, keepdims=True)
-        rows = hit.any(axis=1)
-        L[rows] = hit[rows]
-        return L, K
+    def chebyshev(self, degree):
+        """T[j, p] = T_p(x_j) for the lens table of a Gram up to ``degree``:
+        x_j = 4 beta(t_j)/pi - 1 at the t-nodes, beta(t) = arccos(t/2), and
+        p below the beta order of the widest block, 2 * degree.  So
+        K_k(t_j) = sum_p T[j, p] C[p] for C = ``_lens_block(k, lo)``."""
+        x = 4.0 / np.pi * np.arccos(0.5 * self.t) - 1.0
+        return chebvander(x, _lens_orders(2 * degree)[1] - 1)
 
     def integrate(self, f):
         raise ParameterError("a lens rule has no nodes in (z1, z2); it serves "

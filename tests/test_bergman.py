@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebvander
 from hypothesis import given, settings, strategies as st
 
 from bergext import (
@@ -482,6 +483,29 @@ def test_diagonal_gram_one_angular_transform(monkeypatch, weight, degree):
                         counting("disk_rule", quadrature.DiskRule.__init__))
     _gram(weight, degree, rule)
     assert calls == {"angular": 1, "rfft": 1, "disk_rule": 0}
+
+
+def test_lens_gram_one_chebyshev_matrix(monkeypatch):
+    # every total-degree block of a lens Gram contracts its table
+    # coefficients with one Chebyshev matrix at the t-nodes; the other
+    # chebvander calls build the table, once per block, at its own nodes
+    w = RegularizedLogWeight(0.05, "z1-z2")
+    rule = default_rule("bidisk", w)
+    x = 4.0 / np.pi * np.arccos(0.5 * rule.t) - 1.0
+    calls = []
+
+    def counting(nodes, deg):
+        calls.append(nodes)
+        return chebvander(nodes, deg)
+
+    monkeypatch.setattr(quadrature, "chebvander", counting)
+    monkeypatch.setattr(quadrature, "_LENS", {})
+    _gram(w, 8, rule)
+    assert sum(np.array_equal(c, x) for c in calls) == 1
+    assert len(calls) == 1 + 17  # and one per block k = 0..16
+    calls.clear()
+    _gram(w, 8, rule)
+    assert len(calls) == 1 and np.array_equal(calls[0], x)
 
 
 def test_invariant_weight_aliasing_rule_accepted():

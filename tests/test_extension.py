@@ -196,6 +196,18 @@ def test_cross_degree_guard(flat_bidisk):
         extend_cross(flat_bidisk, CrossData((0.0,), deep + (1.0,)))
 
 
+@pytest.mark.parametrize("branch", [1, 2])
+def test_cross_rhs_degree_guard(flat_bidisk, branch):
+    # over-long data on either branch: the same refusal as extend_cross
+    deep = (1.0,) + (0.0,) * flat_bidisk.degree + (1.0,)
+    cd = CrossData(*((deep, (1.0,)) if branch == 1 else ((1.0,), deep)))
+    with pytest.raises(ParameterError, match="exceeds the truncation degree") as rhs:
+        rhs_estimate_cross(flat_bidisk, cd)
+    with pytest.raises(ParameterError) as ext:
+        extend_cross(flat_bidisk, cd)
+    assert str(rhs.value) == str(ext.value)
+
+
 def test_cross_rhs_estimate(flat_bidisk):
     cd = CrossData((1.0,), (1.0, 1.0))
     rhs = rhs_estimate_cross(flat_bidisk, cd)
@@ -248,6 +260,13 @@ def test_branch_restriction_roundtrip(flat_bidisk):
     f2 = branch_restriction(flat_bidisk, rep.coefficients, 2)
     assert f1[0] == pytest.approx(2.0) and f1[1] == pytest.approx(1.0)
     assert f2[2] == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("branch", [0, 3, -1, 1.5, "1"])
+def test_branch_restriction_refuses_other_branches(flat_bidisk, branch):
+    coeffs = np.arange(len(flat_bidisk.monomials), dtype=complex)
+    with pytest.raises(ParameterError, match="branch must be 1 or 2"):
+        branch_restriction(flat_bidisk, coeffs, branch)
 
 
 def test_report_serialization(flat_disk):

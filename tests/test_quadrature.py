@@ -254,17 +254,32 @@ def test_lens_table_drift_at_doubled_orders(monkeypatch):
 
 def test_lens_table_reused_across_degrees(monkeypatch):
     monkeypatch.setattr(quadrature, "_LENS", {})
-    beta, bw, K = quadrature._lens_block(6, 0)  # degree >= 6: the whole block
+    C = quadrature._lens_block(6, 0)  # degree >= 6: the whole block
     entry = quadrature._LENS[6]
     # degree 4 needs m = 2..4 only: a slice of the same table, not a rebuild
-    beta4, bw4, K4 = quadrature._lens_block(6, 2)
-    assert quadrature._LENS[6] is entry and beta4 is beta and bw4 is bw
-    assert np.shares_memory(K4, K) and np.array_equal(K4, K[:, 2:5, 2:5])
-    assert not K4.flags.writeable
+    C4 = quadrature._lens_block(6, 2)
+    assert quadrature._LENS[6] is entry
+    assert np.shares_memory(C4, C) and np.array_equal(C4, C[:, 2:5, 2:5])
+    assert not C4.flags.writeable
     # built at degree 4 first, the block is rebuilt over the wider range
     monkeypatch.setattr(quadrature, "_LENS", {})
     quadrature._lens_block(6, 2)
-    assert quadrature._lens_block(6, 0)[2].shape == (beta.size, 7, 7)
+    assert quadrature._lens_block(6, 0).shape == (C.shape[0], 7, 7)
+    assert quadrature._LENS[6][0] == 0
+
+
+@pytest.mark.parametrize("scale", [0.05, 1e-3])
+def test_lens_table_series_off_its_nodes(scale):
+    # the t-nodes of a lens rule are no table nodes: there the coefficient
+    # series must give the lens moments taken directly
+    rule = quadrature.LensRule(scale)
+    T = rule.chebyshev(24)
+    beta = np.arccos(0.5 * rule.t)
+    for k, lo in ((0, 0), (5, 0), (16, 0), (32, 16), (48, 24)):
+        C = quadrature._lens_block(k, lo)
+        K = quadrature._lens_moments(k, lo, beta)
+        err = np.abs(np.tensordot(T[:, :C.shape[0]], C, 1) - K).max()
+        assert err <= 1e-13 * np.abs(K).max(), (k, lo, err)
 
 
 def test_lens_table_not_built_at_import():

@@ -17,13 +17,12 @@ from bergext import (
     RegularizedLogWeight,
     Weight,
     clamp_max,
-    twisted_derivative,
 )
 from bergext import build_model, cli, sweeps, weights
 from bergext.bergman import _check_integrable
 from bergext.cli import parse_weight
 from bergext.quadrature import bidisk_rule, disk_rule
-from bergext.weights import from_dict, sampled_laplacian_min
+from bergext.weights import from_dict, sampled_laplacian_min, twisted_derivative
 
 
 def test_zero_weight():
