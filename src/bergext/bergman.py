@@ -151,6 +151,8 @@ class BergmanModel:
         return np.sum(ez * np.conj(ew), axis=-1)
 
     def summary(self, kmax=6):
+        if kmax < 0:
+            raise ParameterError("kmax must be >= 0, got %r" % (kmax,))
         out = {
             "domain": self.domain,
             "weight": self.weight.describe(),

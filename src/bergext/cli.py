@@ -91,18 +91,16 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def _build_parser():
-    """The parser and its subcommand parsers by name, built once per process:
-    parsing reads them and never sets a default."""
+    """The parser, built once per process: parsing reads it and never sets a
+    default.  An option the library owns defaults to None, that is unset."""
     p = _Parser(prog="bergext", description=__doc__)
     p.add_argument("--config", help="JSON config file (schema 1)")
     sub = p.add_subparsers(dest="command")
-    registry = {}
 
     def add(name, **kw):
         sp = sub.add_parser(name, **kw)
         sp.add_argument("--out", help="output path")
         sp.add_argument("--format", choices=("csv", "json"), default=None)
-        registry[name] = sp
         return sp
 
     k = add("kernel", help="model summary: Gram diagnostics and B_k table")
@@ -110,7 +108,7 @@ def _build_parser():
                    help="model domain (default: the weight's)")
     k.add_argument("--weight", default="zero")
     k.add_argument("--degree", type=int, default=16)
-    k.add_argument("--kmax", type=int, default=6)
+    k.add_argument("--kmax", type=int)
 
     ej = add("extend-jet", help="minimal-norm extension of a jet at the origin")
     ej.add_argument("--weight", default="zero")
@@ -125,59 +123,75 @@ def _build_parser():
     ec.add_argument("--f2", default="0", help="coefficients of f2 on {z2=0}")
 
     c1 = add("claim1", help="jet-norm growth sweep over m")
-    c1.add_argument("--m", default="1..8")
+    c1.add_argument("--m", type=parse_grid)
     c1.add_argument("--no-check", action="store_true")
 
     c2 = add("claim2", help="clamped-weight sweep over eps")
-    c2.add_argument("--eps", default="0.4,0.2,0.1,0.05")
-    c2.add_argument("--A", type=float, default=20.0)
-    c2.add_argument("--m", type=float, default=4.0)
-    c2.add_argument("--degree", type=int, default=24)
+    c2.add_argument("--eps", type=parse_grid)
+    c2.add_argument("--A", type=float)
+    c2.add_argument("--m", type=float)
+    c2.add_argument("--degree", type=int)
     c2.add_argument("--no-check", action="store_true")
 
     c34 = add("claim34", help="regularized diagonal-weight cross sweep")
-    c34.add_argument("--eps", default="0.2,0.1,0.05,0.025")
-    c34.add_argument("--degree", type=int, default=16)
-    c34.add_argument("--style", choices=("convolution", "shifted"),
-                     default="convolution")
+    c34.add_argument("--eps", type=parse_grid)
+    c34.add_argument("--degree", type=int)
+    c34.add_argument("--style", choices=("convolution", "shifted"))
     c34.add_argument("--no-check", action="store_true")
 
     lm = add("lemmas", help="kernel-inequality suite over a weight family")
-    lm.add_argument("--degree", type=int, default=24)
+    lm.add_argument("--degree", type=int)
     lm.add_argument("--no-check", action="store_true")
 
     nm = add("norms", help="evaluate a norm functional")
     nm.add_argument("--kind", required=True,
                     choices=("log_weighted_bulk", "gamma_branch",
                              "derivative_on_Y", "final_example"))
-    nm.add_argument("--gamma", type=float, default=0.0)
-    nm.add_argument("--epsilon", type=float, default=None)
-    nm.add_argument("--variant", choices=("theorem", "conjecture"),
-                    default="theorem")
-    nm.add_argument("--region", choices=("full", "exclude_sing"), default="full")
-    nm.add_argument("--r-sing", type=float, default=0.1)
+    nm.add_argument("--gamma", type=float)
+    nm.add_argument("--epsilon", type=float)
+    nm.add_argument("--variant", choices=("theorem", "conjecture"))
+    nm.add_argument("--region", choices=("full", "exclude_sing"))
+    nm.add_argument("--r-sing", type=float)
     nm.add_argument("--weight", default=None)
     nm.add_argument("--data", default="0,1",
                     help="1-D coefficients, or rows separated by ';' for bulk")
-    return p, registry
+    return p
 
 
-def _apply_config(args, doc, registry):
-    """Fill config values in for every option still at its parser default
-    (explicit CLI flags win over the config file)."""
+def _with_config(argv, args):
+    """argv with the values of the config file as flags right after the
+    subcommand (the config's experiment when none is given): a given flag
+    comes later and wins, and a config value goes through its flag's type."""
+    with open(args.config) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict) or not isinstance(doc.get("params", {}), dict):
+        raise ParameterError("config %s must be a JSON object with an "
+                             "object 'params'" % args.config)
     if doc.get("schema", 1) != 1:
         raise ParameterError("unsupported config schema %r" % doc.get("schema"))
-    sub = registry.get(args.command)
-    merged = dict(doc.get("params", {}))
-    merged.update({k: v for k, v in doc.items()
-                   if k not in ("schema", "experiment", "params")})
-    for key, val in merged.items():
+    if args.command is None and "experiment" in doc:
+        argv = argv + [str(doc["experiment"])]
+        args = _build_parser().parse_args(argv)
+    flags = []
+    for key, val in {**doc.get("params", {}), **doc}.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        # keys that name no option of the subcommand are ignored
+        if not hasattr(args, attr) or val is None or val is False:
             continue
-        default = sub.get_default(attr) if sub else None
-        if getattr(args, attr) == default:
-            setattr(args, attr, val)
+        flag = "--" + attr.replace("_", "-")
+        flags.append(flag if val is True else flag + "=" + (
+            val if isinstance(val, str) else json.dumps(val)))
+    i = 0  # only --config FILE or --config=FILE comes before the subcommand
+    while i < len(argv) and argv[i].startswith("-"):
+        i += 1 if "=" in argv[i] else 2
+    return argv[:i + 1] + flags + argv[i + 1:]
+
+
+def _given(args, *names, **renamed):
+    """The options among ``names`` and ``renamed`` that a flag or the config
+    gave, under the library's names (``renamed`` maps option to parameter)."""
+    pairs = [(n, n) for n in names] + list(renamed.items())
+    return {p: getattr(args, n) for n, p in pairs if getattr(args, n) is not None}
 
 
 def _emit(text, out):
@@ -198,12 +212,11 @@ def _run(args):
     cmd = args.command
     if cmd is None:
         raise ParameterError("no subcommand given")
-    fmt = args.format
 
     if cmd == "kernel":
         w = parse_weight(args.weight)
         model = build_model(args.domain or w.domain, w, args.degree)
-        _emit(model_summary_json(model, args.kmax), args.out)
+        _emit(model_summary_json(model, **_given(args, "kmax")), args.out)
         return 0
 
     if cmd == "extend-jet":
@@ -229,32 +242,29 @@ def _run(args):
         return 0
 
     if cmd in ("claim1", "claim2", "claim34", "lemmas"):
-        check = not args.no_check
+        out = args.out
+        fmt = args.format or ("json" if out and out.endswith(".json") else "csv")
+        kw = {"out": out, "fmt": fmt, "check_convergence": not args.no_check}
         if cmd == "claim1":
-            res = sweeps.run_claim1(parse_grid(args.m), check_convergence=check)
+            res = sweeps.run_claim1(**_given(args, m="ms"), **kw)
         elif cmd == "claim2":
-            res = sweeps.run_claim2(parse_grid(args.eps), A=args.A, m=args.m,
-                                    degree=args.degree, check_convergence=check)
+            res = sweeps.run_claim2(**_given(
+                args, "A", "m", "degree", eps="eps_list"), **kw)
         elif cmd == "claim34":
-            res = sweeps.run_claim34(parse_grid(args.eps), degree=args.degree,
-                                     style=args.style, check_convergence=check)
+            res = sweeps.run_claim34(**_given(
+                args, "degree", "style", eps="eps_list"), **kw)
         else:
-            res = sweeps.run_lemma_suite(degree=args.degree,
-                                         check_convergence=check)
-        if args.out:
-            res.write(args.out, fmt)
-        else:
+            res = sweeps.run_lemma_suite(**_given(args, "degree"), **kw)
+        if not out:
             print(res.to_json() if fmt == "json" else _rows_text(res))
         return 0
 
     if cmd == "norms":
-        spec = NormSpec(kind=args.kind, gamma=args.gamma, epsilon=args.epsilon,
-                        region=args.region, r_sing=args.r_sing,
-                        variant=args.variant)
+        spec = NormSpec(kind=args.kind, **_given(
+            args, "gamma", "epsilon", "region", "r_sing", "variant"))
         weight = parse_weight(args.weight) if args.weight else None
         if args.kind == "log_weighted_bulk":
-            data = np.array([parse_complex_list(row)
-                             for row in args.data.split(";")], dtype=complex)
+            data = [parse_complex_list(row) for row in args.data.split(";")]
         elif args.kind == "derivative_on_Y":
             rows = args.data.split(";")
             if len(rows) != 2:
@@ -283,21 +293,12 @@ def _rows_text(res):
 
 
 def main(argv=None):
-    parser, registry = _build_parser()
+    parser = _build_parser()
     argv = _join_number_lists(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
         if args.config:
-            with open(args.config) as fh:
-                doc = json.load(fh)
-            params = doc.get("params", {}) if isinstance(doc, dict) else None
-            if not isinstance(params, dict):
-                raise ParameterError("config %s must be a JSON object with an "
-                                     "object 'params'" % args.config)
-            # a config file may name the experiment: run it as the subcommand
-            if args.command is None and doc.get("experiment") in registry:
-                args = parser.parse_args(argv + [doc["experiment"]])
-            _apply_config(args, doc, registry)
+            args = parser.parse_args(_with_config(argv, args))
         return _run(args)
     except DegeneracyError as exc:
         msg = "degeneracy: %s" % exc

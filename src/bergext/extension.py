@@ -303,6 +303,8 @@ def branch_restriction(model, coeffs, branch):
     """One-variable coefficients of a bidisk coefficient vector on V_1/V_2."""
     if branch not in (1, 2):
         raise ParameterError("branch must be 1 or 2, got %r" % (branch,))
+    if model.domain != "bidisk":
+        raise ParameterError("branch restriction needs a bidisk model")
     D = model.degree
     out = np.zeros(D + 1, dtype=complex)
     for n in range(D + 1):

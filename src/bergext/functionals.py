@@ -106,7 +106,14 @@ def log_weighted_bulk_norm(U, weight, spec=None, rule=None):
     if spec is None:
         spec = NormSpec("log_weighted_bulk")
     _check_domain(weight, "bidisk", "log_weighted_bulk")
-    U = np.atleast_2d(np.asarray(U, dtype=complex))
+    try:
+        U = np.asarray(U, dtype=complex)
+    except ValueError:  # ragged rows
+        raise ParameterError("bulk norm coefficients must be a 2-D array of "
+                             "numbers, rows of one length") from None
+    if U.ndim != 2 or not U.size:
+        raise ParameterError("bulk norm coefficients must be a nonempty 2-D "
+                             "array, got shape %s" % (U.shape,))
     if not np.all(np.isfinite(U)):
         raise ParameterError("bulk norm coefficients must be finite")
     if not np.abs(U).max():
@@ -203,6 +210,9 @@ def gamma_branch_norm(u, weight, gamma=0.0, variant="theorem", rule=None,
         raise ParameterError("variant must be 'theorem' or 'conjecture'")
     _check_domain(weight, "disk", "gamma_branch")
     c = np.asarray(u, dtype=complex)
+    if c.ndim != 1:
+        raise ParameterError("branch norm coefficients must be a 1-D array, "
+                             "got shape %s" % (c.shape,))
     if not np.all(np.isfinite(c)):
         raise ParameterError("branch norm coefficients must be finite")
     if c.size == 0 or not np.abs(c).max():
@@ -265,8 +275,7 @@ def evaluate_norm(spec, data, weight=None, rule=None):
     if spec.kind == "log_weighted_bulk":
         if weight is None:
             raise ParameterError("log_weighted_bulk needs a bidisk weight")
-        return log_weighted_bulk_norm(np.asarray(data, dtype=complex), weight,
-                                      spec, rule)
+        return log_weighted_bulk_norm(data, weight, spec, rule)
     if spec.kind == "gamma_branch":
         if weight is None:
             raise ParameterError("gamma_branch needs a branch weight")

@@ -88,13 +88,6 @@ class SweepResult:
             for row in self.rows:
                 w.writerow({k: _csv_cell(row.get(k)) for k in cols})
 
-    def write(self, path, fmt=None):
-        fmt = fmt or ("json" if str(path).endswith(".json") else "csv")
-        if fmt == "json":
-            self.to_json(path)
-        else:
-            self.to_csv(path)
-
 
 def _json_default(x):
     if isinstance(x, complex):
@@ -131,13 +124,14 @@ def _checked(solve, rule, check):
 
 
 def _result(experiment, params, rows, out, fmt, **provenance):
-    """SweepResult with the provenance block; written to ``out`` if given."""
+    """SweepResult with the provenance block; written to ``out`` as ``fmt``
+    if given."""
     config = SweepConfig(experiment, params, fmt)
     res = SweepResult(experiment, rows, {
         "config_hash": config.hash(), "version": __version__,
         "experiment": experiment, **provenance})
     if out:
-        res.write(out, fmt)
+        (res.to_json if fmt == "json" else res.to_csv)(out)
     return res
 
 
@@ -169,9 +163,10 @@ def _claim1_row(m, degree, check):
 def run_claim1(ms=tuple(range(1, 9)), degree_schedule=None, out=None, fmt="csv",
                check_convergence=True):
     """Minimal norms of the jet (1, 0) under phi = -2m Re z, swept over m."""
-    ms = sorted(int(m) for m in ms)
-    if not ms:
-        raise ParameterError("empty m grid")
+    ms = sorted(ms)
+    if not ms or not all(float(m).is_integer() for m in ms):
+        raise ParameterError("m grid must be nonempty and integer, got %r" % ms)
+    ms = [int(m) for m in ms]
     sched = degree_schedule or (lambda m: max(24, 6 * m))
     degrees = [sched(m) for m in ms]
     rows = [_claim1_row(m, d, check_convergence) for m, d in zip(ms, degrees)]
@@ -199,8 +194,8 @@ def run_claim2(eps_list=(0.4, 0.2, 0.1, 0.05), A=20.0, m=4.0, degree=24,
                out=None, fmt="csv", check_convergence=True):
     """Jet (1,0) under psi = max(phi + eps log|z|^2, -A), phi = -2m Re z."""
     eps_list = _eps_grid(eps_list)
-    rows = [_claim2_row(e, float(A), float(m), int(degree), check_convergence)
-            for e in eps_list]
+    A, m, degree = float(A), float(m), int(degree)
+    rows = [_claim2_row(e, A, m, degree, check_convergence) for e in eps_list]
     return _result(
         "claim2", {"eps": eps_list, "A": A, "m": m, "degree": degree}, rows,
         out, fmt, rule="disk 48x128 graded", jet="(1,0)",
@@ -234,11 +229,10 @@ def run_claim34(eps_list=(0.2, 0.1, 0.05, 0.025), degree=16, style="convolution"
                 out=None, fmt="csv", check_convergence=True):
     """Minimal cross extension of f = (0, z1) under the regularized diagonal
     weight, with the data and data+derivative right-hand sides."""
-    eps_list = _eps_grid(eps_list, reverse=True)
+    eps_list, degree = _eps_grid(eps_list, reverse=True), int(degree)
     if degree < 1:
         raise ParameterError("degree must be >= 1")
-    rows = [_claim34_row(e, int(degree), style, check_convergence)
-            for e in eps_list]
+    rows = [_claim34_row(e, degree, style, check_convergence) for e in eps_list]
     return _result(
         "claim34", {"eps": eps_list, "degree": degree, "style": style}, rows,
         out, fmt, rule="bidisk lens: one integral in t = |z1 - z2| over "
@@ -304,7 +298,8 @@ def run_lemma_suite(family=None, degree=24, out=None, fmt="csv",
     if not family:
         raise ParameterError("empty weight family")
     family.sort(key=lambda w: w.describe())
-    rows = [_lemma_row(w, int(degree), check_convergence) for w in family]
+    degree = int(degree)
+    rows = [_lemma_row(w, degree, check_convergence) for w in family]
     return _result("lemmas", {"weights": [w.describe() for w in family],
                               "degree": degree}, rows, out, fmt,
                    rule="disk 48x128 graded")

@@ -711,6 +711,9 @@ class CutoffFamily:
             raise ParameterError("kind must be 'rho_eps' or 'xi_eps'")
         if not 0 < epsilon < np.inf:
             raise ParameterError("epsilon must be finite and > 0, got %r" % epsilon)
+        if domain not in ("disk", "bidisk"):
+            raise ParameterError("domain must be 'disk' or 'bidisk', got %r"
+                                 % (domain,))
         self.kind = kind
         self.epsilon = float(epsilon)
         self.section_str = str(section)

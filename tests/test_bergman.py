@@ -694,3 +694,9 @@ def test_summary_json(unweighted_disk):
     assert doc["degree"] == 16
     assert len(doc["Bk"]) == 4
     assert doc["B0"] == pytest.approx(1 / math.pi, rel=1e-10)
+
+
+def test_summary_refuses_negative_kmax(unweighted_disk):
+    # kmax -1 used to give an empty B_k table
+    with pytest.raises(ParameterError, match="kmax"):
+        model_summary_json(unweighted_disk, kmax=-1)

@@ -269,6 +269,12 @@ def test_branch_restriction_refuses_other_branches(flat_bidisk, branch):
         branch_restriction(flat_bidisk, coeffs, branch)
 
 
+def test_branch_restriction_refuses_disk_model(flat_disk):
+    # a disk model has no (0, n) monomials: this used to be a KeyError
+    with pytest.raises(ParameterError, match="bidisk model"):
+        branch_restriction(flat_disk, flat_disk.basis_coeffs[:, 0], 1)
+
+
 def test_report_serialization(flat_disk):
     rep = extend_jet_direct(flat_disk, Jet((1.0, 1.0j)))
     doc = rep.to_dict()

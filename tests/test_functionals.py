@@ -431,6 +431,21 @@ def test_conic_density_knob():
     assert conic > base
 
 
+@pytest.mark.parametrize("U", [[], [[]], [[], []], [0, 1], [[0, 0], [0, 1, 2]],
+                               np.zeros((2, 2, 2))],
+                         ids=["empty", "no-columns", "two-empty-rows", "1-D",
+                              "ragged", "3-D"])
+def test_bulk_norm_refuses_non_2d_coefficients(U):
+    with pytest.raises(ParameterError, match="bulk norm coefficients must"):
+        log_weighted_bulk_norm(U, Weight.zero("bidisk"))
+
+
+def test_branch_norm_refuses_2d_coefficients():
+    # a matrix of coefficients used to fail in numpy's matmul
+    with pytest.raises(ParameterError, match="1-D"):
+        gamma_branch_norm(np.ones((2, 2)), Weight.zero())
+
+
 def test_evaluate_norm_dispatch():
     spec = NormSpec("final_example", epsilon=0.1)
     assert evaluate_norm(spec, (0.0, 1.0)) == pytest.approx(

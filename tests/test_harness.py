@@ -33,6 +33,13 @@ def test_claim1_negative_control():
     assert res.rows[0]["ratio"] == pytest.approx(math.pi, rel=1e-10)
 
 
+def test_claim1_refuses_non_integer_m():
+    # m = 1.5 used to run m = 1 and label the row m 1
+    for ms in ([1.5], [1, 2.5], []):
+        with pytest.raises(ParameterError, match="m grid"):
+            sweeps.run_claim1(ms, check_convergence=False)
+
+
 def test_claim1_rows_sorted_and_flagged(tmp_path):
     res = sweeps.run_claim1(ms=(3, 1, 2), check_convergence=True,
                             out=str(tmp_path / "c1.csv"))
@@ -342,6 +349,9 @@ def test_cli_exit_codes(capsys, tmp_path):
     cfg.write_text("[1, 2]")
     assert cli.main(["--config", str(cfg)]) == 1
     assert "error:" in capsys.readouterr().err
+    cfg.write_text('{"params": {"degree": 4}}')
+    assert cli.main(["--config", str(cfg)]) == 1
+    assert "error: no subcommand given" in capsys.readouterr().err
     assert cli.main(["extend-jet", "--jet", "1,0",
                      "--weight", "point_log:1"]) == 2
     err = capsys.readouterr().err
@@ -375,10 +385,17 @@ def test_cli_unparsable_weight_expression(capsys):
     ["norms", "--kind", "log_weighted_bulk", "--weight", "zero:bidisk", "--data", "0,0;0,nan"],
     ["extend-jet", "--jet", "1e400,1", "--degree", "4"],
     ["extend-cross", "--f1", "nan", "--f2", "nan,1"],
+    ["norms", "--kind", "log_weighted_bulk", "--weight", "zero:bidisk", "--data", "0,0;0,1,2"],
+    ["norms", "--kind", "log_weighted_bulk", "--weight", "zero:bidisk", "--data", ""],
+    ["norms", "--kind", "log_weighted_bulk", "--weight", "zero:bidisk", "--data", ";"],
+    ["claim1", "--m", "1.5", "--no-check"],
+    ["kernel", "--degree", "2", "--kmax", "-1"],
 ], ids=["reglog-nan", "clamp-nan", "halfplane-nan", "halfplane-inf",
         "point-log-nan", "branch-bidisk-weight", "branch-reglog-shorthand",
         "bulk-disk-weight", "grid-open-range", "grid-not-numbers",
-        "branch-data-nan", "bulk-data-nan", "jet-overflow", "cross-data-nan"])
+        "branch-data-nan", "bulk-data-nan", "jet-overflow", "cross-data-nan",
+        "bulk-data-ragged", "bulk-data-empty", "bulk-data-empty-rows",
+        "claim1-m-not-integer", "kernel-kmax-negative"])
 def test_cli_bad_input_is_a_usage_error(capsys, argv):
     # non-finite weight parameters or data, a weight of the wrong domain for
     # a norm and a malformed grid exit 1 with an error line, not a traceback,
@@ -426,6 +443,88 @@ def test_cli_config_file(tmp_path, capsys):
                    "--format", "json"])
     doc = json.loads(capsys.readouterr().out)
     assert rc == 0 and doc["rows"][0]["A"] == 5
+
+
+def test_cli_given_flag_beats_config_at_its_default(tmp_path, capsys):
+    # a given flag wins over the config whatever its value, also when it
+    # equals the library's or the CLI's default (A 20, kernel degree 16)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"A": 5, "eps": "0.4", "degree": 8}}))
+    assert cli.main(["--config", str(cfg), "claim2", "--no-check", "--A", "20",
+                     "--eps", "0.4", "--degree", "4", "--format", "json"]) == 0
+    [row] = json.loads(capsys.readouterr().out)["rows"]
+    assert (row["A"], row["eps"], row["degree"]) == (20.0, 0.4, 4)
+    assert cli.main(["--config", str(cfg), "kernel", "--degree", "16"]) == 0
+    assert json.loads(capsys.readouterr().out)["degree"] == 16
+    assert cli.main(["--config", str(cfg), "kernel"]) == 0
+    assert json.loads(capsys.readouterr().out)["degree"] == 8
+
+
+# experiment -> (the library's call, ways to ask the CLI for the same
+# experiment: flags, and config params or None); numbers are spelled as ints
+# and as floats, by a flag and by a config value
+_ONE_EXPERIMENT = {
+    "claim1": (lambda **kw: sweeps.run_claim1([1], **kw), [
+        (["--m", "1"], None), (["--m", "1.0"], None), ([], {"m": 1})]),
+    "claim2": (lambda **kw: sweeps.run_claim2([0.3], A=4, m=1.0, degree=4, **kw), [
+        (["--eps", "0.3", "--A", "4", "--m", "1", "--degree", "4"], None),
+        (["--eps", "0.3", "--A", "4.0", "--m", "1.0", "--degree", "4"], None),
+        (["--degree", "4"], {"eps": "0.3", "A": 4, "m": 1.0}),
+        (["--A", "4"], {"eps": 0.3, "A": 5.0, "m": 1, "degree": 4})]),
+    "claim34": (lambda **kw: sweeps.run_claim34([0.3], degree=2, style="shifted",
+                                                **kw), [
+        (["--eps", "0.3", "--degree", "2", "--style", "shifted"], None),
+        (["--eps", "3e-1"], {"degree": 2, "style": "shifted"})]),
+    "lemmas": (lambda **kw: sweeps.run_lemma_suite(degree=2.0, **kw), [
+        (["--degree", "2"], None), ([], {"degree": 2})]),
+}
+
+
+def _hash_and_rows(text, fmt):
+    """The config_hash and the rows of a JSON or CSV sweep output."""
+    if fmt == "json":
+        doc = json.loads(text)
+        return doc["provenance"]["config_hash"], doc["rows"]
+    lines = text.splitlines()
+    [h] = [l.split(": ")[1] for l in lines if l.startswith("# config_hash: ")]
+    return h, [l for l in lines if not l.startswith("#")]
+
+
+@pytest.mark.parametrize("out", [None, "r.json", "r.csv"],
+                         ids=["stdout-json", "out-json", "out-csv"])
+@pytest.mark.parametrize("experiment", sorted(_ONE_EXPERIMENT))
+def test_cli_config_hash_matches_library(tmp_path, capsys, experiment, out):
+    # one experiment has one hash and the same rows, however it is asked
+    # for: the CLI hashes the format it writes, and the library normalizes
+    # its parameters before hashing
+    run, asks = _ONE_EXPERIMENT[experiment]
+    fmt = "csv" if out and out.endswith(".csv") else "json"
+    lib_path = tmp_path / ("lib." + fmt)
+    lib = run(out=str(lib_path), fmt=fmt, check_convergence=False)
+    expect = _hash_and_rows(lib_path.read_text(), fmt)
+    assert expect[0] == lib.provenance["config_hash"]
+    for flags, params in asks:
+        argv = [experiment, "--no-check"] + flags
+        if params is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"schema": 1, "params": params}))
+            argv = ["--config", str(cfg)] + argv
+        if out is None:
+            assert cli.main(argv + ["--format", "json"]) == 0
+            text = capsys.readouterr().out
+        else:
+            assert cli.main(argv + ["--out", str(tmp_path / out)]) == 0
+            text = (tmp_path / out).read_text()
+        assert _hash_and_rows(text, fmt) == expect, (flags, params)
+
+
+def test_library_hash_kept_for_default_types():
+    # the parameters are normalized before hashing, to the types of the
+    # defaults, so a call with those types keeps its hash
+    for A in (4.0, 4):
+        res = sweeps.run_claim2([0.3], A=A, degree=6, fmt="json",
+                                check_convergence=False)
+        assert res.provenance["config_hash"] == "5ca66471476d8518"
 
 
 def test_cli_config_selects_experiment(tmp_path, capsys):

@@ -212,6 +212,12 @@ def test_cutoff_validation():
         CutoffFamily("rho_eps", 0.1).gradient_decay_integral()
 
 
+def test_cutoff_refuses_unknown_domain():
+    # any domain other than the disk used to be taken for the bidisk
+    with pytest.raises(ParameterError, match="domain"):
+        CutoffFamily("rho_eps", 0.3, domain="tridisk")
+
+
 def test_sampled_laplacian_subharmonic():
     assert sampled_laplacian_min(Weight.halfplane(2.0)) > -1e-6
     # the regularized log is only C^1 across |z| = eps; stencils straddling
