@@ -9,11 +9,12 @@ orthogonal ladder E_0 > E_1 > ... as the columns of the lower-triangular
 (B_0(z,w), the higher-order kernels B_k(0), the Bergman metric and the
 log-kernel gradient at the origin) is read off those columns.  Every Gram
 is checked, factored and solved (``extension._pinned_solve``) as a padded
-stack of index blocks: the total-degree blocks m + n = k, each at most D+1
-monomials, for a bidisk Gram that is block-diagonal in the total degree
-(every entry between two total degrees an exact 0, as for a weight
-invariant under the joint rotation), and one block of every index for any
-other Gram (the disk, the generic bidisk).
+stack of index blocks: 1 x 1 blocks for a diagonal Gram (every off-diagonal
+entry an exact 0, as for a radial weight), the total-degree blocks
+m + n = k, each at most D+1 monomials, for a bidisk Gram that is
+block-diagonal in the total degree (every entry between two total degrees
+an exact 0, as for a weight invariant under the joint rotation), and one
+block of every index for any other Gram (the disk, the generic bidisk).
 
 Every Gram matrix follows the convention G[a,b] = int conj(e_a) e_b e^{-phi}
 and comes from one entry, ``_gram``.  On a polar tensor rule it uses one
@@ -26,7 +27,12 @@ the weight at complex nodes r x phases, except on the invariant bidisk path
 for the regularized log, whose e^{-phi} is a function of |z1 - z2|^2, formed
 there from real polar arrays (``_polar_exp``).  Conjugation-symmetric
 weights, phi(conj z) = phi(z), are evaluated on half the angles of an
-unrotated rule.
+unrotated rule.  Radial weights, phi a function of |z| (of |z1| and |z2|),
+are evaluated at one angle per radius when the angular order exceeds every
+Fourier offset of the Gram (on the disk, the degree; on the invariant
+bidisk path, always): the trapezoid sum of a row constant in the angle is
+na times the row at offset 0 and an exact 0 at every other offset, the same
+node sum, and the Gram is its diagonal.
 The disk Gram is the two stages on the disk rule's grid.  The bidisk uses
 the full tensor grid z1^m z2^n with m,n <= D so that cross constraints are
 exactly expressible.  Its Gram takes the inner rows at every outer node
@@ -56,6 +62,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -88,17 +95,19 @@ class BergmanModel:
         column 0 (the monomial 1 comes first) is a ladder vector.
 
         The checks and the factorization run on the index blocks of
-        ``_degree_split``: the total-degree blocks of a bidisk Gram whose
-        entries between different total degrees m + n are all exact zeros
-        (an invariant weight's, ``_lens_gram`` and the invariant path of
-        ``_bidisk_gram``), one block of every index for any other Gram.  Each
-        block keeps its index order, so L, E and the eigenvalues of Gs are
-        the blocks', and E is scattered back into the dense lower-triangular
-        ``basis_coeffs``.  The blocks are one stack, each padded to the size
-        of the largest with the identity: a Jacobi-scaled block has a unit
-        diagonal, so lambda_min <= 1 <= lambda_max and the padding leaves the
-        condition number unchanged.  ``gram`` stays dense, and ``_blocks``
-        keeps each block's indices for ``extension._pinned_solve``.
+        ``_degree_split``: 1 x 1 blocks of a Gram whose off-diagonal entries
+        are all exact zeros (a radial weight's), the total-degree blocks of a
+        bidisk Gram whose entries between different total degrees m + n are
+        all exact zeros (an invariant weight's, ``_lens_gram`` and the
+        invariant path of ``_bidisk_gram``), one block of every index for any
+        other Gram.  Each block keeps its index order, so L, E and the
+        eigenvalues of Gs are the blocks', and E is scattered back into the
+        dense lower-triangular ``basis_coeffs``.  The blocks are one stack,
+        each padded to the size of the largest with the identity: a
+        Jacobi-scaled block has a unit diagonal, so
+        lambda_min <= 1 <= lambda_max and the padding leaves the condition
+        number unchanged.  ``gram`` stays dense, and ``_blocks`` keeps each
+        block's indices for ``extension._pinned_solve``.
         """
         G = self.gram
         self._blocks, at, ab, ba, a, b = _degree_split(self.domain, self.degree, G)
@@ -231,16 +240,18 @@ def _ladder(S):
 
 
 @functools.lru_cache(maxsize=32)
-def _index_split(n, degree=None):
+def _index_split(n, degree=None, diagonal=False):
     """(blocks, at, ab, ba, a, b): the index blocks of an n x n Gram, built
-    once and read-only: given a degree, ``blocks[k]`` holds the bidisk
-    monomials z1^m z2^n (m, n <= degree, at index m (degree + 1) + n) with
-    m + n = k; otherwise one block holds every index.  Over every pair (a, b)
-    of indices in one block, ``at`` is its flat place in a stack of
-    (len(blocks), size, size) blocks (size the largest block's), ``ab`` and
-    ``ba`` those of G[a, b] and G[b, a], and ``a`` and ``b`` its row and
-    column."""
-    if degree is None:
+    once and read-only: ``diagonal``, one block per index; given a degree,
+    ``blocks[k]`` holds the bidisk monomials z1^m z2^n (m, n <= degree, at
+    index m (degree + 1) + n) with m + n = k; otherwise one block holds every
+    index.  Over every pair (a, b) of indices in one block, ``at`` is its
+    flat place in a stack of (len(blocks), size, size) blocks (size the
+    largest block's), ``ab`` and ``ba`` those of G[a, b] and G[b, a], and
+    ``a`` and ``b`` its row and column."""
+    if diagonal:
+        blocks = [np.array([i]) for i in range(n)]
+    elif degree is None:
         blocks = [np.arange(n)]
     else:  # z1^m z2^(k-m) is at index m (degree + 1) + k - m
         blocks = [np.arange(max(0, k - degree), min(k, degree) + 1) * degree + k
@@ -259,13 +270,18 @@ def _index_split(n, degree=None):
 
 
 def _degree_split(domain, degree, G):
-    """The index blocks that G is factored on: the total-degree blocks for a
-    bidisk Gram G whose every entry between two total degrees is an exact 0,
-    read off its nonzero count; one block of every index for any other Gram
-    (the disk, the generic bidisk, a Gram with an entry off the blocks)."""
+    """The index blocks that G is factored on, read off its nonzero count:
+    one block per index for a Gram whose every off-diagonal entry is an exact
+    0 (a radial weight's); the total-degree blocks for a bidisk Gram whose
+    every entry between two total degrees is an exact 0; one block of every
+    index for any other Gram (the disk, the generic bidisk, a Gram with an
+    entry off the blocks)."""
+    nonzero = np.count_nonzero(G)
+    if nonzero == np.count_nonzero(G.diagonal()):
+        return _index_split(G.shape[0], diagonal=True)
     if domain == "bidisk":
         split = _index_split(G.shape[0], degree)
-        if np.count_nonzero(G) == np.count_nonzero(G.take(split[2])):
+        if nonzero == np.count_nonzero(G.take(split[2])):
             return split
     return _index_split(G.shape[0])
 
@@ -279,11 +295,15 @@ _BLOCK = 1 << 14
 _RUN = 16
 
 
-def _evaluated_phases(rule, symmetric):
-    """The angular phases at which a Gram evaluates e^{-phi}: 0..na/2
-    when it is even in the angle (``symmetric``) on an unrotated rule with
-    an even angular order na, every angle otherwise."""
+def _evaluated_phases(rule, symmetric, radial=False, degree=0):
+    """The angular phases at which a Gram evaluates e^{-phi}: phase_0 alone
+    when it is constant in the angle (``radial``) and the angular order na
+    exceeds the largest offset ``degree`` of the angular stage; 0..na/2 when
+    it is even in the angle (``symmetric``) on an unrotated rule with an even
+    na; every angle otherwise."""
     na = rule.angular_order
+    if radial and na > degree:
+        return rule._phases[:1]
     if symmetric and rule._phases[0] == 1 and na % 2 == 0:
         return rule._phases[:na // 2 + 1]
     return rule._phases
@@ -343,9 +363,16 @@ def _angular(R, rule, degree, sign=1.0):
     times its ``sign`` (broadcast against R[..., :1]): 1 for an even row,
     -1 for an odd one.  One rfft then gives every offset at once (the
     trapezoid sum is a DFT, aliasing included); offsets past na/2 are
-    conjugates, since the rows are real.
+    conjugates, since the rows are real.  Rows over one angle of na > 1
+    (``_evaluated_phases`` of a radial weight, na > degree) are constant in
+    the angle: their trapezoid sum is na R at offset 0 and an exact 0 at
+    every other offset.
     """
     na = rule.angular_order
+    if R.shape[-1] == 1 < na:
+        K = np.zeros(R.shape[:-1] + (2 * degree + 1,), dtype=complex)
+        K[..., degree] = na * R[..., 0]
+        return K
     if R.shape[-1] < na:
         R = np.concatenate([R, sign * R[..., -2:0:-1]], axis=-1)
     F = np.fft.rfft(R, axis=-1)
@@ -419,10 +446,12 @@ def _bidisk_gram(weight, degree, rule, density=None):
 
     For diagonally invariant weights the outer angular integral is exact:
     only the outer angle 0 is evaluated, entries with m+n != m'+n' vanish and
-    the rest are multiplied by 2 pi.  That needs an inner angular order above
-    2*degree, and inner angles closed under the outer rotations (diagonal
-    grading, or an inner angular order that is a multiple of the outer one);
-    otherwise the node-exact generic sum is taken instead.  The invariant
+    the rest are multiplied by 2 pi; a radial weight is evaluated at the
+    inner rule's first phase only (``_evaluated_phases``), and its Gram is
+    diagonal.  That needs an inner angular order above 2*degree, and inner
+    angles closed under the outer rotations (diagonal grading, or an inner
+    angular order that is a multiple of the outer one); otherwise the
+    node-exact generic sum is taken instead.  The invariant
     path does not depend on the outer angular order, so it equals the rule's
     node sum only when that order exceeds 2*degree; at a lower order the node
     sum aliases the offsets m+n-m'-n' and the two differ.  On the invariant
@@ -441,7 +470,8 @@ def _bidisk_gram(weight, degree, rule, density=None):
     turn = rule.diagonal_grading and not invariant
     # at the real z1 = r of the invariant path, phi(r, conj z2) = phi(r, z2)
     symmetric = invariant and bool(getattr(weight, "conjugation_symmetric", False))
-    ph = _evaluated_phases(rule.rule2, symmetric)
+    radial = invariant and bool(getattr(weight, "radial", False))
+    ph = _evaluated_phases(rule.rule2, symmetric, radial, D)
     polar = invariant and hasattr(weight, "_exp_neg_phi_a2")
     vers = 2.0 * np.sin(0.5 * np.angle(ph)) ** 2  # 1 - cos theta
     radii, C = _powers(outer.radial_weights * outer.radii, outer.radii, ns, density)
@@ -537,7 +567,8 @@ def _gram(weight, degree, rule, density=None):
         return _lens_gram(weight, degree, rule, density)
     if rule.domain == "bidisk":
         return _bidisk_gram(weight, degree, rule, density)
-    ph = _evaluated_phases(rule, bool(getattr(weight, "conjugation_symmetric", False)))
+    ph = _evaluated_phases(rule, bool(getattr(weight, "conjugation_symmetric", False)),
+                           bool(getattr(weight, "radial", False)), degree)
     pw = (2.0 * np.pi / rule.angular_order) * rule.radial_weights * rule.radii
     r, P = _powers(pw, rule.radii, 2 * degree + 1, density)
     R = _rows(lambda sl: _exp_weight(weight, (r[sl, None] * ph,)), P, ph.size)
@@ -624,12 +655,20 @@ def default_rule(domain, weight=None):
     )
 
 
+def _checked_degree(degree):
+    """A truncation degree as an int, after checking that it is an integer
+    >= 1 (24.0 passes as 24; 2.7, nan and non-numbers are refused)."""
+    if not (isinstance(degree, numbers.Real) and float(degree).is_integer()
+            and degree >= 1):
+        raise ParameterError("degree must be an integer >= 1, got %r" % (degree,))
+    return int(degree)
+
+
 def build_model(domain, weight, degree, rule=None):
     """Assemble the truncated model: Gram matrix, factorization, diagnostics."""
     if domain not in ("disk", "bidisk"):
         raise ParameterError("unknown domain %r" % domain)
-    if degree < 1:
-        raise ParameterError("degree must be >= 1, got %r" % degree)
+    degree = _checked_degree(degree)
     if getattr(weight, "domain", domain) != domain:
         raise ParameterError(
             "weight domain %r does not match model domain %r"

@@ -161,7 +161,9 @@ def _build_parser():
 def _with_config(argv, args):
     """argv with the values of the config file as flags right after the
     subcommand (the config's experiment when none is given): a given flag
-    comes later and wins, and a config value goes through its flag's type."""
+    comes later and wins, and a config value goes through its flag's type.
+    A key other than schema, experiment and params that names no option of
+    the subcommand is refused."""
     with open(args.config) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or not isinstance(doc.get("params", {}), dict):
@@ -172,11 +174,17 @@ def _with_config(argv, args):
     if args.command is None and "experiment" in doc:
         argv = argv + [str(doc["experiment"])]
         args = _build_parser().parse_args(argv)
+    if args.command is None:
+        return argv  # refused as "no subcommand given"
     flags = []
     for key, val in {**doc.get("params", {}), **doc}.items():
+        if key in ("schema", "experiment", "params"):
+            continue
         attr = key.replace("-", "_")
-        # keys that name no option of the subcommand are ignored
-        if not hasattr(args, attr) or val is None or val is False:
+        if attr in ("config", "command") or not hasattr(args, attr):
+            raise ParameterError("config key %r names no option of %s"
+                                 % (key, args.command))
+        if val is None or val is False:
             continue
         flag = "--" + attr.replace("_", "-")
         flags.append(flag if val is True else flag + "=" + (

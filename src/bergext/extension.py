@@ -6,8 +6,8 @@ powers z1^m and z2^n.  Both extensions are therefore the same
 equality-constrained least squares problem, solved by direct elimination in
 ``_pinned_solve``: fix the pinned coefficients and solve the Schur-complement
 system on the free ones, per index block of the model's factorization (one
-block of every index, or the total-degree blocks of an invariant bidisk
-Gram).
+block of every index, the total-degree blocks of an invariant bidisk Gram,
+or 1 x 1 blocks of a diagonal Gram).
 Jets have a second, independent route, the level-by-level recursion through
 the orthogonal ladder E_0 > E_1 > ...: it reads the ladder vectors e_k, the
 columns of the model's ``basis_coeffs``, and never calls the Schur solve (the
@@ -122,7 +122,7 @@ def _pinned_solve(model, F, c_F):
     indices is solved on its own, and the free coefficients of a block with
     no pin are 0.  A disk or generic bidisk Gram is one block; on a Gram
     split by total degree the cross pins only (0, k) and (k, 0), so every
-    block with k > D is 0.
+    block with k > D is 0; on a diagonal Gram every free coefficient is 0.
     Returns the coefficients, c^H G c and the stationarity residual
     max |(G c)_R|.
     """

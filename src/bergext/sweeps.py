@@ -24,8 +24,8 @@ import numpy as np
 
 from . import __version__
 from .errors import BergextError, ParameterError
-from .bergman import (_gram, bergman_metric_at_zero, build_model, default_rule,
-                      higher_kernel)
+from .bergman import (_checked_degree, _gram, bergman_metric_at_zero, build_model,
+                      default_rule, higher_kernel)
 from .extension import CrossData, Jet, extend_cross, extend_jet_direct
 from .functionals import derivative_norm_on_Y
 from .quadrature import disk_rule, refine
@@ -168,7 +168,7 @@ def run_claim1(ms=tuple(range(1, 9)), degree_schedule=None, out=None, fmt="csv",
         raise ParameterError("m grid must be nonempty and integer, got %r" % ms)
     ms = [int(m) for m in ms]
     sched = degree_schedule or (lambda m: max(24, 6 * m))
-    degrees = [sched(m) for m in ms]
+    degrees = [_checked_degree(sched(m)) for m in ms]
     rows = [_claim1_row(m, d, check_convergence) for m, d in zip(ms, degrees)]
     return _result("claim1", {"ms": ms, "degrees": degrees}, rows, out, fmt,
                    rule="disk 48x128 graded", jet="(1,0)")
@@ -194,7 +194,7 @@ def run_claim2(eps_list=(0.4, 0.2, 0.1, 0.05), A=20.0, m=4.0, degree=24,
                out=None, fmt="csv", check_convergence=True):
     """Jet (1,0) under psi = max(phi + eps log|z|^2, -A), phi = -2m Re z."""
     eps_list = _eps_grid(eps_list)
-    A, m, degree = float(A), float(m), int(degree)
+    A, m, degree = float(A), float(m), _checked_degree(degree)
     rows = [_claim2_row(e, A, m, degree, check_convergence) for e in eps_list]
     return _result(
         "claim2", {"eps": eps_list, "A": A, "m": m, "degree": degree}, rows,
@@ -229,9 +229,7 @@ def run_claim34(eps_list=(0.2, 0.1, 0.05, 0.025), degree=16, style="convolution"
                 out=None, fmt="csv", check_convergence=True):
     """Minimal cross extension of f = (0, z1) under the regularized diagonal
     weight, with the data and data+derivative right-hand sides."""
-    eps_list, degree = _eps_grid(eps_list, reverse=True), int(degree)
-    if degree < 1:
-        raise ParameterError("degree must be >= 1")
+    eps_list, degree = _eps_grid(eps_list, reverse=True), _checked_degree(degree)
     rows = [_claim34_row(e, degree, style, check_convergence) for e in eps_list]
     return _result(
         "claim34", {"eps": eps_list, "degree": degree, "style": style}, rows,
@@ -298,7 +296,7 @@ def run_lemma_suite(family=None, degree=24, out=None, fmt="csv",
     if not family:
         raise ParameterError("empty weight family")
     family.sort(key=lambda w: w.describe())
-    degree = int(degree)
+    degree = _checked_degree(degree)
     rows = [_lemma_row(w, degree, check_convergence) for w in family]
     return _result("lemmas", {"weights": [w.describe() for w in family],
                               "degree": degree}, rows, out, fmt,

@@ -22,6 +22,16 @@ Every weight has one canonical spec, a JSON-ready dict: a family of
 ``domain`` of a free-form :class:`Weight`.  ``from_dict`` builds any weight
 from its spec, ``to_dict`` gives it back, ``describe`` renders it, and
 ``shorthand`` turns the CLI spelling ``name:arg:...`` into a spec.
+
+Three symmetry flags tell Gram assembly where e^{-phi} need not be evaluated:
+``conjugation_symmetric`` (phi(conj z) = phi(z)), the bidisk's
+``diagonal_rotation_invariant`` (phi(e^{ia} z1, e^{ia} z2) = phi(z1, z2)) and
+``radial`` (phi a function of |z|, or of |z1| and |z2|: every log factor a
+single monomial, the smooth part annihilated by every angular derivative
+x_j d/dy_j - y_j d/dx_j).  A free-form weight infers them once per shape
+(``_Shape``); clamped weights and branch restrictions take them from their
+base or parent, the regularized log from its direction.  No constructor
+takes them.
 """
 
 from __future__ import annotations
@@ -165,7 +175,9 @@ class _Shape:
     The j-th derivative is d/dz_j of a holomorphic expression, and
     (d/dx_j - i d/dy_j)/2 of a real one.  A flag holds for the shape when it
     holds for generic coefficients, so it never holds where the concrete
-    expression lacks the symmetry.  A non-polynomial expression has neither.
+    expression lacks the symmetry.  A non-polynomial expression is neither
+    conjugation symmetric nor diagonally invariant, and radial only when it
+    is real and its angular derivatives expand to 0.
     """
 
     def __init__(self, template, coefficients, domain, holomorphic):
@@ -200,6 +212,21 @@ class _Shape:
         # real coordinates ordered (x, y) or (x1, y1, x2, y2): y exponents
         # sit at the odd positions of each monomial
         return all(sum(m[1::2]) % 2 == 0 for m in p.monoms())
+
+    @functools.cached_property
+    def radial(self):
+        """Whether |e| (holomorphic) or e (real) depends on each |z_j| alone:
+        a single monomial c z^k (c z1^a z2^b), or an expression that every
+        angular derivative x_j d/dy_j - y_j d/dx_j annihilates."""
+        import sympy as sp
+        if self.holomorphic:
+            try:
+                return sp.Poly(self.template, *self.variables, domain="EX").length() == 1
+            except sp.PolynomialError:
+                return False
+        xy = self.variables
+        return all(sp.expand(x * sp.diff(self.template, y) - y * sp.diff(self.template, x)) == 0
+                   for x, y in zip(xy[::2], xy[1::2]))
 
     @functools.cached_property
     def diagonal_invariant(self):
@@ -340,8 +367,8 @@ class Weight(_Spec):
     """Structured weight phi = sum r_j log|f_j|^2 + psi on disk or bidisk.
 
     A bidisk weight's ``diagonal_rotation_invariant`` and any weight's
-    ``conjugation_symmetric`` hold when they hold for the shape of every
-    log factor and of the smooth part (``_Shape``)."""
+    ``conjugation_symmetric`` and ``radial`` hold when they hold for the
+    shape of every log factor and of the smooth part (``_Shape``)."""
 
     def __init__(self, log_terms=(), smooth="0", domain="disk"):
         if domain not in ("disk", "bidisk"):
@@ -355,6 +382,7 @@ class Weight(_Spec):
         self.diagonal_rotation_invariant = domain == "bidisk" and \
             all(s.diagonal_invariant for s in shapes)
         self.conjugation_symmetric = all(s.conjugation_symmetric for s in shapes)
+        self.radial = all(s.radial for s in shapes)
 
     # -- the named families used by the experiments (see ``_FAMILIES``) -----
 
@@ -430,6 +458,10 @@ class BranchWeight(_Spec):
                      "branch": self.branch}
         # phi(0, conj z) = phi(0, z) when phi is jointly conjugation symmetric
         self.conjugation_symmetric = getattr(parent, "conjugation_symmetric", False)
+        # phi(0, e^{ia} z) = phi(0, z) when phi is invariant under the joint
+        # rotation (z1, z2) -> (e^{ia} z1, e^{ia} z2)
+        self.radial = bool(getattr(parent, "diagonal_rotation_invariant", False)
+                           or getattr(parent, "radial", False))
 
     def evaluate(self, z):
         z = np.asarray(z, dtype=complex)
@@ -465,6 +497,8 @@ class ClampedWeight(_Spec):
         self.spec = {"family": "clamp", "base": base.to_dict(),
                      "eps_coeff": self.eps_coeff, "floor": self.floor}
         self.conjugation_symmetric = getattr(base, "conjugation_symmetric", False)
+        # eps_coeff*log|z|^2 and the floor are radial
+        self.radial = getattr(base, "radial", False)
 
     def evaluate(self, z):
         z = np.asarray(z, dtype=complex)
@@ -525,6 +559,7 @@ class RegularizedLogWeight(_Spec):
                      "style": style, "direction": direction}
         self.diagonal_rotation_invariant = direction == "z1-z2"
         self.conjugation_symmetric = True  # phi_eps depends on |zeta| only
+        self.radial = direction == "z"
 
     def _a2(self, *zs):
         """|zeta|^2 at complex nodes."""

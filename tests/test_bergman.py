@@ -361,6 +361,103 @@ def test_half_angle_evaluation_count():
                         "bidisk", br) == {16}
 
 
+_DIAG_INVARIANT = Weight([(0.5, "z1 - z2")], "x1*x2 + y1*y2", "bidisk")
+# radial weights of every kind: free-form, named families, a clamp, the
+# regularized log in z, and a branch of a jointly invariant bidisk weight
+_RADIAL = {
+    "disk": [Weight.zero(), Weight.point_log(0.5), clamp_max(Weight.zero(), 0.2, 6.0),
+             RegularizedLogWeight(0.1, "z"), RegularizedLogWeight(0.1, "z", "shifted"),
+             Weight([(0.3, "2*z**2")], "x**2+y**2"), _DIAG_INVARIANT.restrict_to_branch(2)],
+    "bidisk": [Weight.zero("bidisk"), Weight([(0.3, "z1")], "x2**2+y2**2", "bidisk")],
+}
+_RADIAL_CASES = [(d, w) for d, ws in _RADIAL.items() for w in ws]
+
+
+def _radial_rules(domain):
+    """(degree, rule) pairs, unrotated and rotated, whose angular orders
+    exceed every offset of the angular stage (on the bidisk, the invariant
+    path's inner order exceeds twice the degree)."""
+    if domain == "disk":
+        rule = disk_rule(radial_order=8, angular_order=32)
+        return [(12, rule), (12, rule.rotated(np.exp(0.3j))), (24, default_rule("disk"))]
+    turned = quadrature.BidiskRule(
+        disk_rule(4, 8, grading_levels=4),
+        disk_rule(4, 16, grading_levels=4).rotated(np.exp(0.3j)),
+        diagonal_grading=True, diagonal_levels=4)
+    return [(2, bidisk_rule(**_SMALL_DIAG)), (3, turned), (4, bidisk_rule(**_TENSOR_INVARIANT))]
+
+
+def _full_angle_gram(monkeypatch, weight, degree, rule):
+    """The Gram with e^{-phi} evaluated on every angle of the rule (of the
+    inner rule on the invariant bidisk path): the node sum."""
+    with monkeypatch.context() as m:
+        m.setattr(bergman, "_evaluated_phases", lambda rule, *args: rule._phases)
+        return _gram(weight, degree, rule)[1]
+
+
+@pytest.mark.parametrize("domain, weight", _RADIAL_CASES,
+                         ids=[w.describe() for _, w in _RADIAL_CASES])
+def test_radial_gram_is_the_full_angle_node_sum(monkeypatch, domain, weight):
+    # a radial weight is evaluated at one angle per radius; its Gram is the
+    # full-angle node sum to 1e-15 (Jacobi-scaled), with exact zeros off the
+    # diagonal, and it is factored as 1 x 1 blocks
+    assert weight.radial
+    for degree, rule in _radial_rules(domain):
+        mons, G = _gram(weight, degree, rule)
+        ref = _full_angle_gram(monkeypatch, weight, degree, rule)
+        d = np.sqrt(np.diag(ref).real)
+        assert (np.abs(G - ref) / np.outer(d, d)).max() <= 1e-15
+        assert not np.count_nonzero(G - np.diag(np.diag(G)))
+        model = build_model(domain, weight, degree, rule=rule)
+        assert [blk.tolist() for blk in model._blocks] == [[i] for i in range(len(mons))]
+        assert np.array_equal(model.basis_coeffs, np.diag(np.diag(model.basis_coeffs)))
+        np.testing.assert_allclose(np.diag(model.basis_coeffs).real,
+                                   1.0 / np.sqrt(np.diag(G).real), rtol=1e-15)
+        assert model.condition_number == pytest.approx(1.0, abs=1e-14)
+
+
+def test_radial_evaluation_count():
+    # one angle per radius, on unrotated and rotated rules, where the angular
+    # order exceeds the degree; at an order <= degree the node sum aliases
+    # offsets, and every angle (half of them for a symmetric weight on an
+    # unrotated rule) is evaluated
+    rule = disk_rule(radial_order=4, angular_order=32, grading_levels=4)
+    br = bidisk_rule(**_SMALL_DIAG)
+    assert _angles_seen(Weight.point_log(0.5), "disk", rule) == {1}
+    assert _angles_seen(Weight.point_log(0.5), "disk", rule.rotated(np.exp(0.3j))) == {1}
+    assert _angles_seen(RegularizedLogWeight(0.1, "z"), "disk", rule) == {1}
+    assert _angles_seen(Weight.zero("bidisk"), "bidisk", br) == {1}
+    low = disk_rule(radial_order=4, angular_order=4, grading_levels=4)
+    assert _angles_seen(Weight.point_log(0.5), "disk", low) == {3}
+    assert _angles_seen(Weight.point_log(0.5), "disk", low.rotated(np.exp(0.3j))) == {4}
+
+
+@pytest.mark.parametrize("phase", [1.0, np.exp(0.3j)])
+def test_radial_gram_falls_back_to_every_angle(phase):
+    # degree 12 on 8 angles: the node sum has nonzero entries at the aliased
+    # offsets 8, which a one-angle evaluation would miss
+    rule = disk_rule(radial_order=8, angular_order=8).rotated(phase)
+    w = Weight.point_log(0.5)
+    G = _gram(w, 12, rule)[1]
+    ref = _brute_gram(w, 12, rule)
+    assert abs(G[0, 8]) > 0.1 * abs(G[0, 0])
+    assert _rel(G, ref) < 1e-13
+
+
+def test_radial_closed_forms_at_degree_48():
+    # the zero weight: G_nn = pi/(n+1), B_k = (k!)^2 (k+1)/pi; point_log(0.5),
+    # e^{-phi} = 1/|z|: G_nn = 2 pi/(2n+1), B_k = (k!)^2 (2k+1)/(2 pi)
+    n = np.arange(49)
+    for w, gnn in ((Weight.zero(), np.pi / (n + 1)),
+                   (Weight.point_log(0.5), 2 * np.pi / (2 * n + 1))):
+        model = build_model("disk", w, 48)
+        np.testing.assert_allclose(np.diag(model.gram).real, gnn, rtol=2e-13)
+        assert not np.count_nonzero(model.gram - np.diag(np.diag(model.gram)))
+        for k in range(49):
+            bk = math.factorial(k) ** 2 / gnn[k]
+            assert higher_kernel(model, k) == pytest.approx(bk, rel=2e-13)
+
+
 def test_gram_assembly_builds_no_nodes():
     rule = disk_rule(radial_order=8, angular_order=32)
     build_model("disk", Weight.halfplane(1.0), 8, rule=rule)
@@ -437,7 +534,7 @@ def test_bidisk_gram_batches_outer_radii():
     # not once per outer radius
     rule = bidisk_rule(radial_order=(8, 8), angular_order=(16, 16),
                        grading_levels=10)
-    w = Weight.zero("bidisk")
+    w = Weight([], "x1*x2 + y1*y2", "bidisk")  # invariant, not radial
     sizes = []
     evaluate = w.evaluate
 
@@ -608,13 +705,15 @@ _TENSOR_INVARIANT = dict(radial_order=(8, 8), angular_order=(32, 128),
 ], ids=["lens-4", "lens-16", "lens-24", "tensor-convolution", "tensor-shifted",
         "tensor-zero"])
 def test_block_factorization_matches_whole_gram(monkeypatch, weight, degree, tensor):
-    # an invariant Gram is factored and solved per total-degree block; the
-    # whole-Gram path on the same Gram agrees to 10 cond eps
+    # an invariant Gram is factored and solved per total-degree block, a
+    # radial one (the zero weight) per index; the whole-Gram path on the same
+    # Gram agrees to 10 cond eps
     rule = bidisk_rule(**_TENSOR_INVARIANT) if tensor else default_rule("bidisk", weight)
     model = build_model("bidisk", weight, degree, rule=rule)
     whole = _whole_gram_model(monkeypatch, weight, degree, model.monomials,
                               model.gram, rule)
-    assert len(model._blocks) == 2 * degree + 1 and len(whole._blocks) == 1
+    blocks = (degree + 1) ** 2 if weight.radial else 2 * degree + 1
+    assert len(model._blocks) == blocks and len(whole._blocks) == 1
     tol = 10 * whole.condition_number * np.finfo(float).eps
     assert _rel(model.basis_coeffs, whole.basis_coeffs) <= tol
     assert np.array_equal(np.tril(model.basis_coeffs), model.basis_coeffs)
@@ -632,7 +731,7 @@ def test_block_factorization_matches_whole_gram(monkeypatch, weight, degree, ten
 
 @pytest.mark.parametrize("domain, weight, degree, rule", [
     ("disk", Weight.halfplane(2.0), 16, None),
-    ("disk", Weight.point_log(0.5), 24, None),
+    ("disk", Weight([(0.5, "z - 0.3")]), 24, None),  # not radial
     ("bidisk", Weight([], "0.5*x1 + -0.3*y1", "bidisk"), 3,
      bidisk_rule(radial_order=(4, 4), angular_order=(8, 8), grading_levels=4)),
 ], ids=["disk-halfplane", "disk-point-log", "bidisk-tilted"])

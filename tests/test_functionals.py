@@ -253,6 +253,26 @@ def test_branch_gram_form_matches_node_sum(weight_name, variant, conic_k,
     assert val == pytest.approx(ref, rel=1e-12)
 
 
+@pytest.mark.parametrize("rotated", [False, True], ids=["plain", "rotated"])
+@pytest.mark.parametrize("weight_name", sorted(_BRANCH_WEIGHTS))
+def test_branch_node_sum_in_blocks(weight_name, rotated):
+    # gamma > 0 sums the integrand over radii x phases a block at a time:
+    # the whole-grid node sum to 1e-14, and the rule's flattened nodes and
+    # weights are never built
+    rule = disk_rule(radial_order=32, angular_order=64, grading_levels=18)
+    if rotated:
+        rule = rule.rotated(np.exp(0.3j))
+    w = _BRANCH_WEIGHTS[weight_name]()
+    u = (0.0, 1.0 - 0.5j, 0.3, 0.2j)
+    cases = ((0.5, "theorem", None), (0.3, "conjecture", 2), (1.0, "theorem", 3))
+    vals = [gamma_branch_norm(u, w, gamma, variant, rule=rule, conic_k=conic_k)
+            for gamma, variant, conic_k in cases]
+    assert "nodes" not in vars(rule) and "weights" not in vars(rule)
+    for val, (gamma, variant, conic_k) in zip(vals, cases):
+        ref = _branch_node_sum(u, w, gamma, variant, conic_k, rule) ** (1.0 + gamma)
+        assert val == pytest.approx(ref, rel=1e-14)
+
+
 _DEFAULT_CASES = [
     # (u, weight, gamma, variant, conic_k)
     ((0.0, 1.0), "zero", 0.0, "theorem", None),

@@ -40,6 +40,31 @@ def test_claim1_refuses_non_integer_m():
             sweeps.run_claim1(ms, check_convergence=False)
 
 
+@pytest.mark.parametrize("degree", [2.7, float("nan"), float("inf"), "4", None, 0, -3],
+                         ids=["fraction", "nan", "inf", "string", "none", "zero", "negative"])
+def test_non_integer_degree_refused(degree):
+    # one check for the model and every sweep: degree 2.7 used to run
+    # degree 2 in claim2, claim34 and lemmas, and to raise a raw TypeError
+    # in build_model
+    calls = [lambda: build_model("disk", Weight.zero(), degree),
+             lambda: sweeps.run_claim1([1], degree_schedule=lambda m: degree,
+                                       check_convergence=False),
+             lambda: sweeps.run_claim2([0.3], degree=degree, check_convergence=False),
+             lambda: sweeps.run_claim34([0.3], degree=degree, check_convergence=False),
+             lambda: sweeps.run_lemma_suite(degree=degree, check_convergence=False)]
+    for call in calls:
+        with pytest.raises(ParameterError, match="degree must be an integer >= 1"):
+            call()
+
+
+def test_integer_valued_degree_kept():
+    # 4.0 and numpy integers are the degree 4, under the same hash
+    hashes = {sweeps.run_claim2([0.3], degree=d, fmt="json", check_convergence=False)
+              .provenance["config_hash"] for d in (4, 4.0, np.int64(4))}
+    assert len(hashes) == 1
+    assert build_model("disk", Weight.zero(), np.float64(4.0)).degree == 4
+
+
 def test_claim1_rows_sorted_and_flagged(tmp_path):
     res = sweeps.run_claim1(ms=(3, 1, 2), check_convergence=True,
                             out=str(tmp_path / "c1.csv"))
@@ -454,6 +479,7 @@ def test_cli_given_flag_beats_config_at_its_default(tmp_path, capsys):
                      "--eps", "0.4", "--degree", "4", "--format", "json"]) == 0
     [row] = json.loads(capsys.readouterr().out)["rows"]
     assert (row["A"], row["eps"], row["degree"]) == (20.0, 0.4, 4)
+    cfg.write_text(json.dumps({"params": {"degree": 8}}))  # kernel takes no A, eps
     assert cli.main(["--config", str(cfg), "kernel", "--degree", "16"]) == 0
     assert json.loads(capsys.readouterr().out)["degree"] == 16
     assert cli.main(["--config", str(cfg), "kernel"]) == 0
@@ -525,6 +551,27 @@ def test_library_hash_kept_for_default_types():
         res = sweeps.run_claim2([0.3], A=A, degree=6, fmt="json",
                                 check_convergence=False)
         assert res.provenance["config_hash"] == "5ca66471476d8518"
+
+
+@pytest.mark.parametrize("doc", [{"params": {"degre": 3}}, {"degre": 3},
+                                 {"params": {"eps": "0.3"}}, {"params": {"config": "x"}}],
+                         ids=["param", "top-level", "other-subcommand", "config"])
+def test_cli_config_key_naming_no_option_refused(tmp_path, capsys, doc):
+    # a misspelled key used to be ignored, so the default ran
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli.main(["--config", str(cfg), "kernel", "--weight", "halfplane:1"]) == 1
+    key = next(iter(doc.get("params", doc)))
+    assert "error: config key %r names no option of kernel" % key in capsys.readouterr().err
+
+
+def test_cli_config_reserved_keys_accepted(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, "experiment": "claim1",
+                               "params": {"degree": 2}, "kmax": 1}))
+    assert cli.main(["--config", str(cfg), "kernel"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["degree"], len(doc["Bk"])) == (2, 2)
 
 
 def test_cli_config_selects_experiment(tmp_path, capsys):

@@ -163,6 +163,39 @@ def test_conjugation_symmetry_inferred():
     assert not clamp_max(Weight([], "x*y"), 0.2, 6.0).conjugation_symmetric
 
 
+_DIAGONAL_INVARIANT = Weight([(0.5, "z1 - z2")], "x1*x2 + y1*y2", "bidisk")
+
+
+@pytest.mark.parametrize("weight, radial", [
+    ("zero", True), ("zero:bidisk", True), ("point_log:0.5", True),
+    ("clamp:0.2:6", True), ('{"family": "reglog", "epsilon": 0.1, "direction": "z"}', True),
+    (Weight([(0.3, "2*z**2")], "x**2+y**2"), True),
+    (Weight([(0.3, "z1")], "x2**2+y2**2", "bidisk"), True),
+    (Weight.diagonal_log().restrict_to_branch(2), True),
+    (_DIAGONAL_INVARIANT.restrict_to_branch(1), True),
+    (RegularizedLogWeight(0.1, "z1-z2").restrict_to_branch(1), True),
+    (Weight([], "exp(x**2 + y**2)"), True),
+    ("halfplane:1", False), ("clamp:0.2:6:2", False), ("reglog:0.1", False),
+    (Weight([], "x**2-y**2"), False), (Weight([(0.5, "z-0.5")]), False),
+    (Weight([], "x1*x2+y1*y2", "bidisk"), False), (_DIAGONAL_INVARIANT, False),
+    (Weight([(0.5, "z1 + z2 - 0.5")], "0", "bidisk").restrict_to_branch(1), False),
+    (Weight([(0.3, "z1 + z1**2")], "0", "bidisk"), False),
+], ids=lambda v: v if isinstance(v, (str, bool)) else v.describe())
+def test_radial_flag_inferred(weight, radial):
+    # phi depends on |z| alone (|z1| and |z2| alone): every log factor a
+    # single monomial, the smooth part annihilated by every angular
+    # derivative; clamps and branch restrictions take it from their base or
+    # a jointly rotation-invariant parent, the regularized log from its
+    # direction.  The flag does not depend on how the weight is written.
+    w = parse_weight(weight) if isinstance(weight, str) else weight
+    assert w.radial is radial
+    assert from_dict(w.to_dict()).radial is radial
+    if radial:  # phi is unchanged under a rotation of each variable
+        zs = _sample(w.domain)
+        turned = [z * np.exp(1j * a) for z, a in zip(zs, (0.7, -1.9))]
+        assert np.allclose(w.evaluate(*turned), w.evaluate(*zs), rtol=1e-13, atol=1e-13)
+
+
 def test_twisted_derivative_vanishes_on_exact_log():
     # f = z, phi = log|z|^2 on the branch: df - f/z = 0
     w = RegularizedLogWeight(1e-12, "z")  # effectively log|z|^2 off 0
@@ -516,6 +549,9 @@ def test_compiled_weight_matches_concrete_expression(case, seed):
                            rtol=1e-12, atol=1e-12)
     assert w.conjugation_symmetric == conj
     assert w.diagonal_rotation_invariant == diag
+    if w.radial:  # phi is unchanged under a rotation of each variable
+        turned = [z * np.exp(1j * a) for z, a in zip(zv, rng.uniform(0, 2 * np.pi, 2))]
+        assert np.allclose(w.evaluate(*turned), phi(*zv), rtol=1e-12, atol=1e-12)
     killed = _reference_killed(orders, 3)
     if killed is None:
         _check_integrable(w, 3, domain)
@@ -614,7 +650,7 @@ def _outputs(w):
     else:
         ds = [w.d_branch(1, zs[1]), w.d_branch(2, zs[0])]
     flags = (getattr(w, "conjugation_symmetric", None),
-             getattr(w, "diagonal_rotation_invariant", None))
+             getattr(w, "diagonal_rotation_invariant", None), w.radial)
     return w.evaluate(*zs), ds, flags
 
 
