@@ -20,29 +20,32 @@ Every Gram matrix follows the convention G[a,b] = int conj(e_a) e_b e^{-phi}
 and comes from one entry, ``_gram``.  On a polar tensor rule it uses one
 moment kernel in two linear stages: ``_rows`` takes e^{-phi} on a polar
 tensor grid, block by block from a callback, and contracts it over the radii
-first (a real matrix product with the radial moments, leaving 2D+1 rows per
-angle, checked finite once), and ``_angular`` takes one rfft of those rows
-over the angles (exact for every Fourier offset).  The callbacks evaluate
-the weight at complex nodes r x phases, except on the invariant bidisk path
-for the regularized log, whose e^{-phi} is a function of |z1 - z2|^2, formed
-there from real polar arrays (``_polar_exp``).  Conjugation-symmetric
-weights, phi(conj z) = phi(z), are evaluated on half the angles of an
-unrotated rule.  Radial weights, phi a function of |z| (of |z1| and |z2|),
-are evaluated at one angle per radius when the angular order exceeds every
-Fourier offset of the Gram (on the disk, the degree; on the invariant
-bidisk path, always): the trapezoid sum of a row constant in the angle is
-na times the row at offset 0 and an exact 0 at every other offset, the same
-node sum, and the Gram is its diagonal.
+first (a batched real matrix product with a stack of radial moment tables,
+leaving 2D+1 rows per angle, checked finite once), and ``_angular`` takes
+one rfft of those rows over the angles (exact for every Fourier offset).
+The callbacks evaluate the weight at complex nodes r x phases, except on the
+invariant bidisk path for the regularized log, whose e^{-phi} is a function
+of |z1 - z2|^2, formed there from real polar arrays (``_polar_exp``).
+Conjugation-symmetric weights, phi(conj z) = phi(z), are evaluated on half
+the angles of an unrotated rule.  Radial weights, phi a function of |z| (of
+|z1| and |z2|), are evaluated at one angle per radius when the angular order
+exceeds every Fourier offset of the Gram (on the disk, the degree; on the
+invariant bidisk path, always): the trapezoid sum of a row constant in the
+angle is na times the row at offset 0 and an exact 0 at every other offset,
+the same node sum, and the Gram is its diagonal.
 The disk Gram is the two stages on the disk rule's grid.  The bidisk uses
 the full tensor grid z1^m z2^n with m,n <= D so that cross constraints are
-exactly expressible.  Its Gram takes the inner rows at every outer node
-(each outer node a batch entry of the radius-first blocks), contracts them
-over the outer radii into one real accumulator with one matrix product per
-run of outer radii, applies the angular stage to that accumulator once, and
-sums the outer angles with a second FFT.  For weights invariant
-under the simultaneous rotation (z1,z2) -> (e^{ia}z1, e^{ia}z2) the outer
-angular integral is exact: entries vanish unless m+n = m'+n', and only the
-outer angle 0 is evaluated.
+exactly expressible.  Its Gram takes the outer radii in runs.  Per run it
+builds the inner radial tables once, one per outer radius (a broadcast view
+of one table when the outer radii share the inner rule), evaluates e^{-phi}
+on blocks of as many of the run's outer radii as fit in a block, contracts
+each block with its tables in one batched matrix product, and contracts the
+run's rows over the outer radii into one real accumulator with one more.  It
+applies the angular stage to that accumulator once, and sums the outer
+angles with a second FFT.  For weights invariant under the simultaneous
+rotation (z1,z2) -> (e^{ia}z1, e^{ia}z2) the outer angular integral is
+exact: entries vanish unless m+n = m'+n', and only the outer angle 0 is
+evaluated.
 The regularized log's default bidisk rule is no tensor rule but a lens rule
 (``_lens_gram``): with e^{-phi} = f(|z1 - z2|^2), each total-degree block is
 one integral in t = |z1 - z2|, 2 pi int f(t^2) t K_k(t) dt, over the moment
@@ -62,12 +65,11 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 
 import numpy as np
 
 from .errors import COND_LIMIT, DegeneracyError, ParameterError
-from .quadrature import LensRule, _lens_block, bidisk_rule, disk_rule
+from .quadrature import LensRule, _checked_int, _lens_block, bidisk_rule, disk_rule
 from . import weights as wmod
 
 
@@ -286,12 +288,15 @@ def _degree_split(domain, degree, G):
     return _index_split(G.shape[0])
 
 
-# e^{-phi} is evaluated on blocks of about this many nodes: the grid block and
-# the temporaries of weight evaluation then stay cache-sized (256 KB of
+# e^{-phi} is evaluated on blocks of at most this many nodes: the grid block
+# and the temporaries of weight evaluation then stay cache-sized (256 KB of
 # complex values), where whole-grid arrays are bound by memory traffic
 _BLOCK = 1 << 14
-# the bidisk Gram contracts the rows of _RUN outer radii (or of one rows call,
-# if that holds more) into its accumulator per matrix product
+# the bidisk Gram takes its outer radii in runs: it builds the radial tables
+# of a run at once and contracts the run's rows into its accumulator with one
+# matrix product.  A run is _RUN outer radii under diagonal grading, where
+# each has its own table (more, if one block holds more), and otherwise as
+# many as fill _RUN blocks, which share one table
 _RUN = 16
 
 
@@ -310,47 +315,69 @@ def _evaluated_phases(rule, symmetric, radial=False, degree=0):
 
 
 def _rows(exp_phi, P, width):
-    """R[s, col] = sum over the radii i of P[i, s] T[i, col]: the radial stage
-    of the moment kernel.
+    """R[k, s, col] = sum over the radii j of P[k, s, j] T[k, j, col]: the
+    radial stage of the moment kernel, on a stack of radial tables.
 
-    ``P[i, s]`` (s = 0..2*degree) are the radial moments of the radii r_i
-    (``_powers``).  ``exp_phi(sl)`` returns e^{-phi} on the radii of the
-    slice ``sl`` as T[radius, *batch, angle], ``width`` values per radius;
-    the slices are blocks of about ``_BLOCK`` nodes, each contracted by one
-    real matrix product, whatever the batch shape (e^{-phi} itself, or a
-    stack of real fields).  The finite check is made once, on R: every
-    P[i, 0] is positive, so a non-finite value at any node makes the row
-    s = 0 non-finite.
+    ``P[k, s, j]`` (s = 0..2*degree) are the radial moments of table k's
+    radii (``_powers``): one table on the disk, one per outer radius of a run
+    on the bidisk.  ``exp_phi(ks, js)`` returns e^{-phi} at the radii ``js``
+    of the tables ``ks`` (two slices) as T[k, j, *batch, angle], ``width``
+    values per radius.  A block holds as many whole tables as fit in
+    ``_BLOCK`` nodes, or, when one table holds more, an equal share of its
+    radii that fits; each block is contracted by one batched real matrix
+    product, whatever the batch shape (e^{-phi} itself, or a stack of real
+    fields).
+    The finite check is made once, on R: every P[k, 0, j] of a kept radius
+    is positive, so a non-finite value at any node makes its row s = 0
+    non-finite.
     """
-    step = max(1, _BLOCK // width)
-    R = np.zeros((P.shape[1], width))
-    for lo in range(0, P.shape[0], step):
-        Pb = P[lo:lo + step]
-        R += Pb.T @ exp_phi(slice(lo, lo + step)).reshape(Pb.shape[0], -1)
-    if not np.all(np.isfinite(R[0])):
+    k, n, m = P.shape
+    nodes = m * width  # of one table
+    kb = max(1, _BLOCK // max(1, nodes))  # tables per block
+    jb = max(1, -(-m // max(1, -(-nodes // _BLOCK))))  # radii per block
+    R = np.zeros((k, n, width))
+    for k0 in range(0, k, kb):
+        ks = slice(k0, k0 + kb)
+        for j0 in range(0, m, jb):
+            js = slice(j0, j0 + jb)
+            T = exp_phi(ks, js)
+            R[ks] += np.matmul(P[ks, :, js], T.reshape(T.shape[0], T.shape[1], -1))
+    if not np.all(np.isfinite(R[:, 0])):
         raise DegeneracyError(
             "weight produced non-finite e^{-phi} at quadrature nodes")
     return R
 
 
 def _powers(pw, r, n, density=None):
-    """(r, P): every radial factor of a Gram in one table, the radial moments
-    P[i, s] = pw_i rho(r_i) r_i^s (s < n) of the radii r_i that it keeps.
+    """(r, P): every radial factor of a Gram in one table per row of r, the
+    radial moments P[..., s, j] = pw_j rho(r_j) r_j^s (s < n) of the radii
+    r_j of the row that it keeps.
 
     pw is the weight of each radius's nodes, rho the optional radial
     ``density``; the radii where pw rho is 0 are dropped, so that e^{-phi}
-    is never evaluated there.  The powers come from repeated multiplication:
-    within a few units in the last place of ``**``, at a fraction of its
-    cost."""
+    is never evaluated there.  A row that keeps fewer radii than another is
+    padded with repeats of its first kept radius at moment 0, so the rows
+    stay one array.  The powers come from repeated multiplication: within a
+    few units in the last place of ``**``, at a fraction of its cost."""
     if density is not None:
         pw = pw * density(r)
     keep = pw != 0
-    pw, r = pw[keep], r[keep]
-    Pt = np.empty((n, r.size))
-    Pt[0] = pw
+    if not keep.all():
+        count = keep.sum(axis=-1, keepdims=True)
+        if count.min() < count.max():
+            # a row that keeps fewer radii than another takes back as many of
+            # its dropped ones, as repeats of a kept radius at moment 0
+            fill = ~keep & (np.cumsum(~keep, axis=-1) <= count.max() - count)
+            first = np.take_along_axis(r, keep.argmax(axis=-1)[..., None], -1)
+            pw, r = np.where(fill, 0.0, pw), np.where(fill, first, r)
+            keep |= fill
+        shape = r.shape[:-1] + (-1,)
+        pw, r = pw[keep].reshape(shape), r[keep].reshape(shape)
+    P = np.empty((n,) + r.shape)
+    P[0] = pw
     for s in range(1, n):
-        np.multiply(Pt[s - 1], r, out=Pt[s])
-    return r, Pt.T
+        np.multiply(P[s - 1], r, out=P[s])
+    return r, P.swapaxes(0, -2)
 
 
 def _angular(R, rule, degree, sign=1.0):
@@ -404,45 +431,70 @@ def _exp_weight(weight, zs):
 
 def _polar_exp(weight, r1, r2, vers):
     """The ``_rows`` callback of the invariant bidisk path for a weight whose
-    e^{-phi} is a function of a2 = |z1 - z2|^2 (the regularized log), at the
-    real z1 = r1 (a batch of outer radii) and z2 = r2 e^{i theta}:
+    e^{-phi} is a function of a2 = |z1 - z2|^2 (the regularized log), for a
+    run of outer radii: at the real z1 = r1[k] and z2 = r2[k, j] e^{i theta},
         a2 = (r1 - r2)^2 + 2 r1 r2 vers,   vers = 2 sin^2(theta/2) = 1 - cos theta,
-    one real matrix product of a pair of arrays over the rows (r2, r1) with
-    (vers, 1) over the angles: no complex grid, and no cancellation of
-    r1 - r2 cos theta near the diagonal.  r2 are the inner radii that
-    ``_powers`` keeps; any density is in its moments.
+    the coefficients of the run built once, and a block's a2 one real matrix
+    product of its pairs (2 r1 r2, (r1 - r2)^2) with (vers, 1) over the
+    angles: no complex grid, and no cancellation of r1 - r2 cos theta near
+    the diagonal.  r2 are the inner radii that ``_powers`` keeps; any
+    density is in its moments.
     """
-    d = r2[:, None] - r1
-    L = np.stack([2.0 * r2[:, None] * r1, d * d], axis=-1).reshape(-1, 2)
+    d = r2 - r1[:, None]
+    L = np.stack([2.0 * r2 * r1[:, None], d * d], axis=-1)
     V = np.stack([vers, np.ones_like(vers)])
-    g = r1.size
 
-    def exp_phi(sl):
-        a2 = L[sl.start * g:sl.stop * g] @ V
-        return weight._exp_neg_phi_a2(a2).reshape(a2.shape[0] // g, -1)
+    def exp_phi(ks, js):
+        Lb = L[ks, js]
+        a2 = Lb.reshape(-1, 2) @ V
+        return weight._exp_neg_phi_a2(a2).reshape(Lb.shape[:2] + (-1,))
 
     return exp_phi
+
+
+@functools.lru_cache(maxsize=32)
+def _outer_gather(degree, na, turn, invariant):
+    """(dst, src, e), built once and read-only: for each entry
+    G[(m, n), (m', n')] of a bidisk Gram that is not an exact 0 (on the
+    invariant path, those with m + n = m' + n'), its flat place ``dst`` in
+    G, its flat place ``src`` in the output A[m + m', outer offset, n, n'] of
+    the outer FFT over ``na`` outer angles, and its outer offset
+    e = m' - m (+ n' - n when the inner rule ``turn``s with the outer
+    phase), read at -e mod na."""
+    nb = degree + 1
+    m, n, mp, np_ = np.indices((nb,) * 4).reshape(4, -1)
+    e = (mp - m) + turn * (np_ - n)
+    dst = np.flatnonzero(m + n == mp + np_) if invariant else np.arange(m.size)
+    m, n, mp, np_, e = (x[dst] for x in (m, n, mp, np_, e))
+    src = (((m + mp) * na + (-e) % na) * nb + n) * nb + np_
+    for x in (dst, src, e):
+        x.flags.writeable = False
+    return dst, src, e
 
 
 def _bidisk_gram(weight, degree, rule, density=None):
     """Gram of z1^m z2^n (m, n <= degree), with one angular stage per Gram.
 
     Every radial factor (quadrature weight, density, power) is in the radial
-    tables of ``_powers``: C[r, s1] = w_r rho(r) r^(s1+1) over the outer
-    radii, built once, and the inner moments per inner rule, built from the
-    rule's ``_inner_rules`` a run of outer radii at a time.  Radii where the
-    density is 0 are dropped from both before any evaluation.  The inner
-    rows (``_rows``, batched over the outer nodes, radius major, angle minor)
-    are contracted over the outer radii with C into one real accumulator
-    R[s1, s2, outer angle, inner angle]: without diagonal grading all outer
-    radii share the inner rule and a rows call takes as many as fill a block
-    of about ``_BLOCK`` nodes; under diagonal grading the inner rule depends
-    on r1 and a rows call takes one.  The angular stage (``_angular``) then
-    runs once on the accumulator, and the outer angular sum is one FFT at the
-    offset m'-m (plus n'-n when the inner rule turns with the outer phase, as
-    under diagonal grading).  The accumulator covers a span of outer angles
-    that keeps it within about ``_BLOCK * (2*degree+1)`` reals, all of them
-    unless the rule has many outer and inner angles.
+    tables of ``_powers``: C[s1, r] = w_r rho(r) r^(s1+1) over the outer
+    radii, built once, and the inner moments P[k, s2, j] of a run of outer
+    radii (``_RUN``), built at once from the rule's ``_inner_rules``: one
+    table per outer radius under diagonal grading, where the inner rule
+    depends on r1, and otherwise a broadcast view of the one table of the
+    shared inner rule.  Radii where the density is 0 are dropped from both
+    before any evaluation.  ``_rows`` evaluates e^{-phi} on blocks of as
+    many outer radii of the run as fit in ``_BLOCK`` nodes (grid T[outer
+    radius, inner radius, outer angle, inner angle]; an equal share of one
+    outer radius's inner radii when it holds more) and contracts each block
+    with one batched matrix product into the run's rows; one matrix product
+    with C contracts those over the outer radii into one real accumulator
+    R[s1, s2, outer angle, inner angle].
+    The angular stage (``_angular``) then runs once on the accumulator, and
+    the outer angular sum is one FFT at the offset m'-m (plus n'-n when the
+    inner rule turns with the outer phase, as under diagonal grading).  The
+    accumulator covers a span of outer angles that keeps it within about
+    ``_BLOCK * (2*degree+1)`` reals, all of them unless the rule has many
+    outer and inner angles.
 
     For diagonally invariant weights the outer angular integral is exact:
     only the outer angle 0 is evaluated, entries with m+n != m'+n' vanish and
@@ -481,44 +533,37 @@ def _bidisk_gram(weight, degree, rule, density=None):
     s2, d2 = _pairs(D)
     for a0 in range(0, phases.size, span):
         ph1 = phases[a0:a0 + span]
-        width = ns * ph1.size * ph.size  # reals of one outer radius's rows
-        # outer radii per rows call: as many as fill a block when they share
-        # the inner rule, one under diagonal grading; per contraction, a
-        # number that does not depend on the degree, so neither does the
-        # order in which the outer radii are summed
-        g = 1 if rule.diagonal_grading else \
-            max(1, _BLOCK // (ph1.size * rule.rule2.radii.size * ph.size))
-        run = max(g, _RUN)
-        stack = np.empty((min(run, radii.size), ns, width // ns))
-        R = np.zeros((ns, width))  # R[s1, s2 * outer angle * inner angle]
+        # numbers of outer radii that do not depend on the degree, so
+        # neither does the order in which they are summed
+        per_block = max(1, _BLOCK // (rule.inner_size * ph1.size * ph.size))
+        run = max(_RUN, per_block) if rule.diagonal_grading else _RUN * per_block
+        # R[s1, s2 * outer angle * inner angle]
+        R = np.zeros((ns, ns * ph1.size * ph.size))
         for lo in range(0, radii.size, run):
-            r2, w2 = rule._inner_rules(radii[lo:lo + run])
-            n = len(r2)
-            for i in range(0, n, g):
-                r1 = radii[lo + i:lo + min(i + g, n)]
-                r2i, P = _powers(pw_scale * w2[i] * r2[i], r2[i], ns, density)
-                if polar:
-                    exp_phi = _polar_exp(weight, r1, r2i, vers)
-                else:
-                    z1 = (r1[:, None] * ph1).reshape(-1, 1)
+            r1 = radii[lo:lo + run]
+            r2, w2 = rule._inner_rules(r1)
+            if not rule.diagonal_grading:  # one inner rule: one table
+                r2, w2 = r2[:1], w2[:1]
+            r2, P = _powers(pw_scale * w2 * r2, r2, ns, density)
+            r2 = np.broadcast_to(r2, r1.shape + r2.shape[1:])
+            P = np.broadcast_to(P, r1.shape + P.shape[1:])
+            if polar:
+                exp_phi = _polar_exp(weight, r1, r2, vers)
+            else:
+                def exp_phi(ks, js):
+                    z1 = (r1[ks, None] * ph1)[:, None, :, None]
+                    z2 = (r2[ks, js, None] * ph)[:, :, None, :]
+                    return _exp_weight(weight, (z1, ph1[:, None] * z2 if turn else z2))
 
-                    def exp_phi(sl):
-                        z2 = (r2i[sl, None] * ph)[:, None, :]
-                        return _exp_weight(weight, (z1, ph1[:, None] * z2 if turn else z2))
-
-                rows = _rows(exp_phi, P, r1.size * ph1.size * ph.size)
-                stack[i:i + r1.size] = rows.reshape(ns, r1.size, -1).transpose(1, 0, 2)
-            R += C[lo:lo + n].T @ stack[:n].reshape(n, -1)
-        del stack
+            rows = _rows(exp_phi, P, ph1.size * ph.size)
+            R += C[:, lo:lo + run] @ rows.reshape(r1.size, -1)
         K = _angular(R.reshape(ns, ns, ph1.size, ph.size), rule.rule2, D)
         S[:, a0:a0 + span] = K[:, s2, :, d2].transpose(2, 3, 0, 1)
         del R, K  # not held through the outer FFT and the gather
     A = np.fft.fft(S, axis=1) * (2.0 * np.pi / phases.size)
-    m, n, mp, np_ = np.ogrid[:nb, :nb, :nb, :nb]
-    e = (mp - m) + turn * (np_ - n)
-    G = A[m + mp, (-e) % phases.size, n, np_] * phases[0] ** e
-    if invariant:
-        G = np.where(m + n == mp + np_, G, 0.0)
+    dst, src, e = _outer_gather(D, phases.size, turn, invariant)
+    G = np.zeros((nb * nb) ** 2, dtype=complex)
+    G[dst] = A.take(src) * phases[0] ** e
     mons = [(a, b) for a in range(nb) for b in range(nb)]
     return mons, G.reshape(nb * nb, nb * nb)
 
@@ -571,7 +616,8 @@ def _gram(weight, degree, rule, density=None):
                            bool(getattr(weight, "radial", False)), degree)
     pw = (2.0 * np.pi / rule.angular_order) * rule.radial_weights * rule.radii
     r, P = _powers(pw, rule.radii, 2 * degree + 1, density)
-    R = _rows(lambda sl: _exp_weight(weight, (r[sl, None] * ph,)), P, ph.size)
+    R = _rows(lambda ks, js: _exp_weight(weight, (r[js, None] * ph,))[None], P[None],
+              ph.size)[0]
     return list(range(degree + 1)), _angular(R, rule, degree)[_pairs(degree)]
 
 
@@ -606,17 +652,17 @@ def _twisted_gram(weight, degree, rule, density=None):
     # the entries take the moments up to r^(2D - 1)
     r, P = _powers(pw, rule.radii, max(2 * D, 1), density)
 
-    def fields(sl):
-        z = r[sl, None] * ph
+    def fields(ks, js):
+        z = r[js, None] * ph
         dphi = weight.d_holomorphic(z)
         # a non-finite field fails the finite check of ``_rows``
         with np.errstate(over="ignore", invalid="ignore"):
             e = _exp_weight(weight, (z,))
             g = dphi * e
             return np.stack([e, g.real, g.imag, _abs2(dphi) * e,
-                             _abs2(1.0 - z * dphi) * e], axis=1)
+                             _abs2(1.0 - z * dphi) * e], axis=1)[None]
 
-    R = _rows(fields, P, 5 * ph.size).reshape(P.shape[1], 5, ph.size)
+    R = _rows(fields, P[None], 5 * ph.size).reshape(P.shape[0], 5, ph.size)
     K = _angular(R, rule, D, _TWISTED_SIGN)  # K[a + b, field, b - a + D]
     e, Q, V = K[:, 0], K[:, 3], K[:, 4]
     G = K[:, 1] + 1j * K[:, 2]
@@ -658,10 +704,7 @@ def default_rule(domain, weight=None):
 def _checked_degree(degree):
     """A truncation degree as an int, after checking that it is an integer
     >= 1 (24.0 passes as 24; 2.7, nan and non-numbers are refused)."""
-    if not (isinstance(degree, numbers.Real) and float(degree).is_integer()
-            and degree >= 1):
-        raise ParameterError("degree must be an integer >= 1, got %r" % (degree,))
-    return int(degree)
+    return _checked_int("degree", degree, 1)
 
 
 def build_model(domain, weight, degree, rule=None):

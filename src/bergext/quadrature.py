@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebvander
@@ -47,6 +48,16 @@ from numpy.polynomial.legendre import leggauss
 from .errors import EvaluationError, ParameterError
 
 _MIN_CELL = 1e-14
+
+
+def _checked_int(name, value, least):
+    """``value`` as an int, after checking that it is an integer >= ``least``
+    (16.0 passes as 16; 2.5, nan and non-numbers are refused), or a
+    ParameterError naming the parameter."""
+    if not (isinstance(value, numbers.Real) and float(value).is_integer()
+            and value >= least):
+        raise ParameterError("%s must be an integer >= %d, got %r" % (name, least, value))
+    return int(value)
 
 
 def _composite(breakpoints, order):
@@ -179,16 +190,15 @@ def disk_rule(radial_order=64, angular_order=128, grading_levels=20):
     uniform angles per annulus.  The radial mesh is refined geometrically
     (ratio 1/2, ``grading_levels`` levels) toward 0.
     """
-    if radial_order < 2:
-        raise ParameterError("radial_order must be >= 2, got %r" % radial_order)
-    if angular_order < 4:
-        raise ParameterError("angular_order must be >= 4, got %r" % angular_order)
+    radial_order = _checked_int("radial_order", radial_order, 2)
+    angular_order = _checked_int("angular_order", angular_order, 4)
+    grading_levels = _checked_int("grading_levels", grading_levels, 0)
     mesh = np.concatenate([[0.0], 0.5 ** np.arange(grading_levels, 0, -1), [1.0]])
     radii, rweights = _composite(mesh, radial_order)
     meta = {
-        "radial_order": int(radial_order),
-        "angular_order": int(angular_order),
-        "grading_levels": int(grading_levels),
+        "radial_order": radial_order,
+        "angular_order": angular_order,
+        "grading_levels": grading_levels,
     }
     return DiskRule(radii, rweights, angular_order, meta)
 
@@ -209,12 +219,21 @@ class BidiskRule:
         self.rule1 = rule1
         self.rule2 = rule2
         self.diagonal_grading = bool(diagonal_grading)
-        self.diagonal_levels = int(diagonal_levels)
+        self.diagonal_levels = _checked_int("diagonal_levels", diagonal_levels, 0)
         self.metadata = {
             "factor1": rule1.metadata,
             "factor2": rule2.metadata,
             "diagonal_grading": self.diagonal_grading,
         }
+
+    @property
+    def inner_size(self):
+        """The number of radii of each second-factor radial rule of
+        ``_inner_rules``: the plain second factor's, or under diagonal grading
+        ``_radial_rules``' (3 * levels + 2) * order."""
+        if not self.diagonal_grading:
+            return self.rule2.radii.size
+        return (3 * self.diagonal_levels + 2) * self.rule2.metadata["radial_order"]
 
     def _inner_rules(self, radii):
         """The second-factor radial rules at a run of outer radii, as
@@ -371,9 +390,7 @@ class LensRule:
     def __init__(self, scale, order=16):
         if not 0 < scale < np.inf:
             raise ParameterError("lens rule scale must be finite and > 0, got %r" % scale)
-        if order < 2:
-            raise ParameterError("t_order must be >= 2, got %r" % order)
-        self.scale, self.order = float(scale), int(order)
+        self.scale, self.order = float(scale), _checked_int("t_order", order, 2)
         grade = np.ldexp(self.scale, np.arange(max(0, math.ceil(1.0 - math.log2(self.scale)))))
         pts = np.unique(np.concatenate(
             [[0.0, 2.0], grade, 2.0 - 0.5 ** np.arange(_LENS_LEVELS + 1)]))

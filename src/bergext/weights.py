@@ -578,13 +578,20 @@ class RegularizedLogWeight(_Spec):
     def _exp_neg_phi_a2(self, a2):
         """e^{-phi_eps} at a2 = |zeta|^2, without the log/exp round trip and
         finite everywhere: 1/(eps^2 + a2) (shifted), or
-        exp(max(eps^2 - a2, 0)/eps^2) / max(a2, eps^2) (convolution), which
-        is 1/a2 outside the eps-tube a2 < eps^2.
+        exp(1 - min(a2, eps^2)/eps^2) / max(a2, eps^2) (convolution), which
+        is 1/a2 outside the eps-tube a2 < eps^2.  Each is computed in place
+        on one scratch array of a2's shape.
         """
         e2 = self.epsilon**2
+        out = np.empty(np.shape(a2))
         if self.style == "shifted":
-            return 1.0 / (e2 + a2)
-        return np.exp(np.maximum(e2 - a2, 0.0) / e2) / np.maximum(a2, e2)
+            np.add(a2, e2, out=out)
+            return np.reciprocal(out, out=out)
+        np.minimum(a2, e2, out=out)
+        out *= -1.0 / e2
+        out += 1.0
+        np.exp(out, out=out)
+        return np.divide(out, np.maximum(a2, e2), out=out)
 
     def _d_zeta(self, zeta):
         a2 = np.abs(zeta) ** 2

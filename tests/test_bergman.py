@@ -271,6 +271,32 @@ def test_bidisk_generic_gram_matches_node_sum():
     assert _rel(build_model("bidisk", w, 2, rule=rule).gram, ref) < 1e-12
 
 
+@pytest.mark.parametrize("weight", [
+    Weight.zero("bidisk"), Weight([], "x1*x2 + y1*y2", "bidisk"),
+    Weight([], "0.3*x1 + 2*y2**3", "bidisk")], ids=["zero", "x1x2+y1y2", "turned"])
+def test_diagonal_graded_gram_matches_node_sum(weight):
+    # under diagonal grading every outer radius has its own inner table; the
+    # radial stage takes them a run at a time, evaluating e^{-phi} on blocks
+    # of whole outer radii: all 20 in one block for the radial zero weight,
+    # on the complex-node invariant path for x1*x2 + y1*y2, and with the
+    # inner rule turned by the outer phases for a generic weight.  The outer
+    # angular order 8 exceeds 2*degree, so the invariant Gram is the node sum
+    rule = bidisk_rule(**_SMALL_DIAG)
+    sizes = []
+    evaluate = weight.evaluate
+
+    def counting(*zs):
+        sizes.append(np.broadcast(*zs).size)
+        return evaluate(*zs)
+
+    weight.evaluate = counting
+    G = _gram(weight, 2, rule)[1]
+    weight.evaluate = evaluate
+    if weight.radial:
+        assert sizes == [rule.rule1.radii.size * rule.inner_size]
+    assert _rel(G, _brute_gram(weight, 2, rule)) < 1e-12
+
+
 def test_rotated_second_factor_under_diagonal_grading():
     # the node sum turns the diagonally graded inner rules by the second
     # factor's own rotation as well as by the outer phase, as the Gram does

@@ -166,6 +166,15 @@ def test_bulk_norm_skips_excluded_radii():
     rule = bidisk_rule(radial_order=(16, 4), angular_order=(16, 16), grading_levels=4)
     assert log_weighted_bulk_norm(np.ones((2, 2)), w, spec, rule) == 0.0
     assert not seen
+    # under diagonal grading each outer radius has its own inner radii, and
+    # how many of them the cut keeps differs per outer radius
+    spec = NormSpec("log_weighted_bulk", region="exclude_sing", r_sing=0.3)
+    rule = bidisk_rule(**_BULK_RULES["diagonal"])
+    outer = rule.rule1.radii[rule.rule1.radii > 0.3]
+    assert len(set((rule._inner_rules(outer)[0] > 0.3).sum(axis=1))) > 1
+    val = log_weighted_bulk_norm(np.ones((2, 2)), w, spec, rule)
+    assert seen and min(seen) > 0.3
+    assert val == pytest.approx(_bulk_node_sum(np.ones((2, 2)), w, spec, rule), rel=1e-12)
 
 
 def test_bulk_norm_builds_no_nodes():

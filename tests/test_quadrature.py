@@ -299,6 +299,39 @@ def test_parameter_validation():
             quadrature.LensRule(scale, order)
 
 
+@pytest.mark.parametrize("build, name", [
+    (lambda: bidisk_rule((4, 4), (8, 16), 4, True, -1), "diagonal_levels"),
+    (lambda: disk_rule(2.5, 8), "radial_order"),
+    (lambda: disk_rule(4, 8.5), "angular_order"),
+    (lambda: disk_rule(4, 8, -1), "grading_levels"),
+    (lambda: bidisk_rule(grading_levels=float("nan")), "grading_levels"),
+    (lambda: bidisk_rule(radial_order=(4, 2.5)), "radial_order"),
+    (lambda: quadrature.LensRule(0.1, float("nan")), "t_order"),
+    (lambda: quadrature.LensRule(0.1, 2.5), "t_order"),
+], ids=["negative-diagonal-levels", "fractional-radial-order",
+        "fractional-angular-order", "negative-grading-levels", "nan-grading-levels",
+        "fractional-inner-radial-order", "nan-t-order", "fractional-t-order"])
+def test_rule_sizes_must_be_integers(build, name):
+    # a rule size used to be truncated, ignored or refused with a raw error
+    with pytest.raises(ParameterError, match="^%s must be an integer >= " % name):
+        build()
+
+
+def test_integer_valued_rule_sizes_kept():
+    a = disk_rule(8.0, np.float64(16.0), 4.0)
+    b = disk_rule(8, 16, 4)
+    assert a.metadata == b.metadata and np.array_equal(a.nodes, b.nodes)
+    assert quadrature.LensRule(0.1, 16.0).order == 16
+    assert bidisk_rule(diagonal_grading=True, diagonal_levels=4.0).diagonal_levels == 4
+
+
+@pytest.mark.parametrize("diagonal_grading", [False, True])
+def test_inner_size_is_the_inner_rules_width(diagonal_grading):
+    rule = bidisk_rule(radial_order=(4, 6), angular_order=(8, 16), grading_levels=5,
+                       diagonal_grading=diagonal_grading, diagonal_levels=3)
+    assert rule._inner_rules(rule.rule1.radii[:3])[0].shape == (3, rule.inner_size)
+
+
 def test_nonfinite_integrand_reported():
     r = disk_rule(radial_order=4, angular_order=8)
     with pytest.raises(EvaluationError):
