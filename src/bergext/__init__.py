@@ -35,7 +35,6 @@ from .bergman import (
     higher_kernel,
     kernel,
     log_kernel_gradient_at_zero,
-    model_summary_json,
     unit_ek,
 )
 from .extension import (
@@ -76,7 +75,6 @@ __all__ = [
     "bergman_metric_at_zero",
     "log_kernel_gradient_at_zero",
     "unit_ek",
-    "model_summary_json",
     "Jet",
     "CrossData",
     "ExtensionReport",

@@ -8,13 +8,11 @@ orthogonal ladder E_0 > E_1 > ... as the columns of the lower-triangular
 ``basis_coeffs`` (``BergmanModel._factorize``).  Every kernel quantity
 (B_0(z,w), the higher-order kernels B_k(0), the Bergman metric and the
 log-kernel gradient at the origin) is read off those columns.  Every Gram
-is checked, factored and solved (``extension._pinned_solve``) as a padded
-stack of index blocks: 1 x 1 blocks for a diagonal Gram (every off-diagonal
-entry an exact 0, as for a radial weight), the total-degree blocks
-m + n = k, each at most D+1 monomials, for a bidisk Gram that is
-block-diagonal in the total degree (every entry between two total degrees
-an exact 0, as for a weight invariant under the joint rotation), and one
-block of every index for any other Gram (the disk, the generic bidisk).
+is built, checked, factored and solved (``extension._pinned_solve``) as a
+padded stack of the index blocks that its producer states: 1 x 1 blocks for
+a radial weight's Gram evaluated at one angle per radius, the total-degree
+blocks m + n = k (at most D+1 monomials each) for a lens or invariant tensor
+Gram, one block of every index otherwise (the disk, the generic bidisk).
 
 Every Gram matrix follows the convention G[a,b] = int conj(e_a) e_b e^{-phi}
 and comes from one entry, ``_gram``.  On a polar tensor rule it uses one
@@ -74,18 +72,20 @@ from . import weights as wmod
 
 
 class BergmanModel:
-    def __init__(self, domain, weight, degree, monomials, gram, rule):
+    def __init__(self, domain, weight, degree, monomials, blocks, gram, rule):
         self.domain = domain
         self.weight = weight
         self.degree = int(degree)
         self.monomials = monomials
         self.index = {m: i for i, m in enumerate(monomials)}
-        self.gram = gram
         self.rule = rule
-        self._factorize()
+        self._blocks = blocks
+        self._at = np.argsort(blocks, axis=None)[blocks.size - len(monomials):]
+        self._factorize(gram)
 
-    def _factorize(self):
-        """Check the Gram matrix and factor it along the ladder.
+    def _factorize(self, G):
+        """Check the Gram blocks G (G[k] over the indices ``_blocks[k]``, as
+        ``_gram`` states them) and factor them along the ladder.
 
         After the finiteness, Hermitian, diagonal and conditioning checks (the
         eigenvalues of the Jacobi-scaled Gs = G/(d d^T)), Gs = L^H L with L
@@ -94,48 +94,43 @@ class BergmanModel:
         E^H G E = I, so its column k is the only unit vector of E_k (-) E_{k+1}
         (E_k spanned by the monomials from index k on) with a positive k-th
         coefficient, and needs no sign or order fixing.  On the bidisk only
-        column 0 (the monomial 1 comes first) is a ladder vector.
-
-        The checks and the factorization run on the index blocks of
-        ``_degree_split``: 1 x 1 blocks of a Gram whose off-diagonal entries
-        are all exact zeros (a radial weight's), the total-degree blocks of a
-        bidisk Gram whose entries between different total degrees m + n are
-        all exact zeros (an invariant weight's, ``_lens_gram`` and the
-        invariant path of ``_bidisk_gram``), one block of every index for any
-        other Gram.  Each block keeps its index order, so L, E and the
-        eigenvalues of Gs are the blocks', and E is scattered back into the
-        dense lower-triangular ``basis_coeffs``.  The blocks are one stack,
-        each padded to the size of the largest with the identity: a
-        Jacobi-scaled block has a unit diagonal, so
-        lambda_min <= 1 <= lambda_max and the padding leaves the condition
-        number unchanged.  ``gram`` stays dense, and ``_blocks`` keeps each
-        block's indices for ``extension._pinned_solve``.
+        column 0 (the monomial 1 comes first) is a ladder vector.  Each block
+        keeps its index order, so L, E and the eigenvalues of Gs are the
+        blocks'.  The padding is the identity in Gs, whose blocks have a unit
+        diagonal: lambda_min <= 1 <= lambda_max is left unchanged.
         """
-        G = self.gram
-        self._blocks, at, ab, ba, a, b = _degree_split(self.domain, self.degree, G)
-        # the entries checked and factored, and their transposes
-        g, gt = G.take(ab), G.take(ba)
-        herm_defect = np.abs(g - gt.conj()).max()
-        scale = np.abs(g).max()
+        Gh = G.conj().swapaxes(1, 2)
+        herm_defect = np.abs(G - Gh).max()
+        scale = np.abs(G).max()
         if not np.isfinite(scale) or scale == 0:
             raise DegeneracyError("non-finite Gram matrix", self.monomials)
         if herm_defect > 1e-10 * scale:
             raise DegeneracyError("Gram matrix not Hermitian (defect %.2e)" % herm_defect)
-        g = 0.5 * (g + gt.conj())
-        self.gram = np.zeros(G.shape, G.dtype)
-        self.gram.put(ab, g)
-        d = np.sqrt(np.diag(self.gram).real)
-        if not np.all(np.isfinite(d)) or np.any(d <= 0):
-            bad = [self.monomials[i] for i in np.flatnonzero(~(np.isfinite(d) & (d > 0)))]
+        self._gram_blocks = G = 0.5 * (G + Gh)
+        pad = self._blocks < 0
+        d = np.sqrt(np.diagonal(G, axis1=1, axis2=2).real)
+        d[pad] = 1.0
+        bad = ~(np.isfinite(d) & (d > 0))
+        if bad.any():
+            bad = [self.monomials[i] for i in np.sort(self._blocks[bad])]
             raise DegeneracyError(
                 "weight is not integrable against monomials %s" % bad, bad)
         # the Jacobi-scaled blocks over a stack of identities
-        size = max(blk.size for blk in self._blocks)
-        S = np.tile(np.eye(size, dtype=g.dtype), (len(self._blocks), 1, 1))
-        S.put(at, g / d[a] / d[b])
+        S = G / d[:, :, None] / d[:, None, :]
+        k, i = np.nonzero(pad)
+        S[k, i, i] = 1.0
         E, self.condition_number = _ladder(S)
-        self.basis_coeffs = np.zeros(G.shape, E.dtype)
-        self.basis_coeffs.put(ab, E.take(at) / d[a])
+        self._basis_blocks = np.ascontiguousarray(E / d[:, :, None])
+
+    @property
+    def gram(self):
+        """The dense Gram matrix, formed from its blocks when read."""
+        return _dense(self._blocks, self._gram_blocks)
+
+    @property
+    def basis_coeffs(self):
+        """The dense lower-triangular E, formed from its blocks when read."""
+        return _dense(self._blocks, self._basis_blocks)
 
     # -- evaluation of basis / kernel ---------------------------------------
 
@@ -162,8 +157,7 @@ class BergmanModel:
         return np.sum(ez * np.conj(ew), axis=-1)
 
     def summary(self, kmax=6):
-        if kmax < 0:
-            raise ParameterError("kmax must be >= 0, got %r" % (kmax,))
+        kmax = _checked_int("kmax", kmax, 0)
         out = {
             "domain": self.domain,
             "weight": self.weight.describe(),
@@ -243,49 +237,43 @@ def _ladder(S):
 
 @functools.lru_cache(maxsize=32)
 def _index_split(n, degree=None, diagonal=False):
-    """(blocks, at, ab, ba, a, b): the index blocks of an n x n Gram, built
-    once and read-only: ``diagonal``, one block per index; given a degree,
-    ``blocks[k]`` holds the bidisk monomials z1^m z2^n (m, n <= degree, at
-    index m (degree + 1) + n) with m + n = k; otherwise one block holds every
-    index.  Over every pair (a, b) of indices in one block, ``at`` is its
-    flat place in a stack of (len(blocks), size, size) blocks (size the
-    largest block's), ``ab`` and ``ba`` those of G[a, b] and G[b, a], and
-    ``a`` and ``b`` its row and column."""
+    """The index blocks of an n x n Gram as the rows of one read-only table,
+    padded with -1 (an entry that the readers append): ``diagonal``, one
+    block per index; given a degree, block k holds the bidisk monomials
+    z1^m z2^n (m, n <= degree, at index m (degree + 1) + n) with m + n = k;
+    otherwise one block holds every index."""
     if diagonal:
-        blocks = [np.array([i]) for i in range(n)]
+        blocks = np.arange(n)[:, None]
     elif degree is None:
-        blocks = [np.arange(n)]
+        blocks = np.arange(n)[None]
     else:  # z1^m z2^(k-m) is at index m (degree + 1) + k - m
-        blocks = [np.arange(max(0, k - degree), min(k, degree) + 1) * degree + k
-                  for k in range(2 * degree + 1)]
-    sizes = [blk.size for blk in blocks]
-    size = max(sizes)
-    k = np.repeat(np.arange(len(blocks)), np.square(sizes))
-    i = np.concatenate([np.repeat(np.arange(s), s) for s in sizes])
-    j = np.concatenate([np.tile(np.arange(s), s) for s in sizes])
-    a = np.concatenate([np.repeat(blk, blk.size) for blk in blocks])
-    b = np.concatenate([np.tile(blk, blk.size) for blk in blocks])
-    split = (blocks, (k * size + i) * size + j, a * n + b, b * n + a, a, b)
-    for arr in blocks + list(split[1:]):
-        arr.flags.writeable = False
-    return split
+        k, m = np.indices((2 * degree + 1, degree + 1))
+        m = m + np.maximum(0, k - degree)
+        blocks = np.where(m <= np.minimum(k, degree), m * degree + k, -1)
+    blocks.flags.writeable = False
+    return blocks
 
 
-def _degree_split(domain, degree, G):
-    """The index blocks that G is factored on, read off its nonzero count:
-    one block per index for a Gram whose every off-diagonal entry is an exact
-    0 (a radial weight's); the total-degree blocks for a bidisk Gram whose
-    every entry between two total degrees is an exact 0; one block of every
-    index for any other Gram (the disk, the generic bidisk, a Gram with an
-    entry off the blocks)."""
-    nonzero = np.count_nonzero(G)
-    if nonzero == np.count_nonzero(G.diagonal()):
-        return _index_split(G.shape[0], diagonal=True)
-    if domain == "bidisk":
-        split = _index_split(G.shape[0], degree)
-        if nonzero == np.count_nonzero(G.take(split[2])):
-            return split
-    return _index_split(G.shape[0])
+def _dense(blocks, B):
+    """The n x n matrix with the blocks B[k] on the indices ``blocks[k]``
+    and 0 between blocks (the block itself when one holds every index)."""
+    if len(blocks) == 1:
+        return B[0]
+    n = blocks.max() + 1
+    out = np.zeros((n + 1, n + 1), dtype=B.dtype)
+    out[blocks[:, :, None], blocks[:, None, :]] = B
+    return out[:n, :n]
+
+
+def _block_product(blocks, B, c):
+    """B c for the matrix with the blocks B[k] on the indices ``blocks[k]``
+    and 0 between blocks, in one batched matrix product."""
+    if len(blocks) == 1:  # one block of every index, in index order
+        return B[0] @ c
+    x = np.append(c, 0)[blocks]
+    y = np.empty(c.size + 1, dtype=np.result_type(B, c))
+    y[blocks] = np.matmul(B, x[..., None])[..., 0]
+    return y[:-1]
 
 
 # e^{-phi} is evaluated on blocks of at most this many nodes: the grid block
@@ -453,23 +441,25 @@ def _polar_exp(weight, r1, r2, vers):
 
 
 @functools.lru_cache(maxsize=32)
-def _outer_gather(degree, na, turn, invariant):
-    """(dst, src, e), built once and read-only: for each entry
-    G[(m, n), (m', n')] of a bidisk Gram that is not an exact 0 (on the
-    invariant path, those with m + n = m' + n'), its flat place ``dst`` in
-    G, its flat place ``src`` in the output A[m + m', outer offset, n, n'] of
-    the outer FFT over ``na`` outer angles, and its outer offset
-    e = m' - m (+ n' - n when the inner rule ``turn``s with the outer
-    phase), read at -e mod na."""
+def _outer_gather(degree, na, turn, invariant, diagonal):
+    """(blocks, dst, src, e), built once and read-only: the index blocks of a
+    bidisk Gram (1 x 1 for a ``diagonal`` Gram, by total degree on the
+    ``invariant`` path, else one), and for each entry G[(m, n), (m', n')] in
+    a block, its flat place ``dst`` in the stack of blocks, its flat place
+    ``src`` in the output A[m + m', outer offset, n, n'] of the outer FFT
+    over ``na`` outer angles, and its outer offset e = m' - m (+ n' - n when
+    the inner rule ``turn``s with the outer phase), read at -e mod na."""
     nb = degree + 1
-    m, n, mp, np_ = np.indices((nb,) * 4).reshape(4, -1)
+    blocks = _index_split(nb * nb, degree if invariant else None, diagonal)
+    valid = blocks >= 0
+    k, i, j = np.nonzero(valid[:, :, None] & valid[:, None, :])
+    dst = (k * blocks.shape[1] + i) * blocks.shape[1] + j
+    (m, n), (mp, np_) = np.divmod(blocks[k, i], nb), np.divmod(blocks[k, j], nb)
     e = (mp - m) + turn * (np_ - n)
-    dst = np.flatnonzero(m + n == mp + np_) if invariant else np.arange(m.size)
-    m, n, mp, np_, e = (x[dst] for x in (m, n, mp, np_, e))
     src = (((m + mp) * na + (-e) % na) * nb + n) * nb + np_
     for x in (dst, src, e):
         x.flags.writeable = False
-    return dst, src, e
+    return blocks, dst, src, e
 
 
 def _bidisk_gram(weight, degree, rule, density=None):
@@ -497,10 +487,10 @@ def _bidisk_gram(weight, degree, rule, density=None):
     outer and inner angles.
 
     For diagonally invariant weights the outer angular integral is exact:
-    only the outer angle 0 is evaluated, entries with m+n != m'+n' vanish and
-    the rest are multiplied by 2 pi; a radial weight is evaluated at the
-    inner rule's first phase only (``_evaluated_phases``), and its Gram is
-    diagonal.  That needs an inner angular order above 2*degree, and inner
+    only the outer angle 0 is evaluated, the Gram is its total-degree blocks,
+    multiplied by 2 pi; a radial weight is evaluated at the inner rule's
+    first phase only (``_evaluated_phases``), and its Gram is 1 x 1 blocks,
+    its diagonal.  That needs an inner angular order above 2*degree, and inner
     angles closed under the outer rotations (diagonal grading, or an inner
     angular order that is a multiple of the outer one); otherwise the
     node-exact generic sum is taken instead.  The invariant
@@ -561,11 +551,12 @@ def _bidisk_gram(weight, degree, rule, density=None):
         S[:, a0:a0 + span] = K[:, s2, :, d2].transpose(2, 3, 0, 1)
         del R, K  # not held through the outer FFT and the gather
     A = np.fft.fft(S, axis=1) * (2.0 * np.pi / phases.size)
-    dst, src, e = _outer_gather(D, phases.size, turn, invariant)
-    G = np.zeros((nb * nb) ** 2, dtype=complex)
-    G[dst] = A.take(src) * phases[0] ** e
+    blocks, dst, src, e = _outer_gather(D, phases.size, turn, invariant,
+                                        ph.size == 1 < rule.rule2.angular_order)
+    G = np.zeros(blocks.shape + blocks.shape[1:], dtype=complex)
+    G.ravel()[dst] = A.take(src) * phases[0] ** e
     mons = [(a, b) for a in range(nb) for b in range(nb)]
-    return mons, G.reshape(nb * nb, nb * nb)
+    return mons, blocks, G
 
 
 def _lens_gram(weight, degree, rule, density=None):
@@ -576,8 +567,8 @@ def _lens_gram(weight, degree, rule, density=None):
     f is evaluated at the t-nodes t_j only.  The weighted values
     g_j = 2 pi w_j f(t_j^2) t_j are contracted once with the Chebyshev matrix
     T at the t-nodes (``LensRule.chebyshev``), and block k is
-    G_k = sum_p (g T)_p C[p], C its table's coefficients (``_lens_block``).
-    Entries with m + n != m' + n' are exact zeros.
+    G_k = sum_p (g T)_p C[p], C its table's coefficients (``_lens_block``);
+    the Gram is 0 between total degrees m + n.
     """
     if density is not None or getattr(weight, "domain", None) != "bidisk" \
             or not hasattr(weight, "_exp_neg_phi_a2"):
@@ -590,24 +581,25 @@ def _lens_gram(weight, degree, rule, density=None):
         raise DegeneracyError("weight produced non-finite e^{-phi} at quadrature nodes")
     gT = g @ rule.chebyshev(degree)
     nb = degree + 1
-    G = np.zeros((nb, nb, nb, nb), dtype=complex)
+    blocks = _index_split(nb * nb, degree)
+    G = np.zeros(blocks.shape + blocks.shape[1:], dtype=complex)
     for k in range(2 * degree + 1):
-        lo = max(0, k - degree)
-        C = _lens_block(k, lo)
-        m = np.arange(lo, k - lo + 1)
-        G[m[:, None], k - m[:, None], m, k - m] = np.tensordot(gT[:C.shape[0]], C, 1)
+        C = _lens_block(k, max(0, k - degree))
+        G[k, :C.shape[1], :C.shape[1]] = np.tensordot(gT[:C.shape[0]], C, 1)
     mons = [(a, b) for a in range(nb) for b in range(nb)]
-    return mons, G.reshape(nb * nb, nb * nb)
+    return mons, blocks, G
 
 
 def _gram(weight, degree, rule, density=None):
-    """(monomials, G), G[a,b] = int conj(e_a) e_b rho e^{-phi} for z^n on a
-    disk rule or z1^m z2^n on a bidisk rule (all exponents <= degree); rho(r)
-    is an optional radial density, applied as rho(|z1|) rho(|z2|) on the
-    bidisk.  The integral is the sum of w conj(e_a) e_b rho e^{-phi} over the
-    rule's nodes, except for diagonally invariant bidisk weights, whose outer
-    angular integral is exact (see ``_bidisk_gram``), and on a lens rule,
-    where it is one integral in t = |z1 - z2| (see ``_lens_gram``)."""
+    """(monomials, blocks, G): G[a,b] = int conj(e_a) e_b rho e^{-phi} for z^n
+    on a disk rule or z1^m z2^n on a bidisk rule (all exponents <= degree),
+    as the blocks G[k] over the indices ``blocks[k]`` (``_index_split``) and
+    0 between them; rho(r) is an optional radial density, applied as
+    rho(|z1|) rho(|z2|) on the bidisk.  The integral is the sum of
+    w conj(e_a) e_b rho e^{-phi} over the rule's nodes, except for diagonally
+    invariant bidisk weights, whose outer angular integral is exact (see
+    ``_bidisk_gram``), and on a lens rule, where it is one integral in
+    t = |z1 - z2| (see ``_lens_gram``)."""
     if isinstance(rule, LensRule):
         return _lens_gram(weight, degree, rule, density)
     if rule.domain == "bidisk":
@@ -618,7 +610,11 @@ def _gram(weight, degree, rule, density=None):
     r, P = _powers(pw, rule.radii, 2 * degree + 1, density)
     R = _rows(lambda ks, js: _exp_weight(weight, (r[js, None] * ph,))[None], P[None],
               ph.size)[0]
-    return list(range(degree + 1)), _angular(R, rule, degree)[_pairs(degree)]
+    G = _angular(R, rule, degree)[_pairs(degree)]
+    if ph.size == 1 < rule.angular_order:  # a radial weight's diagonal Gram
+        return list(range(degree + 1)), _index_split(degree + 1, diagonal=True), \
+            G.diagonal()[:, None, None]
+    return list(range(degree + 1)), _index_split(degree + 1), G[None]
 
 
 def _abs2(x):
@@ -721,8 +717,7 @@ def build_model(domain, weight, degree, rule=None):
         rule = default_rule(domain, weight)
     if rule.domain != domain:
         raise ParameterError("%s model needs a %s rule" % (domain, domain))
-    mons, G = _gram(weight, degree, rule)
-    return BergmanModel(domain, weight, degree, mons, G, rule)
+    return BergmanModel(domain, weight, degree, *_gram(weight, degree, rule), rule)
 
 
 def kernel(model, z, w):
@@ -733,13 +728,25 @@ def kernel(model, z, w):
 
 
 def _ladder_level(model, k):
-    """k, after checking that the ladder defines E_k: 0 <= k <= degree on the
-    disk (E_k spanned by z^n, n >= k), k = 0 on the bidisk."""
-    if k < 0 or k > model.degree:
+    """k as an int, after checking that the ladder defines E_k: an integer
+    0 <= k <= degree on the disk (E_k spanned by z^n, n >= k), 0 on the bidisk."""
+    k = _checked_int("k", k, 0)
+    if k > model.degree:
         raise ParameterError("k must satisfy 0 <= k <= degree, got %r" % k)
     if model.domain != "disk" and k != 0:
         raise ParameterError("bidisk higher kernels beyond k=0 are not defined here")
     return k
+
+
+def _basis_columns(model, stop):
+    """The columns 0..stop-1 of ``basis_coeffs``, read from their blocks
+    (``_at``: each index's place in ``_blocks.flat``, after the padding)."""
+    if len(model._blocks) == 1:  # one block of every index, in index order
+        return model._basis_blocks[0][:, :stop]
+    k, q = np.divmod(model._at[:stop], model._blocks.shape[1])
+    E = np.zeros((len(model.monomials) + 1, stop), dtype=model._basis_blocks.dtype)
+    E[model._blocks[k].T, np.arange(stop)] = model._basis_blocks[k, :, q].T
+    return E[:-1]
 
 
 def higher_kernel(model, k):
@@ -747,7 +754,7 @@ def higher_kernel(model, k):
     attained at e_k, which is the only vector of E_k (-) E_{k+1} with
     f^{(k)}(0) > 0 and norm 1."""
     k = _ladder_level(model, k)
-    return float((math.factorial(k) * model.basis_coeffs[k, k].real) ** 2)
+    return float((math.factorial(k) * _basis_columns(model, k + 1)[k, k].real) ** 2)
 
 
 def bergman_metric_at_zero(model):
@@ -764,17 +771,11 @@ def log_kernel_gradient_at_zero(model):
         raise ParameterError("degree must be >= 1")
     if model.domain != "disk":
         raise ParameterError("log-kernel gradient implemented on the disk")
-    E = model.basis_coeffs
+    E = _basis_columns(model, 1)
     return complex(E[1, 0] / E[0, 0])
 
 
 def unit_ek(model, k):
     """e_k, the unit vector of E_k (-) E_{k+1} with e_k^{(k)}(0) > 0, as a
-    full coefficient vector: a copy of column k of ``basis_coeffs``."""
-    return model.basis_coeffs[:, _ladder_level(model, k)].copy()
-
-
-def model_summary_json(model, kmax=6):
-    import json
-
-    return json.dumps(model.summary(kmax), indent=2, default=float)
+    full coefficient vector: column k of ``basis_coeffs``."""
+    return _basis_columns(model, _ladder_level(model, k) + 1)[:, -1].copy()

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .errors import BergextError, DegeneracyError, ParameterError
-from .bergman import build_model, model_summary_json
+from .bergman import build_model
 from .extension import (
     CrossData,
     Jet,
@@ -224,7 +224,8 @@ def _run(args):
     if cmd == "kernel":
         w = parse_weight(args.weight)
         model = build_model(args.domain or w.domain, w, args.degree)
-        _emit(model_summary_json(model, **_given(args, "kmax")), args.out)
+        summary = model.summary(**_given(args, "kmax"))
+        _emit(json.dumps(summary, indent=2, default=float), args.out)
         return 0
 
     if cmd == "extend-jet":

@@ -5,9 +5,9 @@ cross data on {z1 z2 = 0} in the bidisk pins the coefficients of the pure
 powers z1^m and z2^n.  Both extensions are therefore the same
 equality-constrained least squares problem, solved by direct elimination in
 ``_pinned_solve``: fix the pinned coefficients and solve the Schur-complement
-system on the free ones, per index block of the model's factorization (one
-block of every index, the total-degree blocks of an invariant bidisk Gram,
-or 1 x 1 blocks of a diagonal Gram).
+system on the free ones, per index block that the model's Gram was built on
+(one block of every index, the total-degree blocks of a lens or invariant
+tensor Gram, or the 1 x 1 blocks of a radial weight's Gram).
 Jets have a second, independent route, the level-by-level recursion through
 the orthogonal ladder E_0 > E_1 > ...: it reads the ladder vectors e_k, the
 columns of the model's ``basis_coeffs``, and never calls the Schur solve (the
@@ -23,6 +23,8 @@ import numpy as np
 
 from .errors import DegeneracyError, EvaluationError, ParameterError
 from .bergman import (
+    _basis_columns,
+    _block_product,
     _gram,
     bergman_metric_at_zero,
     higher_kernel,
@@ -117,30 +119,29 @@ def _pinned_solve(model, F, c_F):
     """Minimize c^H G c subject to c[F] = c_F, G the model's Gram.
 
     Direct elimination: solve G_RR c_R = -G_RF c_F on the free indices R,
-    one index block of the model's factorization (``BergmanModel._blocks``)
-    at a time: G is 0 between blocks, so a block with pinned and free
-    indices is solved on its own, and the free coefficients of a block with
-    no pin are 0.  A disk or generic bidisk Gram is one block; on a Gram
-    split by total degree the cross pins only (0, k) and (k, 0), so every
-    block with k > D is 0; on a diagonal Gram every free coefficient is 0.
-    Returns the coefficients, c^H G c and the stationarity residual
-    max |(G c)_R|.
+    one Gram block of the model (``_gram_blocks`` over the indices
+    ``_blocks``) at a time: G is 0 between blocks, so a block with pinned
+    and free indices is solved on its own, and the free coefficients of a
+    block with no pin are 0.  A disk or generic bidisk Gram is one block; on
+    total-degree blocks the cross pins only (0, k) and (k, 0), so every block
+    with k > D is 0; on 1 x 1 blocks every free coefficient is 0.  Returns
+    the coefficients, c^H G c and the stationarity residual max |(G c)_R|.
     """
-    G = model.gram
-    R = np.ones(G.shape[0], dtype=bool)
+    blocks, G = model._blocks, model._gram_blocks
+    R = np.ones(len(model.monomials), dtype=bool)
     R[F] = False
-    coeffs = np.zeros(G.shape[0], dtype=complex)
+    coeffs = np.zeros(R.size, dtype=complex)
     coeffs[F] = c_F
-    for idx in model._blocks:
-        free = R[idx]
-        if free.all() or not free.any():
-            continue
-        GR = G[idx[free, None], idx]
+    valid = blocks >= 0
+    free = R[blocks] & valid
+    for k in np.flatnonzero(free.any(axis=1) & (free != valid).any(axis=1)):
+        idx, f = blocks[k, valid[k]], free[k, valid[k]]
+        GR = G[k, :idx.size, :idx.size][f]
         try:  # coeffs still vanishes on R, so GR @ coeffs is G_RF c_F
-            coeffs[idx[free]] = _solve_hermitian(GR[:, free], -(GR @ coeffs[idx]))
+            coeffs[idx[f]] = _solve_hermitian(GR[:, f], -(GR @ coeffs[idx]))
         except np.linalg.LinAlgError as exc:
             raise DegeneracyError("free-block Gram singular") from exc
-    Gc = G @ coeffs
+    Gc = _block_product(blocks, G, coeffs)
     stationarity = float(np.abs(Gc[R]).max()) if R.any() else 0.0
     return coeffs, float(np.real(np.vdot(coeffs, Gc))), stationarity
 
@@ -148,8 +149,8 @@ def _pinned_solve(model, F, c_F):
 def _level_breakdown(model, coeffs, N):
     """Project a solution onto the one-dimensional ladder steps
     E_k (-) E_{k+1}: its amplitudes <h, e_k>_G are E[:, :N]^H G h."""
-    E = model.basis_coeffs
-    amps = E[:, :N].conj().T @ (model.gram @ coeffs)
+    E = _basis_columns(model, N)
+    amps = E.conj().T @ _block_product(model._blocks, model._gram_blocks, coeffs)
     levels = []
     for k in range(N):
         ekk0 = math.factorial(k) * E[k, k].real  # e_k^{(k)}(0)
@@ -186,7 +187,7 @@ def extend_jet_recursive(model, jet):
     h_k = (b_k / e_k^{(k)}(0)) e_k; the total norm is sum |b_k|^2 / B_k(0)."""
     a = _jet_constraints(model, jet)
     N = len(jet)
-    E = model.basis_coeffs
+    E = _basis_columns(model, N)
     coeffs = np.zeros(len(model.monomials), dtype=complex)
     levels = []
     norm_sq = 0.0
@@ -285,7 +286,7 @@ def extend_cross(model, cross):
 
 def _h0(model, a0):
     """(a0/e_0(0)) e_0: the multiple of e_0 that takes the value a0 at 0."""
-    e0 = model.basis_coeffs[:, 0]  # the monomial 1 has index 0
+    e0 = _basis_columns(model, 1)[:, 0]  # the monomial 1 has index 0
     return (a0 / e0[0]) * e0
 
 
@@ -293,10 +294,8 @@ def _cross_parts(model, cross, coeffs):
     """(|h0|^2, |h1|^2) for h0 = (a0/e_0(0)) e_0 and h1 the remainder."""
     h0 = _h0(model, cross.a0)
     h1 = coeffs - h0
-    G = model.gram
-    n0 = float(np.real(np.vdot(h0, G @ h0)))
-    n1 = float(np.real(np.vdot(h1, G @ h1)))
-    return n0, n1
+    blocks, G = model._blocks, model._gram_blocks
+    return tuple(float(np.real(np.vdot(h, _block_product(blocks, G, h)))) for h in (h0, h1))
 
 
 def branch_restriction(model, coeffs, branch):
@@ -339,8 +338,8 @@ def rhs_estimate_cross(model, cross, rule_on_V=None, tol=1e-8):
                 "vanish within tolerance" % (branch, diff[0]))
         q = diff[1:]  # (f - h0)/z, the singularity is removable
         wb = model.weight.restrict_to_branch(branch)
-        G = _gram(wb, q.size - 1, rule_on_V)[1]
-        val = float(np.real(np.vdot(q, G @ q)))
+        blocks, G = _gram(wb, q.size - 1, rule_on_V)[1:]
+        val = float(np.real(np.vdot(q, _block_product(blocks, G, q))))
         parts.append(val)
         total_v += val
     return {

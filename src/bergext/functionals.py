@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bergman import _BLOCK, _gram, _twisted_gram
+from .bergman import _BLOCK, _block_product, _gram, _twisted_gram
 from .errors import DegeneracyError, EvaluationError, ParameterError
 from .quadrature import DiskRule, bidisk_rule, disk_rule
 from .weights import RegularizedLogWeight
@@ -136,8 +136,8 @@ def log_weighted_bulk_norm(U, weight, spec=None, rule=None):
 
     n = max(Q.shape)
     q = np.pad(Q, [(0, n - Q.shape[0]), (0, n - Q.shape[1])]).ravel()
-    G = _gram(weight, n - 1, rule, density)[1]
-    return float(np.real(np.vdot(q, G @ q)))
+    blocks, G = _gram(weight, n - 1, rule, density)[1:]
+    return float(np.real(np.vdot(q, _block_product(blocks, G, q))))
 
 
 def _branch_integral(u, weight, power, w_exponent, conic_k, rule):
@@ -159,10 +159,10 @@ def _branch_integral(u, weight, power, w_exponent, conic_k, rule):
             return rho * r ** (-2.0 * (1.0 - 1.0 / conic_k)) if conic_k else rho
 
         try:
-            G = _gram(weight, c.size - 1, rule, density)[1]
+            blocks, G = _gram(weight, c.size - 1, rule, density)[1:]
         except DegeneracyError as exc:  # a non-finite e^{-phi} at a node
             raise EvaluationError(str(exc)) from exc
-        return float(np.real(np.vdot(c, G @ c)))
+        return float(np.real(np.vdot(c, _block_product(blocks, G, c))))
 
     def f(z):
         fv = np.polynomial.polynomial.polyval(z, c)

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import __version__
 from .errors import BergextError, ParameterError
-from .bergman import (_checked_degree, _gram, bergman_metric_at_zero, build_model,
-                      default_rule, higher_kernel)
+from .bergman import (_checked_degree, _dense, _gram, bergman_metric_at_zero,
+                      build_model, default_rule, higher_kernel)
 from .extension import CrossData, Jet, extend_cross, extend_jet_direct
 from .functionals import derivative_norm_on_Y
 from .quadrature import disk_rule, refine
@@ -216,7 +216,7 @@ def _claim34_row(eps, degree, style, check):
     norm, model, converged = _checked(solve, rule, check)
     branch_rule = disk_rule(radial_order=32, angular_order=64, grading_levels=16)
     # f = (0, z1): the data integral lives on V_2 only, int |z|^2 e^{-phi}
-    rhs_data = float(_gram(w.restrict_to_branch(2), 1, branch_rule)[1][1, 1].real)
+    rhs_data = float(_dense(*_gram(w.restrict_to_branch(2), 1, branch_rule)[1:])[1, 1].real)
     rhs_full = rhs_data + derivative_norm_on_Y(
         data, w, rule=branch_rule, include_log=False)
     return {"eps": eps, "degree": degree, "norm": norm, "rhs_data": rhs_data,

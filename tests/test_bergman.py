@@ -22,7 +22,7 @@ from bergext import (
     unit_ek,
 )
 from bergext import bergman, quadrature
-from bergext.bergman import _BLOCK, _gram, default_rule, model_summary_json
+from bergext.bergman import _BLOCK, _dense, _gram, default_rule
 from bergext.cli import parse_weight
 from bergext.quadrature import bidisk_rule, disk_rule
 
@@ -43,6 +43,12 @@ def _brute_gram(weight, degree, rule):
                 lambda *zs: np.conj(mono(zs, ea)) * mono(zs, eb)
                 * np.exp(-np.asarray(weight.evaluate(*zs), dtype=float)))
     return G
+
+
+def _dense_gram(weight, degree, rule):
+    """(monomials, G): the Gram of ``_gram`` as one dense matrix."""
+    mons, blocks, G = _gram(weight, degree, rule)
+    return mons, _dense(blocks, G)
 
 
 def _rel(A, B):
@@ -290,7 +296,7 @@ def test_diagonal_graded_gram_matches_node_sum(weight):
         return evaluate(*zs)
 
     weight.evaluate = counting
-    G = _gram(weight, 2, rule)[1]
+    G = _dense_gram(weight, 2, rule)[1]
     weight.evaluate = evaluate
     if weight.radial:
         assert sizes == [rule.rule1.radii.size * rule.inner_size]
@@ -305,7 +311,7 @@ def test_rotated_second_factor_under_diagonal_grading():
         disk_rule(4, 4, grading_levels=4).rotated(np.exp(0.3j)),
         diagonal_grading=True, diagonal_levels=4)
     w = Weight([], "0.3*x1 + 2*y2**3", "bidisk")
-    assert _rel(_gram(w, 3, rule)[1], _brute_gram(w, 3, rule)) < 1e-12
+    assert _rel(_dense_gram(w, 3, rule)[1], _brute_gram(w, 3, rule)) < 1e-12
 
 
 @pytest.mark.parametrize("phase, degree", [(1.0, 12), (np.exp(0.3j), 12),
@@ -339,7 +345,7 @@ def test_bidisk_polar_gram_matches_node_sum(eps, style, angular_order):
     # the invariant path forms |z1 - z2|^2 from real polar arrays
     rule = bidisk_rule(**dict(_SMALL_DIAG, angular_order=angular_order))
     w = RegularizedLogWeight(eps, "z1-z2", style)
-    G = _gram(w, 2, rule)[1]
+    G = _dense_gram(w, 2, rule)[1]
     ref = _brute_gram(w, 2, rule)
     assert _rel(G, ref) < 1e-12
 
@@ -418,7 +424,7 @@ def _full_angle_gram(monkeypatch, weight, degree, rule):
     inner rule on the invariant bidisk path): the node sum."""
     with monkeypatch.context() as m:
         m.setattr(bergman, "_evaluated_phases", lambda rule, *args: rule._phases)
-        return _gram(weight, degree, rule)[1]
+        return _dense_gram(weight, degree, rule)[1]
 
 
 @pytest.mark.parametrize("domain, weight", _RADIAL_CASES,
@@ -429,7 +435,7 @@ def test_radial_gram_is_the_full_angle_node_sum(monkeypatch, domain, weight):
     # diagonal, and it is factored as 1 x 1 blocks
     assert weight.radial
     for degree, rule in _radial_rules(domain):
-        mons, G = _gram(weight, degree, rule)
+        mons, G = _dense_gram(weight, degree, rule)
         ref = _full_angle_gram(monkeypatch, weight, degree, rule)
         d = np.sqrt(np.diag(ref).real)
         assert (np.abs(G - ref) / np.outer(d, d)).max() <= 1e-15
@@ -464,7 +470,7 @@ def test_radial_gram_falls_back_to_every_angle(phase):
     # offsets 8, which a one-angle evaluation would miss
     rule = disk_rule(radial_order=8, angular_order=8).rotated(phase)
     w = Weight.point_log(0.5)
-    G = _gram(w, 12, rule)[1]
+    G = _dense_gram(w, 12, rule)[1]
     ref = _brute_gram(w, 12, rule)
     assert abs(G[0, 8]) > 0.1 * abs(G[0, 0])
     assert _rel(G, ref) < 1e-13
@@ -646,9 +652,9 @@ def test_invariant_gram_ignores_outer_angular_order():
     # orders 4 (<= 2*degree, where the node sum aliases) and 16 give the same
     # Gram bit for bit
     w = RegularizedLogWeight(0.1, "z1-z2")
-    grams = [_gram(w, 2, bidisk_rule(radial_order=(16, 8),
-                                     angular_order=(n1, 16),
-                                     grading_levels=10))[1]
+    grams = [_dense_gram(w, 2, bidisk_rule(radial_order=(16, 8),
+                                           angular_order=(n1, 16),
+                                           grading_levels=10))[1]
              for n1 in (4, 16)]
     assert np.array_equal(grams[0], grams[1])
 
@@ -665,10 +671,10 @@ def test_lens_gram_matches_refined_graded_gram():
     graded = bidisk_rule(radial_order=(16, 16), angular_order=(8, 256),
                          grading_levels=10, diagonal_grading=True,
                          diagonal_levels=12)
-    ref = _gram(w, 12, quadrature.refine(graded))[1]
+    ref = _dense_gram(w, 12, quadrature.refine(graded))[1]
     lens = default_rule("bidisk", w)
     assert isinstance(lens, quadrature.LensRule) and lens.scale == 0.1
-    mons, G = _gram(w, 12, lens)
+    mons, G = _dense_gram(w, 12, lens)
     assert mons == [(m, n) for m in range(13) for n in range(13)]
     assert _jacobi_rel(G, ref) < 1e-12
     # off the total-degree blocks the lens Gram is exactly 0
@@ -708,17 +714,12 @@ def _whole_gram_ladder(G):
     return E / d[:, None], float(lam[-1] / lam[0])
 
 
-def _whole_gram_model(monkeypatch, weight, degree, mons, G, rule):
-    """The model of a Gram with the total-degree split turned off: the Gram
-    factored as one block of every index."""
-    with monkeypatch.context() as m:
-        m.setattr(bergman, "_degree_split",
-                  lambda domain, degree, G: bergman._index_split(G.shape[0]))
-        return bergman.BergmanModel("bidisk", weight, degree, mons, G, rule)
-
-
 _TENSOR_INVARIANT = dict(radial_order=(8, 8), angular_order=(32, 128),
                          grading_levels=10, diagonal_grading=True)
+# a diagonally graded rule on which the node sum of a wide regularized log
+# (eps 0.3) at degree 3 is the lens Gram to 8e-6 (Jacobi-scaled)
+_LENS_REFERENCE = dict(radial_order=(8, 8), angular_order=(8, 128), grading_levels=6,
+                       diagonal_grading=True, diagonal_levels=6)
 
 
 @pytest.mark.parametrize("weight, degree, tensor", [
@@ -730,21 +731,26 @@ _TENSOR_INVARIANT = dict(radial_order=(8, 8), angular_order=(32, 128),
     (Weight.zero("bidisk"), 8, True),
 ], ids=["lens-4", "lens-16", "lens-24", "tensor-convolution", "tensor-shifted",
         "tensor-zero"])
-def test_block_factorization_matches_whole_gram(monkeypatch, weight, degree, tensor):
+def test_block_factorization_matches_whole_gram(weight, degree, tensor):
     # an invariant Gram is factored and solved per total-degree block, a
-    # radial one (the zero weight) per index; the whole-Gram path on the same
-    # Gram agrees to 10 cond eps
+    # radial one (the zero weight) per index; the written-out whole-Gram
+    # factorization of the dense Gram, and the solves of the same Gram stated
+    # as one block, agree to 10 cond eps
     rule = bidisk_rule(**_TENSOR_INVARIANT) if tensor else default_rule("bidisk", weight)
     model = build_model("bidisk", weight, degree, rule=rule)
-    whole = _whole_gram_model(monkeypatch, weight, degree, model.monomials,
-                              model.gram, rule)
+    E, cond = _whole_gram_ladder(model.gram)
     blocks = (degree + 1) ** 2 if weight.radial else 2 * degree + 1
-    assert len(model._blocks) == blocks and len(whole._blocks) == 1
-    tol = 10 * whole.condition_number * np.finfo(float).eps
-    assert _rel(model.basis_coeffs, whole.basis_coeffs) <= tol
+    assert len(model._blocks) == blocks
+    tol = 10 * cond * np.finfo(float).eps
+    assert _rel(model.basis_coeffs, E) <= tol
     assert np.array_equal(np.tril(model.basis_coeffs), model.basis_coeffs)
-    assert model.condition_number == pytest.approx(whole.condition_number, rel=tol)
-    assert higher_kernel(model, 0) == pytest.approx(higher_kernel(whole, 0), rel=tol)
+    assert model.condition_number == pytest.approx(cond, rel=tol)
+    assert higher_kernel(model, 0) == pytest.approx(E[0, 0].real ** 2, rel=tol)
+    # the same Gram stated as one block of every index
+    whole = bergman.BergmanModel("bidisk", weight, degree, model.monomials,
+                                 bergman._index_split(len(model.monomials)),
+                                 model.gram[None], rule)
+    assert len(whole._blocks) == 1
     data = CrossData((1.0, 0.3, 0.2j), (1.0, 0.5, -0.1, 0.05j))
     rep, ref = extend_cross(model, data), extend_cross(whole, data)
     assert _rel(rep.coefficients, ref.coefficients) <= tol
@@ -762,60 +768,112 @@ def test_block_factorization_matches_whole_gram(monkeypatch, weight, degree, ten
      bidisk_rule(radial_order=(4, 4), angular_order=(8, 8), grading_levels=4)),
 ], ids=["disk-halfplane", "disk-point-log", "bidisk-tilted"])
 def test_whole_gram_path_unchanged(domain, weight, degree, rule):
-    # disk and generic bidisk Grams are factored as one block of every index,
+    # disk and generic bidisk Grams are one block of every index, factored
     # bit for bit as the written-out whole-Gram factorization
     rule = rule or default_rule(domain, weight)
-    mons, G = _gram(weight, degree, rule)
+    mons, blocks, G = _gram(weight, degree, rule)
+    assert np.array_equal(blocks, [np.arange(len(mons))])
     model = build_model(domain, weight, degree, rule=rule)
-    E, cond = _whole_gram_ladder(G)
-    assert len(model._blocks) == 1
-    assert np.array_equal(model._blocks[0], np.arange(len(mons)))
+    E, cond = _whole_gram_ladder(G[0])
+    assert np.array_equal(model._blocks, blocks)
     assert np.array_equal(model.basis_coeffs, E)
     assert model.condition_number == cond
 
 
-def test_gram_with_an_entry_off_the_blocks_factored_whole():
-    w = RegularizedLogWeight(0.05, "z1-z2")
-    lens = default_rule("bidisk", w)
-    mons, G = _gram(w, 6, lens)
-    G = G.copy()
-    G[mons.index((0, 1)), mons.index((2, 0))] = 1e-13 * np.abs(G).max()
-    model = bergman.BergmanModel("bidisk", w, 6, mons, G, lens)
-    E, cond = _whole_gram_ladder(G)
-    assert len(model._blocks) == 1
-    assert np.array_equal(model._blocks[0], np.arange(len(mons)))
-    assert np.array_equal(model.basis_coeffs, E)
-    assert model.condition_number == cond
+def _same_block(blocks, n):
+    """mask[a, b]: indices a and b share one of ``blocks``."""
+    mask = np.zeros((n, n), dtype=bool)
+    for row in blocks:
+        idx = row[row >= 0]
+        mask[np.ix_(idx, idx)] = True
+    return mask
+
+
+@pytest.mark.parametrize("domain, weight, degree, rule, count", [
+    ("bidisk", RegularizedLogWeight(0.3, "z1-z2"), 3, None, "degree"),
+    ("bidisk", Weight([(0.5, "z1-z2")], "x1*x2 + y1*y2", "bidisk"), 2,
+     bidisk_rule(**_SMALL_DIAG), "degree"),
+    ("disk", Weight.point_log(0.5), 12, disk_rule(radial_order=8, angular_order=32),
+     "index"),
+    ("bidisk", Weight.zero("bidisk"), 2, bidisk_rule(**_SMALL_DIAG), "index"),
+    ("disk", Weight.halfplane(1.5), 8, disk_rule(radial_order=8, angular_order=32),
+     "one"),
+    ("bidisk", Weight([(0.5, "2 + z1 - 1j*z2")], "0.5*x1*y2 - y1", "bidisk"), 2,
+     bidisk_rule(radial_order=(4, 4), angular_order=(8, 12), grading_levels=4), "one"),
+], ids=["lens", "invariant-tensor", "radial-disk", "radial-bidisk", "disk",
+        "generic-bidisk"])
+def test_stated_blocks_hold_the_node_sum(domain, weight, degree, rule, count):
+    # every producer states its index blocks: the node sum over every node
+    # of the rule has nothing beyond rounding off them, and the Gram on them
+    # is that node sum.  The lens Gram, one integral in |z1 - z2|, is held
+    # against the generic path's node sum on a diagonally graded tensor rule,
+    # to that rule's accuracy (test_lens_gram_matches_refined_graded_gram
+    # holds it to 1e-12 on a refined rule)
+    n = (degree + 1) ** (1 if domain == "disk" else 2)
+    if rule is None:
+        mons, blocks, G = _gram(weight, degree, default_rule(domain, weight))
+        ref = _dense_gram(_NotInvariant(weight), degree, bidisk_rule(**_LENS_REFERENCE))[1]
+        tol = 1e-5
+    else:
+        mons, blocks, G = _gram(weight, degree, rule)
+        ref, tol = _brute_gram(weight, degree, rule), 1e-12
+    assert len(blocks) == {"one": 1, "index": n, "degree": 2 * degree + 1}[count]
+    assert sorted(blocks[blocks >= 0]) == list(range(n))
+    d = np.sqrt(np.diag(ref).real)
+    scaled = np.abs(ref) / np.outer(d, d)
+    assert scaled[~_same_block(blocks, n)].max(initial=0.0) <= 1e-14
+    assert (np.abs(_dense(blocks, G) - ref) / np.outer(d, d)).max() <= tol
 
 
 @pytest.mark.parametrize("factor", [1.0, 2.0], ids=["singular", "indefinite"])
-def test_singular_block_same_error_as_whole_gram(monkeypatch, factor):
+def test_singular_block_same_error_as_whole_gram(factor):
     # the block of total degree 1 made singular (Jacobi-scaled [[1, 1], [1, 1]])
     # or indefinite ([[1, 2], [2, 1]])
     w = RegularizedLogWeight(0.05, "z1-z2")
     lens = default_rule("bidisk", w)
-    mons, G = _gram(w, 6, lens)
+    mons, blocks, G = _gram(w, 6, lens)
+    assert [mons[i] for i in blocks[1] if i >= 0] == [(0, 1), (1, 0)]
     G = G.copy()
-    a, b = mons.index((0, 1)), mons.index((1, 0))
-    G[a, b] = G[b, a] = factor * np.sqrt(G[a, a].real * G[b, b].real)
-    with pytest.raises(DegeneracyError) as blocks:
-        bergman.BergmanModel("bidisk", w, 6, mons, G, lens)
+    G[1, 0, 1] = G[1, 1, 0] = factor * np.sqrt(G[1, 0, 0].real * G[1, 1, 1].real)
+    with pytest.raises(DegeneracyError) as split:
+        bergman.BergmanModel("bidisk", w, 6, mons, blocks, G, lens)
     with pytest.raises(DegeneracyError) as whole:
-        _whole_gram_model(monkeypatch, w, 6, mons, G, lens)
+        bergman.BergmanModel("bidisk", w, 6, mons, bergman._index_split(len(mons)),
+                             _dense(blocks, G)[None], lens)
     if factor == 2.0:
-        assert "min eigenvalue -1.000e+00" in str(blocks.value)
-        assert str(blocks.value) == str(whole.value)
+        assert "min eigenvalue -1.000e+00" in str(split.value)
+        assert str(split.value) == str(whole.value)
     else:  # the size of a rounding-level eigenvalue is the factorization's
         def shape(e):
             return re.sub(r"-?\d\.\d{3}e[+-]\d+", "#", str(e.value))
 
-        assert shape(blocks) == shape(whole)
+        assert shape(split) == shape(whole)
 
 
-def test_summary_json(unweighted_disk):
+def test_block_checks_name_the_monomial():
+    # the diagonal and Hermitian checks run on the padded block stack: a
+    # non-positive diagonal entry names its monomial, not a padding slot
+    w = RegularizedLogWeight(0.05, "z1-z2")
+    lens = default_rule("bidisk", w)
+    mons, blocks, G = _gram(w, 4, lens)
+    bad = G.copy()
+    bad[2, 1, 1] = 0.0  # block of total degree 2, its second monomial
+    with pytest.raises(DegeneracyError) as exc:
+        bergman.BergmanModel("bidisk", w, 4, mons, blocks, bad, lens)
+    assert exc.value.offending_monomials == [(1, 1)]
+    bad = G.copy()
+    bad[3, 0, 2] += 1e-6 * np.abs(G).max()
+    with pytest.raises(DegeneracyError, match="not Hermitian"):
+        bergman.BergmanModel("bidisk", w, 4, mons, blocks, bad, lens)
+
+
+def test_summary_json(capsys):
     import json
 
-    doc = json.loads(model_summary_json(unweighted_disk, kmax=3))
+    from bergext.cli import main
+
+    assert main(["kernel", "--weight", "zero", "--degree", "16", "--kmax", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
     assert doc["degree"] == 16
     assert len(doc["Bk"]) == 4
     assert doc["B0"] == pytest.approx(1 / math.pi, rel=1e-10)
@@ -824,4 +882,16 @@ def test_summary_json(unweighted_disk):
 def test_summary_refuses_negative_kmax(unweighted_disk):
     # kmax -1 used to give an empty B_k table
     with pytest.raises(ParameterError, match="kmax"):
-        model_summary_json(unweighted_disk, kmax=-1)
+        unweighted_disk.summary(kmax=-1)
+
+
+def test_ladder_levels_are_checked_integers(unweighted_disk):
+    # a non-integer level used to raise a raw TypeError or IndexError
+    for call in (lambda: higher_kernel(unweighted_disk, 1.5),
+                 lambda: higher_kernel(unweighted_disk, float("nan")),
+                 lambda: unweighted_disk.summary(2.5),
+                 lambda: unit_ek(unweighted_disk, 2.5)):
+        with pytest.raises(ParameterError, match="integer"):
+            call()
+    assert higher_kernel(unweighted_disk, 2.0) == higher_kernel(unweighted_disk, 2)
+    assert unweighted_disk.summary(2.0) == unweighted_disk.summary(2)

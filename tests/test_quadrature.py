@@ -8,7 +8,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from bergext import ParameterError, bidisk_rule, disk_rule, integrate, quadrature, refine
-from bergext.bergman import _gram, default_rule
+from bergext.bergman import _dense, _gram, default_rule
 from bergext.errors import EvaluationError
 from bergext.weights import RegularizedLogWeight
 
@@ -243,11 +243,11 @@ def test_refine_doubles_lens_t_order():
 
 def test_lens_table_drift_at_doubled_orders(monkeypatch):
     w = RegularizedLogWeight(1e-3, "z1-z2")
-    G = _gram(w, 16, _lens_rule(1e-3))[1]
+    G = _dense(*_gram(w, 16, _lens_rule(1e-3))[1:])
     orders = quadrature._lens_orders
     monkeypatch.setattr(quadrature, "_lens_orders", lambda k: tuple(2 * n for n in orders(k)))
     monkeypatch.setattr(quadrature, "_LENS", {})
-    G2 = _gram(w, 16, _lens_rule(1e-3))[1]
+    G2 = _dense(*_gram(w, 16, _lens_rule(1e-3))[1:])
     d = np.sqrt(np.diag(G2).real)
     assert (np.abs(G - G2) / np.outer(d, d)).max() < 1e-13
 
