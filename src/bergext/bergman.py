@@ -152,8 +152,9 @@ class BergmanModel:
 
     def kernel(self, z, w):
         """Truncated reproducing kernel B_0(z,w) = sum_j e_j(z) conj(e_j(w))."""
-        ez = self.basis_values(z)
-        ew = self.basis_values(w)
+        E = self.basis_coeffs  # formed from the blocks once for both points
+        ez = self._monomial_values(z) @ E
+        ew = self._monomial_values(w) @ E
         return np.sum(ez * np.conj(ew), axis=-1)
 
     def summary(self, kmax=6):

@@ -14,8 +14,14 @@ the text with its nonzero float literals outside exponents tokenized into
 coefficient names (``_shape_text``).  Only a new shape is sympified and
 lambdified, so halfplane(m) weights of every m share one compiled function and
 bind their coefficient at call time; arithmetic between literals (2.0*x*3.0)
-is evaluated as written.  sympy loads with the first parse, so weights that
-parse no expression (reglog) never import it.
+is evaluated as written.  sympy loads with the first shape it compiles.
+The few shapes that the named families write (``_PREBUILT``: ``0`` on the
+disk and the bidisk, halfplane's ``-_c0*x`` and ``_c0*x``, and point_log's
+log factor ``z``) are prebuilt from the sources lambdify prints for them,
+since importing sympy and compiling a first shape take longer than a whole
+model of these weights: a process whose weights are all zero, halfplane
+(m != 0), point_log, their clamps, zero:bidisk or reglog never imports it.
+Every other shape, however its weight was written, compiles through sympy.
 
 Every weight has one canonical spec, a JSON-ready dict: a family of
 ``_FAMILIES`` with all of its parameters, or the ``log_terms``/``smooth``/
@@ -60,15 +66,22 @@ _POWER = ("**", "^")  # sympify reads x^2 as x**2
 _UNARY = ("+", "-", "~")
 
 
-def _symbols(domain, holomorphic):
-    """The sympy variables of an expression: log factors and sections are
+def _names(domain, holomorphic):
+    """The variable names of an expression: log factors and sections are
     holomorphic in z or (z1, z2), smooth parts are real functions of (x, y)
     or (x1, y1, x2, y2)."""
+    if holomorphic:
+        return "z" if domain == "disk" else "z1 z2"
+    return "x y" if domain == "disk" else "x1 y1 x2 y2"
+
+
+def _symbols(domain, holomorphic):
+    """The sympy variables of an expression (``_names``), real for a smooth
+    part."""
     import sympy as sp
     if holomorphic:
-        return sp.symbols("z" if domain == "disk" else "z1 z2", seq=True)
-    return sp.symbols("x y" if domain == "disk" else "x1 y1 x2 y2", seq=True,
-                      real=True)
+        return sp.symbols(_names(domain, True), seq=True)
+    return sp.symbols(_names(domain, False), seq=True, real=True)
 
 
 def _shape_text(text):
@@ -135,11 +148,33 @@ def _parse(text, domain, holomorphic):
     return shape, literals, values
 
 
+# the shapes that the named disk families and zero:bidisk write, prebuilt so
+# that their weights compile without importing sympy: (shape text,
+# coefficient count, domain, holomorphic) -> the sources that lambdify prints
+# for the value and each derivative, and the flags (conjugation_symmetric,
+# radial, diagonal_invariant) that ``_Shape`` derives.  halfplane(m) writes
+# -_c0*x for m > 0 and _c0*x for m < 0, point_log the log factor z and a
+# smooth part 0.
+_PREBUILT = {
+    ("0", 0, "disk", False): ("0", ("0",), (True, True, False)),
+    ("0", 0, "bidisk", False): ("0", ("0", "0"), (True, True, True)),
+    ("-_c0*x", 1, "disk", False): ("-_c0*x", ("-1/2*_c0",), (True, False, False)),
+    ("_c0*x", 1, "disk", False): ("_c0*x", ("(1/2)*_c0",), (True, False, False)),
+    ("z", 0, "disk", True): ("z", ("1",), (True, True, False)),
+}
+# the (zero, multiplicity) pairs of the prebuilt log factor z (``_log_zeros``)
+_PREBUILT_ZEROS = {("z", "disk"): ((0j, 1.0),)}
+
+
 @functools.lru_cache(maxsize=_SHAPE_CACHE_SIZE)
 def _compile(text, n_coeffs, domain, holomorphic):
     """The ``_Shape`` of a shape text with coefficient names _c0, ...,
-    _c<n_coeffs - 1>.  ParameterError, naming what is wrong, on a text that
-    is not a finite expression in the domain's variables."""
+    _c<n_coeffs - 1>, or its ``_Prebuilt`` entry.  ParameterError, naming
+    what is wrong, on a text that is not a finite expression in the domain's
+    variables."""
+    key = (text, n_coeffs, domain, holomorphic)
+    if key in _PREBUILT:
+        return _Prebuilt(*key[1:], *_PREBUILT[key])
     import sympy as sp
     variables = _symbols(domain, holomorphic)
     # the literals are unsigned: a minus sign stays in the text
@@ -251,6 +286,21 @@ class _Shape:
         return all(a + b == c + d for a, b, c, d in p.monoms())
 
 
+class _Prebuilt:
+    """A shape of ``_PREBUILT``: the value ``f``, the derivatives ``d[j]``
+    and the flags that ``_Shape`` derives for it, compiled from their
+    lambdify sources without sympy."""
+
+    def __init__(self, n_coeffs, domain, holomorphic, f, d, flags):
+        self.domain = domain
+        self.holomorphic = holomorphic
+        args = ", ".join(_names(domain, holomorphic).split()
+                         + [_COEFF + str(i) for i in range(n_coeffs)])
+        self.f, *self.d = [eval("lambda %s: %s" % (args, source), {})
+                           for source in (f, *d)]
+        self.conjugation_symmetric, self.radial, self.diagonal_invariant = flags
+
+
 class _Expression:
     """An expression in the variables of a domain, compiled once per shape
     (``_parse``), with its coefficients bound.
@@ -314,6 +364,8 @@ def _log_zeros(text, domain):
     however it is written: numerical root finding splits the double root of
     (z - a)**2, expanded or not, into two simple ones of half the order.
     """
+    if (text, domain) in _PREBUILT_ZEROS:
+        return _PREBUILT_ZEROS[text, domain]
     import sympy as sp
     shape, literals, _ = _parse(text, domain, True)
     # the factor as written: each coefficient name back to its literal, a

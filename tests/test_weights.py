@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -579,6 +580,48 @@ def test_halfplane_weights_share_one_compiled_shape():
         make()
         after = weights._compile.cache_info()
         assert after.misses == before.misses and after.hits > before.hits
+    # every spelling of the text reaches the one prebuilt shape
+    assert isinstance(a.smooth.shape, weights._Prebuilt)
+    for spelling in ({"family": "halfplane", "m": 1.5}, {"smooth": "-3.0*x"}):
+        assert from_dict(spelling).smooth.shape is a.smooth.shape
+    assert Weight([], "-3.0*x").smooth.shape is a.smooth.shape
+    # halfplane(0) writes -0.0*x, whose zero literal stays in the text
+    assert isinstance(Weight.halfplane(0.0).smooth.shape, weights._Shape)
+
+
+@pytest.mark.parametrize("key", list(weights._PREBUILT), ids=repr)
+def test_prebuilt_shape_is_its_sympy_derivation(monkeypatch, key):
+    text, n_coeffs, domain, holomorphic = key
+    value, derivatives, flags = weights._PREBUILT[key]
+    prebuilt = weights._compile(*key)
+    monkeypatch.setattr(weights, "_PREBUILT", {})
+    derived = weights._compile.__wrapped__(*key)
+    assert isinstance(prebuilt, weights._Prebuilt) and isinstance(derived, weights._Shape)
+    # the sources are what lambdify prints
+    printed = [inspect.getsource(fn).split("return ", 1)[1].strip()
+               for fn in (derived.f, *derived.d)]
+    assert printed == [value, *derivatives]
+    assert flags == (derived.conjugation_symmetric, derived.radial, derived.diagonal_invariant)
+    assert flags == (prebuilt.conjugation_symmetric, prebuilt.radial, prebuilt.diagonal_invariant)
+    # and their values agree bit for bit
+    rng = np.random.default_rng(7)
+    count = len(weights._names(domain, holomorphic).split())
+    args = [rng.uniform(-1, 1, 9) + (1j * rng.uniform(-1, 1, 9) if holomorphic else 0)
+            for _ in range(count)] + list(rng.uniform(0.1, 5.0, n_coeffs))
+    assert len(prebuilt.d) == len(derived.d)
+    for mine, ref in zip((prebuilt.f, *prebuilt.d), (derived.f, *derived.d)):
+        mine, ref = mine(*args), ref(*args)
+        assert type(mine) is type(ref)
+        np.testing.assert_array_equal(mine, ref)
+
+
+def test_prebuilt_log_zeros_are_their_sympy_derivation(monkeypatch):
+    prebuilt = {key: weights._log_zeros(*key) for key in weights._PREBUILT_ZEROS}
+    assert prebuilt == weights._PREBUILT_ZEROS
+    monkeypatch.setattr(weights, "_PREBUILT", {})
+    monkeypatch.setattr(weights, "_PREBUILT_ZEROS", {})
+    monkeypatch.setattr(weights, "_compile", weights._compile.__wrapped__)
+    assert {key: weights._log_zeros.__wrapped__(*key) for key in prebuilt} == prebuilt
 
 
 # -- the lifted parse: one sympify per expression shape ---------------------
@@ -804,21 +847,29 @@ def test_parse_errors_quote_the_text_as_written(monkeypatch, spec):
     assert str(err.value).startswith("cannot parse expression %r: " % text)
 
 
-def test_reglog_paths_never_import_sympy():
-    # sympy is loaded by the first parse of an expression, and the
-    # regularized log parses none
+def test_named_weights_never_import_sympy():
+    # sympy is loaded by the first shape compiled outside ``_PREBUILT``: the
+    # named disk families, their clamps, zero:bidisk and the regularized log
+    # compile none, through build_model or the CLI, and a free-form text does
     code = "\n".join([
-        "import sys",
+        "import contextlib, io, sys",
         "import bergext, bergext.cli",
-        "from bergext import RegularizedLogWeight, build_model",
+        "from bergext import RegularizedLogWeight, Weight, build_model, clamp_max",
         "from bergext.functionals import NormSpec, evaluate_norm",
+        "disk = [Weight.zero(), Weight.halfplane(1.5), Weight.halfplane(-0.75),",
+        "        Weight.point_log(0.5)]",
+        "for w in disk + [clamp_max(w, 0.2, 6.0) for w in disk]:",
+        "    build_model('disk', w, 4)",
+        "build_model('bidisk', Weight.zero('bidisk'), 2)",
         "build_model('bidisk', RegularizedLogWeight(0.2, 'z1-z2'), 2)",
         "w = RegularizedLogWeight(0.2, 'z')",
         "build_model('disk', w, 4)",
         "evaluate_norm(NormSpec('gamma_branch', gamma=0.5), [0, 1], w)",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert bergext.cli.main(['kernel', '--weight', 'halfplane:2']) == 0",
+        "    assert bergext.cli.main(['claim1', '--m', '1,2', '--no-check']) == 0",
         "assert 'sympy' not in sys.modules, sorted(m for m in sys.modules if 'sympy' in m)[:5]",
-        "import bergext.weights as wm",
-        "wm.Weight.halfplane(1.0)",
+        "Weight([], 'x*y')",
         "assert 'sympy' in sys.modules",
     ])
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
