@@ -11,17 +11,19 @@ raises EvaluationError naming the node.
 
 Each f_j, psi and cut-off section is a sympy string, compiled once per shape:
 the text with its nonzero float literals outside exponents tokenized into
-coefficient names (``_shape_text``).  Only a new shape is sympified and
-lambdified, so halfplane(m) weights of every m share one compiled function and
-bind their coefficient at call time; arithmetic between literals (2.0*x*3.0)
-is evaluated as written.  sympy loads with the first shape it compiles.
-The few shapes that the named families write (``_PREBUILT``: ``0`` on the
-disk and the bidisk, halfplane's ``-_c0*x`` and ``_c0*x``, and point_log's
-log factor ``z``) are prebuilt from the sources lambdify prints for them,
-since importing sympy and compiling a first shape take longer than a whole
-model of these weights: a process whose weights are all zero, halfplane
-(m != 0), point_log, their clamps, zero:bidisk or reglog never imports it.
-Every other shape, however its weight was written, compiles through sympy.
+coefficient names (``_shape_text``).  Only a new shape is compiled, so
+halfplane(m) weights of every m share one compiled function and bind their
+coefficient at call time; arithmetic between literals (2.0*x*3.0) is
+evaluated as written.  A polynomial shape (``_expand``: variables, numeric
+literals, +, -, *, / by a nonzero constant term, ** by a non-negative integer
+literal) compiles without sympy (``_Polynomial``), since importing sympy and
+compiling a first shape take longer than a whole model of a simple weight:
+its value is its text, and its derivatives and flags come from its expansion
+into monomials with exact coefficients.  A disk log factor that is one
+monomial c z^k has its zero 0, of multiplicity k, without sympy too.  So a
+process whose weights are polynomial texts, the named disk families, their
+clamps, zero:bidisk or reglog never imports sympy.  Every other shape, and
+the zeros of every other log factor, go through sympy (``_Shape``).
 
 Every weight has one canonical spec, a JSON-ready dict: a family of
 ``_FAMILIES`` with all of its parameters, or the ``log_terms``/``smooth``/
@@ -35,19 +37,22 @@ Three symmetry flags tell Gram assembly where e^{-phi} need not be evaluated:
 ``radial`` (phi a function of |z|, or of |z1| and |z2|: every log factor a
 single monomial, the smooth part annihilated by every angular derivative
 x_j d/dy_j - y_j d/dx_j).  A free-form weight infers them once per shape
-(``_Shape``); clamped weights and branch restrictions take them from their
-base or parent, the regularized log from its direction.  No constructor
-takes them.
+(``_Polynomial``, ``_Shape``); clamped weights and branch restrictions take
+them from their base or parent, the regularized log from its direction.  No
+constructor takes them.
 """
 
 from __future__ import annotations
 
+import ast
 import copy
 import functools
 import io
 import itertools
 import math
+import operator
 import tokenize
+from fractions import Fraction
 
 import numpy as np
 
@@ -148,36 +153,13 @@ def _parse(text, domain, holomorphic):
     return shape, literals, values
 
 
-# the shapes that the named disk families and zero:bidisk write, prebuilt so
-# that their weights compile without importing sympy: (shape text,
-# coefficient count, domain, holomorphic) -> the sources that lambdify prints
-# for the value and each derivative, and the flags (conjugation_symmetric,
-# radial, diagonal_invariant) that ``_Shape`` derives.  halfplane(m) writes
-# -_c0*x for m > 0 and _c0*x for m < 0, point_log the log factor z and a
-# smooth part 0.
-_PREBUILT = {
-    ("0", 0, "disk", False): ("0", ("0",), (True, True, False)),
-    ("0", 0, "bidisk", False): ("0", ("0", "0"), (True, True, True)),
-    ("-_c0*x", 1, "disk", False): ("-_c0*x", ("-1/2*_c0",), (True, False, False)),
-    ("_c0*x", 1, "disk", False): ("_c0*x", ("(1/2)*_c0",), (True, False, False)),
-    ("z", 0, "disk", True): ("z", ("1",), (True, True, False)),
-}
-# the (zero, multiplicity) pairs of the prebuilt log factor z (``_log_zeros``)
-_PREBUILT_ZEROS = {("z", "disk"): ((0j, 1.0),)}
-
-
-@functools.lru_cache(maxsize=_SHAPE_CACHE_SIZE)
-def _compile(text, n_coeffs, domain, holomorphic):
-    """The ``_Shape`` of a shape text with coefficient names _c0, ...,
-    _c<n_coeffs - 1>, or its ``_Prebuilt`` entry.  ParameterError, naming
-    what is wrong, on a text that is not a finite expression in the domain's
-    variables."""
-    key = (text, n_coeffs, domain, holomorphic)
-    if key in _PREBUILT:
-        return _Prebuilt(*key[1:], *_PREBUILT[key])
+def _sympify(text, n_coeffs, domain, holomorphic):
+    """(expression, coefficients): the sympy expression of a shape text and
+    its coefficient symbols, positive because the literals are unsigned (a
+    minus sign stays in the text).  ParameterError, naming what is wrong, on
+    a text that is not a finite expression in the domain's variables."""
     import sympy as sp
     variables = _symbols(domain, holomorphic)
-    # the literals are unsigned: a minus sign stays in the text
     coefficients = tuple(sp.Symbol(_COEFF + str(i), positive=True)
                          for i in range(n_coeffs))
     names = {str(v): v for v in variables + coefficients}
@@ -199,7 +181,22 @@ def _compile(text, n_coeffs, domain, holomorphic):
     # nan, oo and numbers past the float range (10**400) left in the text
     if expr.has(sp.zoo) or not all(np.isfinite(float(n)) for n in expr.atoms(sp.Number)):
         raise ParameterError("not finite")
-    return _Shape(expr, coefficients, domain, holomorphic)
+    return expr, coefficients
+
+
+@functools.lru_cache(maxsize=_SHAPE_CACHE_SIZE)
+def _compile(text, n_coeffs, domain, holomorphic):
+    """The compiled shape of a shape text with coefficient names _c0, ...,
+    _c<n_coeffs - 1>.  A polynomial text (``_expand``) compiles without
+    sympy into a ``_Polynomial``: importing sympy and compiling one shape
+    take longer than a whole model of a simple weight.  Every other text
+    compiles through sympy into a ``_Shape``.  ParameterError, naming what is
+    wrong, on a text that is not a finite expression in the domain's
+    variables, and on a smooth part that is not real."""
+    expanded = _expand(text, n_coeffs, domain, holomorphic)
+    if expanded is not None:
+        return _Polynomial(*expanded, n_coeffs, domain, holomorphic)
+    return _Shape(*_sympify(text, n_coeffs, domain, holomorphic), domain, holomorphic)
 
 
 class _Shape:
@@ -222,6 +219,13 @@ class _Shape:
         self.domain = domain
         self.holomorphic = holomorphic
         self.variables = _symbols(domain, holomorphic)
+        if not holomorphic:  # a non-real coefficient, as in I*x
+            try:
+                coeffs = sp.Poly(template, *self.variables, domain="EX").coeffs()
+            except sp.PolynomialError:
+                coeffs = ()
+            if template.is_real is False or any(sp.im(c).is_zero is False for c in coeffs):
+                raise ParameterError("a smooth part must be real")
         args = self.variables + coefficients
         if holomorphic:
             d = [sp.diff(template, z) for z in self.variables]
@@ -229,8 +233,11 @@ class _Shape:
             xy = self.variables
             d = [(sp.diff(template, x) - sp.I * sp.diff(template, y)) / 2
                  for x, y in zip(xy[::2], xy[1::2])]
-        self.f = sp.lambdify(args, template, modules="numpy")
-        self.d = [sp.lambdify(args, e, modules="numpy") for e in d]
+        try:  # the derivatives of floor (x//2) and Mod (x % 2) print no code
+            self.f = sp.lambdify(args, template, modules="numpy")
+            self.d = [sp.lambdify(args, e, modules="numpy") for e in d]
+        except (NotImplementedError, ValueError) as exc:
+            raise ParameterError("no numpy code: %s" % str(exc).splitlines()[0])
 
     @functools.cached_property
     def conjugation_symmetric(self):
@@ -286,19 +293,190 @@ class _Shape:
         return all(a + b == c + d for a, b, c, d in p.monoms())
 
 
-class _Prebuilt:
-    """A shape of ``_PREBUILT``: the value ``f``, the derivatives ``d[j]``
-    and the flags that ``_Shape`` derives for it, compiled from their
-    lambdify sources without sympy."""
+# -- polynomial shapes: compiled from their monomial table, without sympy ---
+#
+# A table maps each term's key (i, e_1, ..., e_n) to a nonzero Fraction: the
+# term is the Fraction times i**i (i = 0 or 1, the imaginary unit) times the
+# product of name_k**e_k over the variables and then the coefficient names.
+# Coefficient exponents may be negative, after a division by a coefficient.
 
-    def __init__(self, n_coeffs, domain, holomorphic, f, d, flags):
+def _plus(p, q):
+    out = dict(p)
+    for e, a in q.items():
+        out[e] = out.get(e, 0) + a
+    return {e: a for e, a in out.items() if a}
+
+
+def _times(p, q):
+    out = {}
+    for e, a in p.items():
+        for f, b in q.items():
+            k = tuple(map(operator.add, e, f))
+            if k[0] == 2:  # i * i = -1
+                k, b = (0,) + k[1:], -b
+            out[k] = out.get(k, 0) + a * b
+    return {e: a for e, a in out.items() if a}
+
+
+def _power(p, n, one):
+    out = {one: Fraction(1)}
+    while n:
+        if n & 1:
+            out = _times(out, p)
+        n >>= 1
+        if n:
+            p = _times(p, p)
+    return out
+
+
+def _inverse(q, n_vars):
+    """1/q for a single term q free of the variables: 1/(a i^s c^k) =
+    (-1)^s/a i^s c^-k.  ValueError for any other q (0, a sum)."""
+    if len(q) != 1 or any(next(iter(q))[1:1 + n_vars]):
+        raise ValueError("not a division by a nonzero constant term")
+    (e, a), = q.items()
+    return {(e[0],) + tuple(-k for k in e[1:]): (-1 if e[0] else 1) / a}
+
+
+def _expand(text, n_coeffs, domain, holomorphic):
+    """(source, table) of a polynomial shape text, or None for any other
+    text.  The source is the text with ``^`` read as ``**``, as sympify reads
+    it (a ``^`` in a comment or a string changes nothing that matters: a
+    string is not polynomial).  The text is polynomial when its Python
+    syntax tree holds only the domain's variables and coefficient names,
+    numeric literals, +, - and *, / by a nonzero constant term (a number
+    times coefficient names) and ** by a non-negative integer literal, and
+    every subexpression's numbers lie in the float range.  The table (module
+    comment above) is the expansion with exact numbers: each literal is the
+    rational its digits spell (1e-400 is not 0), 1j the imaginary unit."""
+    names = _names(domain, holomorphic).split()
+    n_vars = len(names)
+    names += [_COEFF + str(i) for i in range(n_coeffs)]
+    source = text.replace("^", "**").strip()
+    one = (0,) * (1 + len(names))
+
+    def term(value, i=0, name=None):
+        e = list(one)
+        e[0] = i
+        if name is not None:
+            e[1 + names.index(name)] = 1
+        return {tuple(e): value} if value else {}
+
+    def walk(node):
+        kind = type(getattr(node, "op", None))
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float, complex):
+            digits = ast.get_source_segment(source, node).replace("_", "")
+            if type(node.value) is complex:
+                p = term(Fraction(digits[:-1]), 1)
+            else:
+                p = term(Fraction(node.value if type(node.value) is int else digits))
+        elif isinstance(node, ast.Name) and node.id in names:
+            p = term(Fraction(1), name=node.id)
+        elif isinstance(node, ast.UnaryOp) and kind in (ast.UAdd, ast.USub):
+            p = _times(walk(node.operand), term(Fraction(-1 if kind is ast.USub else 1)))
+        elif isinstance(node, ast.BinOp) and kind is ast.Pow:
+            n = node.right
+            if not (isinstance(n, ast.Constant) and type(n.value) is int):
+                raise ValueError("not an integer literal exponent")
+            p = _power(walk(node.left), n.value, one)
+        elif isinstance(node, ast.BinOp) and kind in (ast.Add, ast.Sub, ast.Mult, ast.Div):
+            p, q = walk(node.left), walk(node.right)
+            if kind is ast.Add:
+                p = _plus(p, q)
+            elif kind is ast.Sub:
+                p = _plus(p, _times(q, term(Fraction(-1))))
+            else:
+                p = _times(p, q if kind is ast.Mult else _inverse(q, n_vars))
+        else:
+            raise ValueError("not a polynomial")
+        for a in p.values():
+            float(a)  # OverflowError past the float range, as 10**400
+        return p
+
+    try:
+        return source, walk(ast.parse(source, mode="eval").body)
+    except (SyntaxError, ValueError, OverflowError):
+        return None
+
+
+def _source(table, names):
+    """Python source of a table: a sum of terms number*name**k*..., with a
+    negative exponent (of a coefficient name) as a division."""
+    numbers = {}
+    for (i, *e), a in table.items():
+        numbers.setdefault(tuple(e), [0, 0])[i] += a
+    terms = []
+    for e, (re, im) in numbers.items():
+        number = repr(float(re)) if not im else "%rj" % float(im) if not re \
+            else "(%r + %rj)" % (float(re), float(im))
+        terms.append(number + "".join(
+            ("*" if k > 0 else "/") + n + ("**%d" % abs(k) if abs(k) > 1 else "")
+            for n, k in zip(names, e) if k))
+    return " + ".join(terms) or "0"
+
+
+def _partial(table, k):
+    """The derivative of a table by its k-th variable (key position k + 1)."""
+    return {e[:k + 1] + (e[k + 1] - 1,) + e[k + 2:]: e[k + 1] * a
+            for e, a in table.items() if e[k + 1]}
+
+
+def _rotation_invariant(table, pairs):
+    """Whether the sum over j in ``pairs`` of x_j d/dy_j - y_j d/dx_j, the
+    generator of the rotations z_j -> e^{ia} z_j for j in ``pairs``,
+    annihilates a real table in (x1, y1, x2, y2) or (x, y)."""
+    out = {}
+    for e, a in table.items():
+        for j in pairs:
+            x, y = 1 + 2 * j, 2 + 2 * j  # the key positions of x_j and y_j
+            for up, down, c in ((x, y, e[y]), (y, x, -e[x])):
+                if c:
+                    k = list(e)
+                    k[up] += 1
+                    k[down] -= 1
+                    out[tuple(k)] = out.get(tuple(k), 0) + c * a
+    return not any(out.values())
+
+
+class _Polynomial:
+    """A polynomial shape, compiled without sympy: the value ``f`` is the
+    text as written, the derivatives ``d[j]`` (see ``_Shape``) are printed
+    from its table (``_expand``), and the three flags are read off the table
+    with ``_Shape``'s semantics, each coefficient name a positive unknown.
+    ``monomials`` are the exponents of the variables in the table's terms.
+    ParameterError on a smooth part with a non-real coefficient."""
+
+    def __init__(self, source, table, n_coeffs, domain, holomorphic):
+        self.text = source
         self.domain = domain
         self.holomorphic = holomorphic
-        args = ", ".join(_names(domain, holomorphic).split()
-                         + [_COEFF + str(i) for i in range(n_coeffs)])
-        self.f, *self.d = [eval("lambda %s: %s" % (args, source), {})
-                           for source in (f, *d)]
-        self.conjugation_symmetric, self.radial, self.diagonal_invariant = flags
+        names = _names(domain, holomorphic).split()
+        n = len(names)
+        self.monomials = {e[1:1 + n] for e in table}
+        real = not any(e[0] for e in table)
+        if holomorphic:
+            derivatives = [_partial(table, k) for k in range(n)]
+            self.conjugation_symmetric = real
+            self.radial = len(self.monomials) == 1
+            self.diagonal_invariant = domain == "bidisk" and \
+                len({sum(m) for m in self.monomials}) <= 1
+        else:
+            if not real:
+                raise ParameterError("a smooth part must be real")
+            one = (0,) * (1 + n + n_coeffs)
+            half, minus_half_i = {one: Fraction(1, 2)}, {(1,) + one[1:]: Fraction(-1, 2)}
+            derivatives = [_plus(_times(_partial(table, k), half),
+                                 _times(_partial(table, k + 1), minus_half_i))
+                           for k in range(0, n, 2)]
+            self.conjugation_symmetric = all(sum(m[1::2]) % 2 == 0 for m in self.monomials)
+            self.radial = all(_rotation_invariant(table, [j]) for j in range(n // 2))
+            self.diagonal_invariant = domain == "bidisk" and \
+                _rotation_invariant(table, range(n // 2))
+        args = ", ".join(names + [_COEFF + str(i) for i in range(n_coeffs)])
+        # a real value takes its real part: (1+1j)*(1-1j)*x is 2x with a 0j
+        value = "(%s\n)" % source if holomorphic else "(%s\n).real" % source
+        self.f, *self.d = [eval("lambda %s: %s" % (args, s), {})
+                           for s in [value] + [_source(d, args.split(", ")) for d in derivatives]]
 
 
 class _Expression:
@@ -364,23 +542,29 @@ def _log_zeros(text, domain):
     however it is written: numerical root finding splits the double root of
     (z - a)**2, expanded or not, into two simple ones of half the order.
     """
-    if (text, domain) in _PREBUILT_ZEROS:
-        return _PREBUILT_ZEROS[text, domain]
-    import sympy as sp
     shape, literals, _ = _parse(text, domain, True)
+    if isinstance(shape, _Polynomial):
+        if domain == "disk" and len(shape.monomials) == 1:  # c z^k
+            (k,), = shape.monomials
+            return ((0j, float(k)),) if k else ()
+        template, coefficients = _sympify(shape.text, len(literals), domain, True)
+    else:
+        template, coefficients = shape.template, shape.coefficients
+    import sympy as sp
+    variables = _symbols(domain, True)
     # the factor as written: each coefficient name back to its literal, a
     # Float as sympify makes of it
-    expr = shape.template.xreplace(dict(zip(shape.coefficients, map(sp.Float, literals))))
+    expr = template.xreplace(dict(zip(coefficients, map(sp.Float, literals))))
     zeros = {}
     for factor in sp.Mul.make_args(expr):
         base, power = factor.as_base_exp()
         if domain == "disk":
             # + 0.0 turns a root's -0 parts into 0, for the messages
             found = [(np.round(complex(a), 9) + 0.0, m)
-                     for f, m in sp.sqf_list(sp.Poly(_exact(base), *shape.variables))[1]
+                     for f, m in sp.sqf_list(sp.Poly(_exact(base), *variables))[1]
                      for a in _roots(f) if abs(a) < 1.0 - 1e-12]
         else:
-            found = [(f, m) for f, m in sp.factor_list(base, *shape.variables)[1]
+            found = [(f, m) for f, m in sp.factor_list(base, *variables)[1]
                      if _meets_closed_disk(f)]
         for zero, mult in found:
             zeros[zero] = zeros.get(zero, 0.0) + mult * float(power)
