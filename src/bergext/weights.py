@@ -14,16 +14,17 @@ the text with its nonzero float literals outside exponents tokenized into
 coefficient names (``_shape_text``).  Only a new shape is compiled, so
 halfplane(m) weights of every m share one compiled function and bind their
 coefficient at call time; arithmetic between literals (2.0*x*3.0) is
-evaluated as written.  A polynomial shape (``_expand``: variables, numeric
-literals, +, -, *, / by a nonzero constant term, ** by a non-negative integer
-literal) compiles without sympy (``_Polynomial``), since importing sympy and
-compiling a first shape take longer than a whole model of a simple weight:
-its value is its text, and its derivatives and flags come from its expansion
-into monomials with exact coefficients.  A disk log factor that is one
-monomial c z^k has its zero 0, of multiplicity k, without sympy too.  So a
-process whose weights are polynomial texts, the named disk families, their
-clamps, zero:bidisk or reglog never imports sympy.  Every other shape, and
-the zeros of every other log factor, go through sympy (``_Shape``).
+evaluated as written.  A polynomial smooth part (``_expand``: variables,
+numeric literals, +, -, *, / by a nonzero constant term, ** by a non-negative
+integer literal) and a disk log factor or section that is one monomial c z^k
+compile without sympy (``_Polynomial``), since importing sympy and compiling
+a first shape take longer than a whole model of a simple weight: the value
+is the text, and the derivatives and flags come from its expansion into
+monomials with exact coefficients.  The monomial's zero 0, of multiplicity
+k, needs no sympy either.  So a process whose weights are polynomial smooth
+parts, monomial disk log factors, the named disk families, their clamps,
+zero:bidisk or reglog never imports sympy.  Every other shape, and the zeros
+of every other log factor, go through sympy (``_Shape``).
 
 Every weight has one canonical spec, a JSON-ready dict: a family of
 ``_FAMILIES`` with all of its parameters, or the ``log_terms``/``smooth``/
@@ -153,13 +154,25 @@ def _parse(text, domain, holomorphic):
     return shape, literals, values
 
 
-def _sympify(text, n_coeffs, domain, holomorphic):
-    """(expression, coefficients): the sympy expression of a shape text and
-    its coefficient symbols, positive because the literals are unsigned (a
-    minus sign stays in the text).  ParameterError, naming what is wrong, on
-    a text that is not a finite expression in the domain's variables."""
+@functools.lru_cache(maxsize=_SHAPE_CACHE_SIZE)
+def _compile(text, n_coeffs, domain, holomorphic):
+    """The compiled shape of a shape text with coefficient names _c0, ...,
+    _c<n_coeffs - 1>.  A polynomial text (``_expand``) compiles without
+    sympy into a ``_Polynomial``: importing sympy and compiling one shape
+    take longer than a whole model of a simple weight.  A holomorphic text
+    does only when it is one disk monomial c z^k: the derivative of any
+    other expansion cancels near a repeated zero, as (z - 0.3)**8 does at
+    0.3 + 1e-6, and ``Weight._d`` divides it by the factor's value.  Every
+    other text compiles through sympy into a ``_Shape``.  ParameterError,
+    naming what is wrong, on a text that is not a finite expression in the
+    domain's variables, and on a smooth part that is not real."""
+    expanded = _expand(text, n_coeffs, domain, holomorphic)
+    if expanded is not None and (not holomorphic or domain == "disk"
+                                 and len({e[1] for e in expanded[1]}) == 1):
+        return _Polynomial(*expanded, n_coeffs, domain, holomorphic)
     import sympy as sp
     variables = _symbols(domain, holomorphic)
+    # the literals are unsigned: a minus sign stays in the text
     coefficients = tuple(sp.Symbol(_COEFF + str(i), positive=True)
                          for i in range(n_coeffs))
     names = {str(v): v for v in variables + coefficients}
@@ -181,22 +194,7 @@ def _sympify(text, n_coeffs, domain, holomorphic):
     # nan, oo and numbers past the float range (10**400) left in the text
     if expr.has(sp.zoo) or not all(np.isfinite(float(n)) for n in expr.atoms(sp.Number)):
         raise ParameterError("not finite")
-    return expr, coefficients
-
-
-@functools.lru_cache(maxsize=_SHAPE_CACHE_SIZE)
-def _compile(text, n_coeffs, domain, holomorphic):
-    """The compiled shape of a shape text with coefficient names _c0, ...,
-    _c<n_coeffs - 1>.  A polynomial text (``_expand``) compiles without
-    sympy into a ``_Polynomial``: importing sympy and compiling one shape
-    take longer than a whole model of a simple weight.  Every other text
-    compiles through sympy into a ``_Shape``.  ParameterError, naming what is
-    wrong, on a text that is not a finite expression in the domain's
-    variables, and on a smooth part that is not real."""
-    expanded = _expand(text, n_coeffs, domain, holomorphic)
-    if expanded is not None:
-        return _Polynomial(*expanded, n_coeffs, domain, holomorphic)
-    return _Shape(*_sympify(text, n_coeffs, domain, holomorphic), domain, holomorphic)
+    return _Shape(expr, coefficients, domain, holomorphic)
 
 
 class _Shape:
@@ -439,27 +437,25 @@ def _rotation_invariant(table, pairs):
 
 
 class _Polynomial:
-    """A polynomial shape, compiled without sympy: the value ``f`` is the
-    text as written, the derivatives ``d[j]`` (see ``_Shape``) are printed
-    from its table (``_expand``), and the three flags are read off the table
-    with ``_Shape``'s semantics, each coefficient name a positive unknown.
-    ``monomials`` are the exponents of the variables in the table's terms.
-    ParameterError on a smooth part with a non-real coefficient."""
+    """A polynomial shape, compiled without sympy: a real polynomial, or a
+    disk monomial c z^k (``_compile``).  The value ``f`` is the text as
+    written, the derivatives ``d[j]`` (see ``_Shape``) are printed from its
+    table (``_expand``), and the three flags are read off the table with
+    ``_Shape``'s semantics, each coefficient name a positive unknown.  A
+    monomial's ``power`` is its k.  ParameterError on a smooth part with a
+    non-real coefficient."""
 
     def __init__(self, source, table, n_coeffs, domain, holomorphic):
-        self.text = source
         self.domain = domain
         self.holomorphic = holomorphic
         names = _names(domain, holomorphic).split()
         n = len(names)
-        self.monomials = {e[1:1 + n] for e in table}
+        monomials = {e[1:1 + n] for e in table}
         real = not any(e[0] for e in table)
         if holomorphic:
-            derivatives = [_partial(table, k) for k in range(n)]
-            self.conjugation_symmetric = real
-            self.radial = len(self.monomials) == 1
-            self.diagonal_invariant = domain == "bidisk" and \
-                len({sum(m) for m in self.monomials}) <= 1
+            (self.power,), = monomials
+            derivatives = [_partial(table, 0)]
+            self.conjugation_symmetric, self.radial, self.diagonal_invariant = real, True, False
         else:
             if not real:
                 raise ParameterError("a smooth part must be real")
@@ -468,7 +464,7 @@ class _Polynomial:
             derivatives = [_plus(_times(_partial(table, k), half),
                                  _times(_partial(table, k + 1), minus_half_i))
                            for k in range(0, n, 2)]
-            self.conjugation_symmetric = all(sum(m[1::2]) % 2 == 0 for m in self.monomials)
+            self.conjugation_symmetric = all(sum(m[1::2]) % 2 == 0 for m in monomials)
             self.radial = all(_rotation_invariant(table, [j]) for j in range(n // 2))
             self.diagonal_invariant = domain == "bidisk" and \
                 _rotation_invariant(table, range(n // 2))
@@ -543,28 +539,22 @@ def _log_zeros(text, domain):
     (z - a)**2, expanded or not, into two simple ones of half the order.
     """
     shape, literals, _ = _parse(text, domain, True)
-    if isinstance(shape, _Polynomial):
-        if domain == "disk" and len(shape.monomials) == 1:  # c z^k
-            (k,), = shape.monomials
-            return ((0j, float(k)),) if k else ()
-        template, coefficients = _sympify(shape.text, len(literals), domain, True)
-    else:
-        template, coefficients = shape.template, shape.coefficients
+    if isinstance(shape, _Polynomial):  # c z^k
+        return ((0j, float(shape.power)),) if shape.power else ()
     import sympy as sp
-    variables = _symbols(domain, True)
     # the factor as written: each coefficient name back to its literal, a
     # Float as sympify makes of it
-    expr = template.xreplace(dict(zip(coefficients, map(sp.Float, literals))))
+    expr = shape.template.xreplace(dict(zip(shape.coefficients, map(sp.Float, literals))))
     zeros = {}
     for factor in sp.Mul.make_args(expr):
         base, power = factor.as_base_exp()
         if domain == "disk":
             # + 0.0 turns a root's -0 parts into 0, for the messages
             found = [(np.round(complex(a), 9) + 0.0, m)
-                     for f, m in sp.sqf_list(sp.Poly(_exact(base), *variables))[1]
+                     for f, m in sp.sqf_list(sp.Poly(_exact(base), *shape.variables))[1]
                      for a in _roots(f) if abs(a) < 1.0 - 1e-12]
         else:
-            found = [(f, m) for f, m in sp.factor_list(base, *variables)[1]
+            found = [(f, m) for f, m in sp.factor_list(base, *shape.variables)[1]
                      if _meets_closed_disk(f)]
         for zero, mult in found:
             zeros[zero] = zeros.get(zero, 0.0) + mult * float(power)

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -589,10 +590,10 @@ def test_halfplane_weights_share_one_compiled_shape():
     assert isinstance(zero, weights._Polynomial) and zero is not a.smooth.shape
 
 
-# every polynomial text of tests/, the README, CI and perfbench (a text
-# written with a random coefficient takes a few values, of every sign), the
-# texts the named families write, and spellings the reading of a literal,
-# of ^ and of 1j must get right
+# every polynomial smooth part and disk monomial of tests/, the README, CI
+# and perfbench (a text written with a random coefficient takes a few values,
+# of every sign), the texts the named families write, and spellings the
+# reading of a literal, of ^ and of 1j must get right
 _POLYNOMIAL_TEXTS = {
     ("disk", False): (
         "0", "-3.0*x", "1.5*x", "-0.0*x", "x*y", "-3*x + 2*y", "-2.0*x", "-8.0*x",
@@ -612,23 +613,22 @@ _POLYNOMIAL_TEXTS = {
         "0.5*x1 + -0.25*y1", "-0.5*x1 + -0.5*y1", "(x1**2 + y1**2)*(x2**2 + y2**2)",
         "(x1*x2 + y1*y2)**2 - (x1*y2 - x2*y1)**2"),
     ("disk", True): (
-        "z", "z-0.5", "z - 0.5", "z-0.5j", "z**2 - 1/4", "z - 0.25",
-        "z**2 - 0.6*z + 0.09", "(z-0.3)**2", "z - 0.4375", "z - 0.3", "2*z-1",
-        "2*z**2", "0.5j*z**3", "z*(z - 1) + z", "(2*z)**3/8", "3"),
-    ("bidisk", True): (
-        "z1-z2", "z1 - z2", "z2-z1", "z1 - 1j*z2", "2 + z1 - 1j*z2", "(z1-z2)**2",
-        "z1 - 1.5", "z1 - 0.5", "z1 - 0.3*z2", "z1 - 0.3125", "z1",
-        "z1 + z1**2", "z1 + z2 - 0.5", "z1*z2", "z1**2 - 0.5j*z1*z2"),
+        "z", "2*z**2", "0.5j*z**3", "z*(z - 1) + z", "(2*z)**3/8", "3",
+        "(1+1j)*z", "-z**4"),
 }
 _POLYNOMIAL = [(text, domain, holomorphic)
                for (domain, holomorphic), texts in _POLYNOMIAL_TEXTS.items()
                for text in texts]
 
 
-def _sympy_shape(text, n_coeffs, domain, holomorphic):
-    """The shape sympy compiles a shape text into."""
-    return weights._Shape(*weights._sympify(text, n_coeffs, domain, holomorphic),
-                          domain, holomorphic)
+def _sympy_shape(*key, _compile=weights._compile.__wrapped__):
+    """The shape sympy compiles a shape text into: ``_compile`` with no
+    polynomial route."""
+    expand, weights._expand = weights._expand, lambda *args: None
+    try:
+        return _compile(*key)
+    finally:
+        weights._expand = expand
 
 
 @pytest.mark.parametrize("text, domain, holomorphic", _POLYNOMIAL,
@@ -639,7 +639,7 @@ def test_polynomial_shape_is_its_sympy_derivation(monkeypatch, text, domain, hol
     with monkeypatch.context() as m:
         m.setitem(sys.modules, "sympy", None)  # any import of sympy fails
         shape = weights._compile.__wrapped__(*key)
-        if domain == "disk" and holomorphic and len(shape.monomials) == 1:
+        if holomorphic:
             m.setattr(weights, "_compile", weights._compile.__wrapped__)
             zeros = weights._log_zeros.__wrapped__(text, domain)
     assert isinstance(shape, weights._Polynomial)
@@ -657,9 +657,27 @@ def test_polynomial_shape_is_its_sympy_derivation(monkeypatch, text, domain, hol
         scale = max(1.0, np.abs(theirs).max())
         np.testing.assert_allclose(mine, theirs, rtol=0, atol=8 * np.finfo(float).eps * scale)
     # a disk monomial's zero is found without sympy, and is sympy's
-    if domain == "disk" and holomorphic and len(shape.monomials) == 1:
+    if holomorphic:
         monkeypatch.setattr(weights, "_compile", _sympy_shape)
         assert weights._log_zeros.__wrapped__(text, domain) == zeros
+
+
+@pytest.mark.parametrize("text, domain", [
+    ("z-0.5", "disk"), ("z**2 - 0.6*z + 0.09", "disk"), ("(z-0.3)**2", "disk"),
+    ("z - 0.5j", "disk"), ("z1", "bidisk"), ("z1*z2", "bidisk"), ("z1 - z2", "bidisk"),
+])
+def test_other_holomorphic_polynomials_compile_through_sympy(text, domain):
+    # the derivative of an expansion cancels near a repeated zero, so only a
+    # disk monomial's is printed from its table
+    assert isinstance(weights._Expression(text, domain, True).shape, weights._Shape)
+
+
+def test_log_factor_derivative_keeps_its_factored_form():
+    z = np.array([0.3 + 1e-6, 0.3 - 2e-6j])
+    f = weights._Expression("(z-0.3)**8", "disk", True)
+    np.testing.assert_allclose(f.derivative(0, z), 8 * (z - 0.3) ** 7, rtol=1e-12)
+    w = Weight([(0.1, "(z-0.3)**8")])
+    np.testing.assert_allclose(w.d_holomorphic(z), 0.8 / (z - 0.3), rtol=1e-9)
 
 
 @pytest.mark.parametrize("text, message", [
@@ -825,35 +843,48 @@ _AS_WRITTEN = [
 ]
 
 
-def _has_polynomial(w):
-    """Whether an expression of a weight (of its base or parent) compiled
-    into a polynomial shape."""
-    w = getattr(w, "base", getattr(w, "parent", w))
-    exprs = [t.f for t in getattr(w, "log_terms", ())] + [getattr(w, "smooth", None)]
-    return any(isinstance(getattr(e, "shape", None), weights._Polynomial) for e in exprs)
+# the specs whose polynomial smooth part, or its derivative, sympy printed in
+# another form (it distributed -800 over the sum and 0.5 over x**2 + y**2):
+# the value now evaluates as written, the derivatives from the expansion
+_REWRITTEN = [
+    _free([], "(-1.25)*x*y**2 + (0.5)*(x**2 + y**2)"),
+    _free(["(z - (0.25 + -0.5*I))**2"], "(1.5)*x**3"),
+    _free([], "-800*(x1**2+y1**2+x2**2+y2**2)", "bidisk"),
+    _free(["z1 - 1j*z2"], "x1**2 + y1**2 + x1*x2 + y1*y2", "bidisk"),
+]
 
 
-@pytest.mark.parametrize("spec", _AS_WRITTEN, ids=lambda s: json.dumps(s))
-def test_lifted_parse_matches_full_parse(monkeypatch, spec):
-    # the token lift gives each of these texts the template the sympy tree
-    # walk gave: every output is the same bit for bit through sympy, and
-    # within a few ulp of the terms' size where a polynomial shape evaluates
-    # its text as written, not as sympy prints it
+def _check_lifted_parse(monkeypatch, spec, check):
+    """Compare with ``check`` every output of a spec's weight with the
+    reference parse's: phi, its derivatives and the Gram matrix, or the
+    Gram's error message."""
     w = from_dict(spec)
     ref = _with_full_parse(monkeypatch, lambda: from_dict(spec))
     (phi, ds, flags), (ref_phi, ref_ds, ref_flags) = _outputs(w), _outputs(ref)
     assert flags == ref_flags
+    check(phi, ref_phi)
+    for d, ref_d in zip(ds, ref_ds):
+        check(d, ref_d)
     gram, ref_gram = _gram_or_error(w), _gram_or_error(ref)
     assert type(gram) is type(ref_gram)
     if isinstance(gram, str):
         assert gram == ref_gram
-        gram = ref_gram = np.zeros(1)
-    for mine, theirs in [(phi, ref_phi), (gram, ref_gram), *zip(ds, ref_ds)]:
-        if _has_polynomial(w):
-            atol = 8 * np.finfo(float).eps * max(1.0, np.abs(theirs).max())
-            np.testing.assert_allclose(mine, theirs, rtol=0, atol=atol)
-        else:
-            np.testing.assert_array_equal(mine, theirs)
+    else:
+        check(gram, ref_gram)
+
+
+@pytest.mark.parametrize("spec", [s for s in _AS_WRITTEN if s not in _REWRITTEN],
+                         ids=lambda s: json.dumps(s))
+def test_lifted_parse_matches_full_parse_bitwise(monkeypatch, spec):
+    # the token lift gives each of these texts the template the sympy tree
+    # walk gave, so every output is the same bit for bit
+    _check_lifted_parse(monkeypatch, spec, np.testing.assert_array_equal)
+
+
+@pytest.mark.parametrize("spec", _REWRITTEN, ids=lambda s: json.dumps(s))
+def test_lifted_parse_of_rewritten_polynomial_within_rounding(monkeypatch, spec):
+    _check_lifted_parse(monkeypatch, spec, functools.partial(
+        np.testing.assert_allclose, rtol=1e-14, atol=0))
 
 
 @pytest.mark.parametrize("spec", [
