@@ -146,10 +146,6 @@ class BergmanModel:
             vals[..., i] = z1**m * z2**n
         return vals
 
-    def basis_values(self, z):
-        """Values of the orthonormal basis functions e_j at z."""
-        return self._monomial_values(z) @ self.basis_coeffs
-
     def kernel(self, z, w):
         """Truncated reproducing kernel B_0(z,w) = sum_j e_j(z) conj(e_j(w))."""
         E = self.basis_coeffs  # formed from the blocks once for both points

@@ -10,11 +10,12 @@ fails its finite check with DegeneracyError, and a node sum (``integrate``)
 raises EvaluationError naming the node.
 
 Each f_j, psi and cut-off section is a sympy string, compiled once per shape:
-the text with its nonzero float literals outside exponents tokenized into
-coefficient names (``_shape_text``).  Only a new shape is compiled, so
-halfplane(m) weights of every m share one compiled function and bind their
-coefficient at call time; arithmetic between literals (2.0*x*3.0) is
-evaluated as written.  A polynomial smooth part (``_expand``: variables,
+the text with ``^`` spelled ``**`` and its nonzero float literals outside
+exponents, found on its Python syntax tree, replaced by coefficient names
+(``_shape_text``, the one place that reads ``^``).  Only a new shape is
+compiled, so halfplane(m) weights of every m share one compiled function and
+bind their coefficient at call time; arithmetic between literals (2.0*x*3.0)
+is evaluated as written.  A polynomial smooth part (``_expand``: variables,
 numeric literals, +, -, *, / by a nonzero constant term, ** by a non-negative
 integer literal) and a disk log factor or section that is one monomial c z^k
 compile without sympy (``_Polynomial``), since importing sympy and compiling
@@ -48,11 +49,9 @@ from __future__ import annotations
 import ast
 import copy
 import functools
-import io
 import itertools
 import math
 import operator
-import tokenize
 from fractions import Fraction
 
 import numpy as np
@@ -68,8 +67,6 @@ _SHAPE_CACHE_SIZE = 64
 
 # the prefix of the coefficient names _c0, _c1, ... of a shape text
 _COEFF = "_c"
-_POWER = ("**", "^")  # sympify reads x^2 as x**2
-_UNARY = ("+", "-", "~")
 
 
 def _names(domain, holomorphic):
@@ -91,49 +88,52 @@ def _symbols(domain, holomorphic):
 
 
 def _shape_text(text):
-    """(shape text, literals, values): ``text`` with each nonzero float
-    literal outside an exponent replaced by a coefficient name, one name per
-    distinct value, and the literals in name order, as written and as
-    floats.  A unary minus stays in the text, so that c*x1*y2 - c*x2*y1 keeps
-    its cancellation.  Zero, integer and complex literals, whole call
-    arguments and repeated decimals stay as written.  tokenize.TokenError on
-    an unclosed bracket."""
-    lines = io.StringIO(text).readlines()
-    starts = list(itertools.accumulate(map(len, lines), initial=0))
-    toks = [t for t in tokenize.generate_tokens(iter(lines).__next__) if t.string.strip()]
-    if any(t.type == tokenize.NAME and t.string.startswith(_COEFF) for t in toks):
-        return text, (), ()  # the text's own _c names must stay unknown names
+    """(shape text, literals, values): ``text`` with ``^`` spelled ``**``,
+    as sympify reads it (in a comment or a string too, which changes nothing
+    that matters), and each nonzero float literal outside an exponent, found
+    on the Python syntax tree, spliced out at the tree's offsets for a
+    coefficient name, one per distinct value; the literals in name order, as
+    written and as floats.  A unary minus stays in the text, so that
+    c*x1*y2 - c*x2*y1 keeps its cancellation.  Zero, integer and complex
+    literals, any literal in the right operand of ``**``, a whole call
+    argument, signed or not (Float(-0.5), Max(0.25, x)), and a subscripted
+    value (the repeated decimal 1.2[3]) stay as written: sympify needs their
+    numbers.  SyntaxError or ValueError on a text Python cannot parse."""
+    source = text.replace("^", "**")
+    body = source.lstrip()  # eval, and so sympify, skips leading whitespace
+    tree = ast.parse(body, mode="eval")
+    floats, kept = [], set()  # kept: the ids of the constants that stay as written
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant):
+            if type(node.value) is float and node.value:
+                floats.append(node)
+        elif isinstance(node, ast.Name) and node.id.startswith(_COEFF):
+            return source, (), ()  # the text's own _c names must stay unknown names
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            kept.update(map(id, ast.walk(node.right)))
+        elif isinstance(node, ast.Subscript):
+            kept.add(id(node.value))
+        elif isinstance(node, ast.Call):
+            for arg in node.args + [k.value for k in node.keywords]:
+                while isinstance(arg, ast.UnaryOp):
+                    arg = arg.operand
+                kept.add(id(arg))
+    lifted = sorted((n for n in floats if id(n) not in kept),
+                    key=lambda n: (n.lineno, n.col_offset))
+    # the tree's offsets are UTF-8 byte columns of each line
+    data = body.encode()
+    starts = list(itertools.accumulate(map(len, data.splitlines(True)), initial=0))
     pieces, literals, values, pos = [], [], [], 0
-    calls, exponent = [], None  # calls: whether each open bracket is a call's
-    for k, t in enumerate(toks):
-        s, prev = t.string, toks[k - 1] if k else t
-        after = toks[k + 1].string if k + 1 < len(toks) else ""
-        # a binary operator, a comma or a closer at its depth ends an exponent
-        if exponent == len(calls) and t.type == tokenize.OP \
-                and s not in _POWER + ("(", "[", ".") \
-                and not (s in _UNARY and prev.string in _POWER + _UNARY):
-            exponent = None
-        if s in _POWER and exponent is None:
-            exponent = len(calls)
-        if s in ("(", "[", "{"):
-            calls.append(s == "(" and (prev.type == tokenize.NAME
-                                       or prev.string in (")", "]")))
-        elif s in (")", "]", "}") and calls:
-            calls.pop()
-        nonzero_float = t.type == tokenize.NUMBER and s[-1] not in "jJ" \
-            and s[:2].lower() != "0x" and ("." in s or "e" in s.lower()) and float(s) != 0
-        # a whole call argument (Float(0.5), round(2.5, 1)) and a repeated
-        # decimal (1.2[3]) stay as written: sympify needs their numbers
-        argument = calls and calls[-1] and prev.string in ("(", ",") and after in (")", ",")
-        if not nonzero_float or exponent is not None or argument or after == "[":
-            continue
-        if float(s) not in values:
-            values.append(float(s))
-            literals.append(s)
-        start = starts[t.start[0] - 1]  # a number is on one line
-        pieces += [text[pos:start + t.start[1]], _COEFF + str(values.index(float(s)))]
-        pos = start + t.end[1]
-    return "".join(pieces) + text[pos:], tuple(literals), tuple(values)
+    for n in lifted:
+        start = starts[n.lineno - 1] + n.col_offset
+        end = starts[n.end_lineno - 1] + n.end_col_offset
+        if n.value not in values:
+            values.append(n.value)
+            literals.append(data[start:end].decode())
+        pieces += [data[pos:start], (_COEFF + str(values.index(n.value))).encode()]
+        pos = end
+    shape = b"".join(pieces + [data[pos:]]).decode()
+    return source[:len(source) - len(body)] + shape, tuple(literals), tuple(values)
 
 
 def _parse(text, domain, holomorphic):
@@ -142,7 +142,7 @@ def _parse(text, domain, holomorphic):
     for, as written and as values.  Errors quote ``text``."""
     try:
         shape_text, literals, values = _shape_text(text)
-    except (tokenize.TokenError, SyntaxError):
+    except (SyntaxError, ValueError):
         shape_text, literals, values = text, (), ()  # sympify reports the error
     try:
         shape = _compile(shape_text, len(literals), domain, holomorphic)
@@ -166,10 +166,10 @@ def _compile(text, n_coeffs, domain, holomorphic):
     other text compiles through sympy into a ``_Shape``.  ParameterError,
     naming what is wrong, on a text that is not a finite expression in the
     domain's variables, and on a smooth part that is not real."""
-    expanded = _expand(text, n_coeffs, domain, holomorphic)
-    if expanded is not None and (not holomorphic or domain == "disk"
-                                 and len({e[1] for e in expanded[1]}) == 1):
-        return _Polynomial(*expanded, n_coeffs, domain, holomorphic)
+    table = _expand(text, n_coeffs, domain, holomorphic)
+    if table is not None and (not holomorphic or domain == "disk"
+                              and len({e[1] for e in table}) == 1):
+        return _Polynomial(text, table, n_coeffs, domain, holomorphic)
     import sympy as sp
     variables = _symbols(domain, holomorphic)
     # the literals are unsigned: a minus sign stays in the text
@@ -217,13 +217,6 @@ class _Shape:
         self.domain = domain
         self.holomorphic = holomorphic
         self.variables = _symbols(domain, holomorphic)
-        if not holomorphic:  # a non-real coefficient, as in I*x
-            try:
-                coeffs = sp.Poly(template, *self.variables, domain="EX").coeffs()
-            except sp.PolynomialError:
-                coeffs = ()
-            if template.is_real is False or any(sp.im(c).is_zero is False for c in coeffs):
-                raise ParameterError("a smooth part must be real")
         args = self.variables + coefficients
         if holomorphic:
             d = [sp.diff(template, z) for z in self.variables]
@@ -236,6 +229,16 @@ class _Shape:
             self.d = [sp.lambdify(args, e, modules="numpy") for e in d]
         except (NotImplementedError, ValueError) as exc:
             raise ParameterError("no numpy code: %s" % str(exc).splitlines()[0])
+        if not holomorphic:  # complex at generic points, as I*x or exp(I*x);
+            # (x + I*y)*(x - I*y) is real with an imaginary part of rounding
+            point = np.random.default_rng(0).uniform(0.1, 0.6, (len(args), 3))
+            try:
+                with np.errstate(all="ignore"):
+                    value = self.f(*point)
+            except NameError as exc:  # besselj: a sympy function numpy lacks
+                raise ParameterError("no numpy code: %s" % exc)
+            if template.is_real is False or np.any(abs(value.imag) > 1e-9 * abs(value)):
+                raise ParameterError("a smooth part must be real")
 
     @functools.cached_property
     def conjugation_symmetric(self):
@@ -337,20 +340,19 @@ def _inverse(q, n_vars):
 
 
 def _expand(text, n_coeffs, domain, holomorphic):
-    """(source, table) of a polynomial shape text, or None for any other
-    text.  The source is the text with ``^`` read as ``**``, as sympify reads
-    it (a ``^`` in a comment or a string changes nothing that matters: a
-    string is not polynomial).  The text is polynomial when its Python
-    syntax tree holds only the domain's variables and coefficient names,
-    numeric literals, +, - and *, / by a nonzero constant term (a number
-    times coefficient names) and ** by a non-negative integer literal, and
-    every subexpression's numbers lie in the float range.  The table (module
-    comment above) is the expansion with exact numbers: each literal is the
-    rational its digits spell (1e-400 is not 0), 1j the imaginary unit."""
+    """The table of a polynomial shape text, or None for any other text.
+    A shape text spells ``^`` as ``**`` (``_shape_text``).  It is polynomial
+    when its Python syntax tree holds only the domain's variables and
+    coefficient names, numeric literals, +, - and *, / by a nonzero constant
+    term (a number times coefficient names) and ** by a non-negative integer
+    literal, and every subexpression's numbers lie in the float range.  The
+    table (module comment above) is the expansion with exact numbers: each
+    literal is the rational its digits spell (1e-400 is not 0), 1j the
+    imaginary unit."""
     names = _names(domain, holomorphic).split()
     n_vars = len(names)
     names += [_COEFF + str(i) for i in range(n_coeffs)]
-    source = text.replace("^", "**").strip()
+    source = text.strip()
     one = (0,) * (1 + len(names))
 
     def term(value, i=0, name=None):
@@ -392,7 +394,7 @@ def _expand(text, n_coeffs, domain, holomorphic):
         return p
 
     try:
-        return source, walk(ast.parse(source, mode="eval").body)
+        return walk(ast.parse(source, mode="eval").body)
     except (SyntaxError, ValueError, OverflowError):
         return None
 
@@ -445,7 +447,7 @@ class _Polynomial:
     monomial's ``power`` is its k.  ParameterError on a smooth part with a
     non-real coefficient."""
 
-    def __init__(self, source, table, n_coeffs, domain, holomorphic):
+    def __init__(self, text, table, n_coeffs, domain, holomorphic):
         self.domain = domain
         self.holomorphic = holomorphic
         names = _names(domain, holomorphic).split()
@@ -469,10 +471,8 @@ class _Polynomial:
             self.diagonal_invariant = domain == "bidisk" and \
                 _rotation_invariant(table, range(n // 2))
         args = ", ".join(names + [_COEFF + str(i) for i in range(n_coeffs)])
-        # a real value takes its real part: (1+1j)*(1-1j)*x is 2x with a 0j
-        value = "(%s\n)" % source if holomorphic else "(%s\n).real" % source
         self.f, *self.d = [eval("lambda %s: %s" % (args, s), {})
-                           for s in [value] + [_source(d, args.split(", ")) for d in derivatives]]
+                           for s in ["(%s\n)" % text] + [_source(d, args.split(", ")) for d in derivatives]]
 
 
 class _Expression:
@@ -492,7 +492,9 @@ class _Expression:
     def _call(self, fn, zs, dtype):
         zs = np.broadcast_arrays(*[np.asarray(z) for z in zs])
         args = zs if self.holomorphic else [c for z in zs for c in (z.real, z.imag)]
-        out = np.asarray(fn(*args, *self.coeffs), dtype=dtype)
+        out = np.asarray(fn(*args, *self.coeffs))
+        # a real value takes its real part: (1+1j)*(1-1j)*x is 2x with a 0j
+        out = np.asarray(out if dtype is complex else out.real, dtype=dtype)
         return np.broadcast_to(out, zs[0].shape).copy()
 
     def values(self, *zs):

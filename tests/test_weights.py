@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -309,6 +310,26 @@ def test_spec_validation():
         "family": "reglog", "epsilon": 0.1, "style": "convolution",
         "direction": "z1-z2"}
     assert parse_weight("halfplane").to_dict() == {"family": "halfplane", "m": 1.0}
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "halfplane", "m": 2.0}, {"family": "reglog", "epsilon": 0.1},
+    {"family": "clamp", "base": {"family": "halfplane", "m": 2.0},
+     "eps_coeff": 0.3, "floor": 5.0},
+    {"log_terms": [{"r": 0.5, "f": "z - 0.5"}], "smooth": "x**2"},
+], ids=lambda s: s.get("family", "free-form"))
+def test_legacy_keys_dropped(spec):
+    # earlier versions wrote "tag" and "subharmonic" into specs: they build
+    # the weight of the spec without them, and to_dict leaves them out
+    legacy = dict(spec, tag="old", subharmonic=True)
+    if "base" in spec:
+        legacy["base"] = dict(spec["base"], tag="base")
+    w, ref = from_dict(legacy), from_dict(spec)
+    assert type(w) is type(ref) and w.to_dict() == ref.to_dict()
+    assert not {"tag", "subharmonic"} & set(w.to_dict())
+    z = np.array([0.3 + 0.1j, -0.2 + 0.6j])
+    zs = (z, 0.5 * z) if w.domain == "bidisk" else (z,)
+    assert np.array_equal(w.evaluate(*zs), ref.evaluate(*zs))
 
 
 _NAN, _INF = float("nan"), float("inf")
@@ -698,7 +719,9 @@ def test_other_texts_keep_their_route_and_messages(text, message):
 @pytest.mark.parametrize("text, message", [
     ("1j*x", "a smooth part must be real"), ("I*x", "a smooth part must be real"),
     ("x*(2 + 0.5j)", "a smooth part must be real"),
+    ("exp(I*x)", "a smooth part must be real"),
     ("x//2", "no numpy code: Unsupported by"), ("x % 2", "no numpy code: NumPyPrinter"),
+    ("besselj(0, x)", "no numpy code: name 'besselj' is not defined"),
 ])
 def test_complex_or_unprintable_smooth_part_refused(capsys, text, message):
     # a complex smooth part was cast to its real part with a ComplexWarning,
@@ -709,6 +732,20 @@ def test_complex_or_unprintable_smooth_part_refused(capsys, text, message):
     spec = json.dumps({"smooth": text})
     assert cli.main(["kernel", "--degree", "2", "--weight", spec]) == 1
     assert "error: cannot parse expression %r" % text in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, plain", [
+    ("(x + I*y)*(x - I*y)", "x**2 + y**2"), ("exp(I*x)*exp(I*y)*exp(-I*(x + y))", "1"),
+    ("(exp(I*x) + exp(-I*x))/2", "cos(x)"),
+])
+def test_real_smooth_part_in_complex_arithmetic_builds(text, plain):
+    # numpy computes these in complex arithmetic: their imaginary part is
+    # rounding, which neither refuses them nor warns at evaluation
+    z = np.array([0.3 + 0.4j, -0.5 + 0.1j, 0.05 - 0.7j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = from_dict({"smooth": text}).evaluate(z)
+    np.testing.assert_allclose(value, from_dict({"smooth": plain}).evaluate(z), rtol=1e-14)
 
 
 # -- the lifted parse: one sympify per expression shape ---------------------
@@ -876,7 +913,7 @@ def _check_lifted_parse(monkeypatch, spec, check):
 @pytest.mark.parametrize("spec", [s for s in _AS_WRITTEN if s not in _REWRITTEN],
                          ids=lambda s: json.dumps(s))
 def test_lifted_parse_matches_full_parse_bitwise(monkeypatch, spec):
-    # the token lift gives each of these texts the template the sympy tree
+    # the literal lift gives each of these texts the template the sympy tree
     # walk gave, so every output is the same bit for bit
     _check_lifted_parse(monkeypatch, spec, np.testing.assert_array_equal)
 
@@ -918,13 +955,47 @@ def test_literal_arithmetic_keeps_flags_and_values(monkeypatch, spec):
     ("x**(1 + 2.0)*0.5", "x**(1 + 2.0)*_c0", ("0.5",)),
     ("(y**2.5)*x - -0.5", "(y**2.5)*x - -_c0", ("0.5",)),
     ("x**2**1.5 + exp(0.5*x)**2.0", "x**2**1.5 + exp(_c0*x)**2.0", ("0.5",)),
-    ("x^2.5 + 2.5**x", "x^2.5 + _c0**x", ("2.5",)),
+    ("x^2.5 + 2.5**x", "x**2.5 + _c0**x", ("2.5",)),
     ("0.0*x1 + 1j*z + 0x1e + 3", "0.0*x1 + 1j*z + 0x1e + 3", ()),
     ("Float(0.5)*x + round(0.55, 1) + 1.2[3]", "Float(0.5)*x + round(0.55, 1) + 1.2[3]", ()),
     ("(0.5)*x + Max(0.25, x) + exp(0.5*x)", "(_c0)*x + Max(0.25, x) + exp(_c0*x)", ("0.5",)),
 ])
 def test_shape_text_lifts_float_literals_outside_exponents(text, shape_text, literals):
     assert weights._shape_text(text)[:2] == (shape_text, literals)
+
+
+@pytest.mark.parametrize("text, plain", [
+    ("Float(-0.5)*x", "-0.5*x"), ("round(-2.5, 1)*x", "-2.5*x"),
+    ("Float(-3.0)*x", "-3.0*x"),
+])
+def test_signed_call_argument_stays_as_written(text, plain):
+    # a signed call argument stays whole: sympify refuses Float(-_c0) and
+    # round(-_c0, 1)
+    assert weights._shape_text(text) == (text, (), ())
+    gram = build_model("disk", from_dict({"smooth": text}), 6).gram
+    ref = build_model("disk", from_dict({"smooth": plain}), 6).gram
+    np.testing.assert_allclose(gram, ref, rtol=1e-13, atol=0)
+
+
+def test_caret_and_double_star_share_one_shape():
+    a = from_dict({"smooth": "x^2 + 0.5*y^2"})
+    b = from_dict({"smooth": "x**2 + 0.5*y**2"})
+    assert a.smooth.shape is b.smooth.shape
+    assert weights._shape_text("x^2 + 0.5*y^2")[0] == "x**2 + _c0*y**2"
+
+
+def test_shape_text_splices_at_byte_offsets():
+    # the tree gives each literal a line and a UTF-8 byte column: a splice
+    # that missed either would cut into a multi-line or non-ASCII text
+    assert weights._shape_text("(x +\n 0.75*y -\n  0.25)") == \
+        ("(x +\n _c0*y -\n  _c1)", ("0.75", "0.25"), (0.75, 0.25))
+    z = np.array([0.3 + 0.4j, -0.5 + 0.1j])
+    assert np.array_equal(from_dict({"smooth": "(x +\n 0.75*y)"}).evaluate(z),
+                          from_dict({"smooth": "x + 0.75*y"}).evaluate(z))
+    assert weights._shape_text("α + 0.5*x") == ("α + _c0*x", ("0.5",), (0.5,))
+    with pytest.raises(ParameterError) as err:
+        from_dict({"smooth": "α + 0.5*x"})
+    assert str(err.value) == "cannot parse expression 'α + 0.5*x': unknown names ['α']"
 
 
 @pytest.mark.parametrize("make, shapes", [
