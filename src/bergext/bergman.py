@@ -67,7 +67,7 @@ import math
 import numpy as np
 
 from .errors import COND_LIMIT, DegeneracyError, ParameterError
-from .quadrature import LensRule, _checked_int, _lens_block, bidisk_rule, disk_rule
+from .quadrature import _BLOCK, LensRule, _checked_int, _lens_block, bidisk_rule, disk_rule
 from . import weights as wmod
 
 
@@ -273,10 +273,6 @@ def _block_product(blocks, B, c):
     return y[:-1]
 
 
-# e^{-phi} is evaluated on blocks of at most this many nodes: the grid block
-# and the temporaries of weight evaluation then stay cache-sized (256 KB of
-# complex values), where whole-grid arrays are bound by memory traffic
-_BLOCK = 1 << 14
 # the bidisk Gram takes its outer radii in runs: it builds the radial tables
 # of a run at once and contracts the run's rows into its accumulator with one
 # matrix product.  A run is _RUN outer radii under diagonal grading, where

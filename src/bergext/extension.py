@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegeneracyError, EvaluationError, ParameterError
+from .errors import DegeneracyError, ParameterError
 from .bergman import (
     _basis_columns,
     _block_product,
@@ -312,7 +312,7 @@ def branch_restriction(model, coeffs, branch):
     return out
 
 
-def rhs_estimate_cross(model, cross, rule_on_V=None, tol=1e-8):
+def rhs_estimate_cross(model, cross, rule_on_V=None):
     """|a0|^2/B_0(0) plus the V-integral of |f - h0|^2/|z|^2 e^{-phi},
     computed branch by branch as Gram forms q^H G q of q = (f - h0)/z over
     the branch disk Gram on ``rule_on_V``."""
@@ -331,11 +331,6 @@ def rhs_estimate_cross(model, cross, rule_on_V=None, tol=1e-8):
         diff = np.zeros(model.degree + 1, dtype=complex)
         diff[: len(data)] = data
         diff -= h0b
-        scale = max(np.abs(diff).max(), 1.0)
-        if abs(diff[0]) > tol * scale:
-            raise EvaluationError(
-                "V-integral divergent on branch %d: (f - h0)(0) = %r does not "
-                "vanish within tolerance" % (branch, diff[0]))
         q = diff[1:]  # (f - h0)/z, the singularity is removable
         wb = model.weight.restrict_to_branch(branch)
         blocks, G = _gram(wb, q.size - 1, rule_on_V)[1:]

@@ -11,10 +11,10 @@ Three families of functionals evaluated on the model:
 The bulk norm is a Gram form q^H G q (``bergman._gram``), its density radial
 in each variable.  The branch integral is a Gram form at gamma = 0 only, where
 it is |f|^2 e^{-phi} against a radial density; its gamma > 0 powers are not
-squared polynomials and stay node sums.  The twisted-derivative integral is
-quadratic in the data: per branch a Gram form c^H M c over the twisted
-derivatives of the monomials (``bergman._twisted_gram``), its log^2 factor a
-radial density.
+squared polynomials and stay node sums (``DiskRule.integrate``).  The
+twisted-derivative integral is quadratic in the data: per branch a Gram form
+c^H M c over the twisted derivatives of the monomials
+(``bergman._twisted_gram``), its log^2 factor a radial density.
 The divergence check of the branch norm compares two grading levels that
 share their outer cells, and evaluates those shared cells once.
 
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bergman import _BLOCK, _block_product, _gram, _twisted_gram
+from .bergman import _block_product, _gram, _twisted_gram
 from .errors import DegeneracyError, EvaluationError, ParameterError
 from .quadrature import DiskRule, bidisk_rule, disk_rule
 from .weights import RegularizedLogWeight
@@ -145,12 +145,8 @@ def _branch_integral(u, weight, power, w_exponent, conic_k, rule):
 
     At gamma = 0 (power 2 under the full weight) the integrand is |f|^2
     e^{-phi} times the radial density |z|^{-2} [|z|^{-2(1-1/k)}], and the
-    integral is the Gram form c^H G c; other powers are node sums over the
-    disk rule's radii x phases, taken on blocks of about ``_BLOCK / 2``
-    nodes, so that no temporary spans the whole grid.  The integrand makes
-    about ten temporaries per block: at ``_BLOCK`` nodes they were handed
-    back to the system and faulted in anew on every call (about 500 minor
-    page faults per default branch norm), at half that they stay resident.
+    integral is the Gram form c^H G c; other powers are the disk rule's node
+    sum (``DiskRule.integrate``).
     """
     c = np.asarray(u, dtype=complex)
     if power == 2.0 and w_exponent == 1.0:
@@ -174,19 +170,7 @@ def _branch_integral(u, weight, power, w_exponent, conic_k, rule):
             vals = vals * a ** (-2.0 * (1.0 - 1.0 / conic_k))
         return vals
 
-    ph = rule._phases
-    pw = rule.radial_weights * rule.radii * (2.0 * np.pi / rule.angular_order)
-    step = max(1, _BLOCK // (2 * ph.size))
-    total = 0.0
-    for lo in range(0, rule.radii.size, step):
-        z = rule.radii[lo:lo + step, None] * ph
-        vals = f(z)
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            raise EvaluationError("non-finite integrand value at node z=%r"
-                                  % (z[bad][0],))
-        total += pw[lo:lo + step] @ vals.sum(axis=1)
-    return float(total)
+    return rule.integrate(f).real
 
 
 # The default branch rules grade toward the origin with 18 and 24 levels.  The

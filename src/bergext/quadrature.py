@@ -48,6 +48,11 @@ from numpy.polynomial.legendre import leggauss
 from .errors import EvaluationError, ParameterError
 
 _MIN_CELL = 1e-14
+# integrands and e^{-phi} are evaluated on blocks of at most this many nodes:
+# the grid block and the temporaries of an evaluation then stay cache-sized
+# (256 KB of complex values), where whole-grid arrays are bound by memory
+# traffic
+_BLOCK = 1 << 14
 
 
 def _checked_int(name, value, least):
@@ -173,14 +178,30 @@ class DiskRule:
         return out
 
     def integrate(self, f):
-        vals = np.asarray(f(self.nodes))
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            k = int(np.flatnonzero(bad)[0])
-            raise EvaluationError(
-                "non-finite integrand value at node z=%r" % (self.nodes[k],)
-            )
-        return complex(np.dot(self.weights, vals))
+        """The weighted sum of f over the nodes, taken radius by radius on
+        blocks of whole radii of about ``_BLOCK / 2`` nodes: f is called on
+        each block's nodes as one flat array, and their values are summed
+        over the angles, then against the radial weights.  EvaluationError
+        naming the first node, in radius-major order, where f is not finite.
+
+        No temporary spans the whole grid.  An integrand makes about ten
+        temporaries per block: at ``_BLOCK`` nodes they were handed back to
+        the system and faulted in anew on every call (about 500 minor page
+        faults per default branch norm), at half that they stay resident.
+        """
+        ph = self._phases
+        pw = self.radial_weights * self.radii * (2.0 * np.pi / self.angular_order)
+        step = max(1, _BLOCK // (2 * ph.size))
+        total = 0.0
+        for lo in range(0, self.radii.size, step):
+            z = (self.radii[lo:lo + step, None] * ph).ravel()
+            vals = np.asarray(f(z))
+            bad = ~np.isfinite(vals)
+            if bad.any():
+                raise EvaluationError("non-finite integrand value at node z=%r"
+                                      % (z[bad][0],))
+            total += pw[lo:lo + step] @ vals.reshape(-1, ph.size).sum(axis=1)
+        return complex(total)
 
 
 def disk_rule(radial_order=64, angular_order=128, grading_levels=20):

@@ -38,9 +38,10 @@ Three symmetry flags tell Gram assembly where e^{-phi} need not be evaluated:
 ``diagonal_rotation_invariant`` (phi(e^{ia} z1, e^{ia} z2) = phi(z1, z2)) and
 ``radial`` (phi a function of |z|, or of |z1| and |z2|: every log factor a
 single monomial, the smooth part annihilated by every angular derivative
-x_j d/dy_j - y_j d/dx_j).  A free-form weight infers them once per shape
-(``_Polynomial``, ``_Shape``); clamped weights and branch restrictions take
-them from their base or parent, the regularized log from its direction.  No
+x_j d/dy_j - y_j d/dx_j).  A free-form weight reads them once per shape off
+the shape's exact expansion into monomials, with one function (``_flags``)
+for either kind of shape; clamped weights and branch restrictions take them
+from their base or parent, the regularized log from its direction.  No
 constructor takes them.
 """
 
@@ -203,11 +204,13 @@ class _Shape:
     flags shared by every expression of the shape.
 
     The j-th derivative is d/dz_j of a holomorphic expression, and
-    (d/dx_j - i d/dy_j)/2 of a real one.  A flag holds for the shape when it
-    holds for generic coefficients, so it never holds where the concrete
-    expression lacks the symmetry.  A non-polynomial expression is neither
-    conjugation symmetric nor diagonally invariant, and radial only when it
-    is real and its angular derivatives expand to 0.
+    (d/dx_j - i d/dy_j)/2 of a real one.  The flags are read (``_flags``) off
+    the table of sympy's expansion into monomials, each coefficient split
+    into its real and imaginary parts, so a flag holds for the shape when it
+    holds for generic coefficients and never where the concrete expression
+    lacks the symmetry.  A non-polynomial expression is neither conjugation
+    symmetric nor diagonally invariant, and radial only when it is real and
+    its angular derivatives expand to 0.
     """
 
     def __init__(self, template, coefficients, domain, holomorphic):
@@ -239,59 +242,23 @@ class _Shape:
                 raise ParameterError("no numpy code: %s" % exc)
             if template.is_real is False or np.any(abs(value.imag) > 1e-9 * abs(value)):
                 raise ParameterError("a smooth part must be real")
-
-    @functools.cached_property
-    def conjugation_symmetric(self):
-        """Whether e(conj v) = conj(e(v)) (holomorphic: real coefficients), or
-        e is even in y, jointly in y1 and y2 (real)."""
-        import sympy as sp
         try:  # the EX domain keeps the coefficient symbols as they are, and
             # skips the mpmath context that a RealField domain builds per call
-            p = sp.Poly(self.template, *self.variables, domain="EX")
+            terms = sp.Poly(template, *self.variables, domain="EX").terms()
         except sp.PolynomialError:
-            return False
-        if self.holomorphic:
-            return all(sp.im(c) == 0 for c in p.coeffs())
-        # real coordinates ordered (x, y) or (x1, y1, x2, y2): y exponents
-        # sit at the odd positions of each monomial
-        return all(sum(m[1::2]) % 2 == 0 for m in p.monoms())
-
-    @functools.cached_property
-    def radial(self):
-        """Whether |e| (holomorphic) or e (real) depends on each |z_j| alone:
-        a single monomial c z^k (c z1^a z2^b), or an expression that every
-        angular derivative x_j d/dy_j - y_j d/dx_j annihilates."""
-        import sympy as sp
-        if self.holomorphic:
-            try:
-                return sp.Poly(self.template, *self.variables, domain="EX").length() == 1
-            except sp.PolynomialError:
-                return False
-        xy = self.variables
-        return all(sp.expand(x * sp.diff(self.template, y) - y * sp.diff(self.template, x)) == 0
-                   for x, y in zip(xy[::2], xy[1::2]))
-
-    @functools.cached_property
-    def diagonal_invariant(self):
-        """Whether |e| (holomorphic) or e (real) is invariant under
-        (z1, z2) -> (e^{ia} z1, e^{ia} z2): a homogeneous polynomial, or one
-        whose monomials in z_j and conj(z_j) have equal z and conj(z)
-        degree."""
-        if self.domain != "bidisk":
-            return False
-        import sympy as sp
-        z1, z2 = _symbols("bidisk", True)
-        try:
-            if self.holomorphic:
-                return sp.Poly(self.template, z1, z2, domain="EX").is_homogeneous
-            w1, w2 = sp.symbols("w1 w2")  # conj(z1), conj(z2)
-            x1, y1, x2, y2 = self.variables
-            to_z = {x1: (z1 + w1) / 2, y1: (z1 - w1) / (2 * sp.I),
-                    x2: (z2 + w2) / 2, y2: (z2 - w2) / (2 * sp.I)}
-            p = sp.Poly(sp.expand(self.template.subs(to_z)), z1, z2, w1, w2, domain="EX")
-        except sp.PolynomialError:
-            return False
-        return all(a + b == c + d for a, b, c, d in p.monoms())
+            xy = self.variables
+            self.conjugation_symmetric = self.diagonal_invariant = False
+            self.radial = not holomorphic and all(
+                sp.expand(x * sp.diff(template, y) - y * sp.diff(template, x)) == 0
+                for x, y in zip(xy[::2], xy[1::2]))
+            return
+        table = {}
+        for monomial, c in terms:
+            for i, part in enumerate((c, 0) if c.is_real else c.as_real_imag()):
+                if part:
+                    table[(i,) + monomial] = part
+        self.conjugation_symmetric, self.radial, self.diagonal_invariant = \
+            _flags(table, domain, holomorphic)
 
 
 # -- polynomial shapes: compiled from their monomial table, without sympy ---
@@ -438,38 +405,57 @@ def _rotation_invariant(table, pairs):
     return not any(out.values())
 
 
+def _flags(table, domain, holomorphic):
+    """(conjugation_symmetric, radial, diagonal_invariant) of an expression
+    from an exact table of its monomials: a ``_Polynomial``'s, or one whose
+    keys (i, e_1, ..., e_n) stop at the variables and whose numbers are
+    sympy expressions in the coefficients (``_Shape``).  A holomorphic e is
+    conjugation symmetric, e(conj v) = conj(e(v)), when no term is imaginary;
+    radial, |e| a function of each |z_j| alone, when it is one monomial
+    c z^k (c z1^a z2^b); and diagonally invariant, |e| invariant under
+    (z1, z2) -> (e^{ia} z1, e^{ia} z2), when it is homogeneous.  A real e is
+    conjugation symmetric when it is even in y, jointly in y1 and y2, radial
+    when every angular derivative x_j d/dy_j - y_j d/dx_j annihilates it, and
+    diagonally invariant when their sum does."""
+    n = len(_names(domain, holomorphic).split())
+    monomials = {e[1:1 + n] for e in table}
+    if holomorphic:
+        return (not any(e[0] for e in table), len(monomials) == 1,
+                domain == "bidisk" and len({sum(m) for m in monomials}) <= 1)
+    # real coordinates ordered (x, y) or (x1, y1, x2, y2): y exponents sit at
+    # the odd positions of each monomial
+    return (all(sum(m[1::2]) % 2 == 0 for m in monomials),
+            all(_rotation_invariant(table, [j]) for j in range(n // 2)),
+            domain == "bidisk" and _rotation_invariant(table, range(n // 2)))
+
+
 class _Polynomial:
     """A polynomial shape, compiled without sympy: a real polynomial, or a
     disk monomial c z^k (``_compile``).  The value ``f`` is the text as
     written, the derivatives ``d[j]`` (see ``_Shape``) are printed from its
-    table (``_expand``), and the three flags are read off the table with
-    ``_Shape``'s semantics, each coefficient name a positive unknown.  A
-    monomial's ``power`` is its k.  ParameterError on a smooth part with a
-    non-real coefficient."""
+    table (``_expand``), and the three flags are read off the table
+    (``_flags``), each coefficient name a positive unknown.  A monomial's
+    ``power`` is its k.  ParameterError on a smooth part with a non-real
+    coefficient."""
 
     def __init__(self, text, table, n_coeffs, domain, holomorphic):
         self.domain = domain
         self.holomorphic = holomorphic
         names = _names(domain, holomorphic).split()
         n = len(names)
-        monomials = {e[1:1 + n] for e in table}
-        real = not any(e[0] for e in table)
         if holomorphic:
-            (self.power,), = monomials
+            (self.power,), = {e[1:1 + n] for e in table}
             derivatives = [_partial(table, 0)]
-            self.conjugation_symmetric, self.radial, self.diagonal_invariant = real, True, False
         else:
-            if not real:
+            if any(e[0] for e in table):
                 raise ParameterError("a smooth part must be real")
             one = (0,) * (1 + n + n_coeffs)
             half, minus_half_i = {one: Fraction(1, 2)}, {(1,) + one[1:]: Fraction(-1, 2)}
             derivatives = [_plus(_times(_partial(table, k), half),
                                  _times(_partial(table, k + 1), minus_half_i))
                            for k in range(0, n, 2)]
-            self.conjugation_symmetric = all(sum(m[1::2]) % 2 == 0 for m in monomials)
-            self.radial = all(_rotation_invariant(table, [j]) for j in range(n // 2))
-            self.diagonal_invariant = domain == "bidisk" and \
-                _rotation_invariant(table, range(n // 2))
+        self.conjugation_symmetric, self.radial, self.diagonal_invariant = \
+            _flags(table, domain, holomorphic)
         args = ", ".join(names + [_COEFF + str(i) for i in range(n_coeffs)])
         self.f, *self.d = [eval("lambda %s: %s" % (args, s), {})
                            for s in ["(%s\n)" % text] + [_source(d, args.split(", ")) for d in derivatives]]
@@ -550,14 +536,18 @@ def _log_zeros(text, domain):
     zeros = {}
     for factor in sp.Mul.make_args(expr):
         base, power = factor.as_base_exp()
-        if domain == "disk":
-            # + 0.0 turns a root's -0 parts into 0, for the messages
-            found = [(np.round(complex(a), 9) + 0.0, m)
-                     for f, m in sp.sqf_list(sp.Poly(_exact(base), *shape.variables))[1]
-                     for a in _roots(f) if abs(a) < 1.0 - 1e-12]
-        else:
-            found = [(f, m) for f, m in sp.factor_list(base, *shape.variables)[1]
-                     if _meets_closed_disk(f)]
+        try:
+            if domain == "disk":
+                # + 0.0 turns a root's -0 parts into 0, for the messages
+                found = [(np.round(complex(a), 9) + 0.0, m)
+                         for f, m in sp.sqf_list(sp.Poly(_exact(base), *shape.variables))[1]
+                         for a in _roots(f) if abs(a) < 1.0 - 1e-12]
+            else:
+                found = [(f, m) for f, m in sp.factor_list(base, *shape.variables)[1]
+                         if _meets_closed_disk(f)]
+        except sp.PolynomialError:
+            raise ParameterError("cannot find the zeros of log factor %r: %s is not a "
+                                 "polynomial" % (text, base)) from None
         for zero, mult in found:
             zeros[zero] = zeros.get(zero, 0.0) + mult * float(power)
     return tuple(zeros.items())
@@ -596,7 +586,7 @@ class Weight(_Spec):
 
     A bidisk weight's ``diagonal_rotation_invariant`` and any weight's
     ``conjugation_symmetric`` and ``radial`` hold when they hold for the
-    shape of every log factor and of the smooth part (``_Shape``)."""
+    shape of every log factor and of the smooth part (``_flags``)."""
 
     def __init__(self, log_terms=(), smooth="0", domain="disk"):
         if domain not in ("disk", "bidisk"):
@@ -835,10 +825,8 @@ class RegularizedLogWeight(_Spec):
         return self._d_zeta(np.asarray(z, dtype=complex))
 
     def d_branch(self, branch, z):
-        # on V2 zeta = z1; on V1 zeta = -z2 and d zeta/d z2 = -1
-        zeta = np.asarray(z, dtype=complex) if branch == 2 else -np.asarray(z, dtype=complex)
-        d = self._d_zeta(zeta)
-        return d if branch == 2 else -d
+        # on V_1 zeta = -z2, and d/dz2 of phi_eps(-z2) is -d(-z2) = d(z2)
+        return self.restrict_to_branch(branch).d_holomorphic(z)
 
     def restrict_to_branch(self, branch):
         """On either branch the restriction is the one-variable regularized

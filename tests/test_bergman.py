@@ -101,6 +101,29 @@ def test_unweighted_kernel_closed_form(unweighted_disk):
     assert unweighted_disk.kernel(z, w) == pytest.approx(exact, rel=1e-9)
 
 
+def test_unweighted_bidisk_kernel_closed_form():
+    # ||z1^m z2^n||^2 = pi^2/((m+1)(n+1)) and the monomials are orthogonal,
+    # so B(z, w) = sum_{m,n<=D} (m+1)(n+1)/pi^2 (z1 conj w1)^m (z2 conj w2)^n
+    D = 4
+    model = build_model("bidisk", Weight.zero("bidisk"), D)
+
+    def exact(z, w):
+        def series(t):
+            return sum((m + 1) * t**m for m in range(D + 1))
+        return series(z[0] * np.conj(w[0])) * series(z[1] * np.conj(w[1])) / math.pi**2
+
+    z, w = (0.3 + 0.2j, -0.1 + 0.4j), (0.25 - 0.5j, 0.6j)
+    got = bergman.kernel(model, z, w)
+    assert type(got) is complex
+    assert got == pytest.approx(exact(z, w), rel=1e-12)
+    rng = np.random.default_rng(3)
+    zs, ws = ([0.45 * (rng.uniform(-1, 1, 5) + 1j * rng.uniform(-1, 1, 5))
+               for _ in range(2)] for _ in range(2))
+    got = bergman.kernel(model, zs, ws)
+    assert got.shape == (5,)
+    np.testing.assert_allclose(got, exact(zs, ws), rtol=1e-12)
+
+
 def test_reproducing_property(unweighted_disk):
     m = unweighted_disk
     rng = np.random.default_rng(7)

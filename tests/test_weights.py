@@ -238,6 +238,35 @@ def test_cutoff_xi_decay():
     assert vals[1] / vals[0] == pytest.approx(math.exp(-2.0), rel=1e-6)
 
 
+def _wirtinger(f, z, h):
+    """(d/dx - i d/dy)/2 of a real function of z by central differences."""
+    return ((f(z + h) - f(z - h)) - 1j * (f(z + 1j * h) - f(z - 1j * h))) / (4 * h)
+
+
+@pytest.mark.parametrize("style", ["convolution", "shifted"])
+def test_regularized_log_d_branch_is_the_branch_derivative(style):
+    # inside and outside the eps-tube, on either branch of the cross
+    w = RegularizedLogWeight(0.3, "z1-z2", style)
+    z = np.array([0.1 + 0.05j, -0.2 + 0.15j, 0.5 - 0.3j, -0.4j])
+    zero = np.zeros_like(z)
+    on_branch = {1: lambda v: w.evaluate(zero, v), 2: lambda v: w.evaluate(v, zero)}
+    for branch, phi in on_branch.items():
+        np.testing.assert_allclose(w.d_branch(branch, z), _wirtinger(phi, z, 1e-6),
+                                   rtol=1e-7)
+
+
+def test_cutoff_xi_grad_sq_is_the_squared_gradient():
+    # at eps = 0.5 the plateau ends where log log 1/|z|^2 = 2, near |z| = 0.025,
+    # and the cut-off is 0 from |z| = 4.4e-5 inward
+    fam = CutoffFamily("xi_eps", 0.5)
+    z = np.array([0.01, 0.003j, -1e-3 + 1e-3j, 2e-4 - 1e-4j])
+    dx = _wirtinger(fam.evaluate, z, 1e-6 * np.abs(z))
+    g = fam.evaluate(z, mode="grad_sq")
+    assert np.all(g > 0)
+    # |grad f|^2 = 4 |(d/dx - i d/dy)/2 f|^2 for a real f
+    np.testing.assert_allclose(g, 4 * np.abs(dx) ** 2, rtol=1e-6)
+
+
 def test_cutoff_validation():
     with pytest.raises(ParameterError):
         CutoffFamily("nope", 0.1)
@@ -701,6 +730,25 @@ def test_log_factor_derivative_keeps_its_factored_form():
     np.testing.assert_allclose(w.d_holomorphic(z), 0.8 / (z - 0.3), rtol=1e-9)
 
 
+@pytest.mark.parametrize("factor, domain", [("sin(z)", "disk"), ("z1 - sin(z2)", "bidisk")])
+def test_log_factor_that_is_no_polynomial_is_refused(capsys, factor, domain):
+    # its zeros, which the integrability check adds up, cannot be found
+    message = "cannot find the zeros of log factor %r: %s is not a polynomial" % (
+        factor, factor)
+    with pytest.raises(ParameterError) as err:
+        build_model(domain, from_dict(_free([factor], "0", domain)), 2)
+    assert str(err.value) == message
+    spec = json.dumps(_free([factor], "0", domain))
+    assert cli.main(["kernel", "--degree", "2", "--weight", spec]) == 1
+    assert "error: " + message in capsys.readouterr().err
+
+
+def test_power_of_a_polynomial_log_factor_builds():
+    w = from_dict(_free(["(z-0.5)**1.5"]))
+    assert w.log_terms[0].zeros == ((0.5, 1.5),)
+    assert np.isfinite(build_model("disk", w, 2).gram).all()
+
+
 @pytest.mark.parametrize("text, message", [
     ("x**2.0", None), ("x**-1", None), ("exp(x)", None), ("log(pi)", None),
     ("x.real", "'Symbol' object has no attribute 'real'"),
@@ -889,6 +937,108 @@ _REWRITTEN = [
     _free([], "-800*(x1**2+y1**2+x2**2+y2**2)", "bidisk"),
     _free(["z1 - 1j*z2"], "x1**2 + y1**2 + x1*x2 + y1*y2", "bidisk"),
 ]
+
+
+def _texts_of(w):
+    """(text, domain, holomorphic) of every expression of a free-form weight,
+    or of the free-form weight a clamp or a branch restriction is built on."""
+    w = getattr(w, "base", None) or getattr(w, "parent", None) or w
+    return [(t.f_str, w.domain, True) for t in w.log_terms] + \
+        [(w.smooth.text, w.domain, False)]
+
+
+# the flags of each text's shape, pinned: c conjugation symmetric, r radial,
+# d diagonally invariant.  Every text of _AS_WRITTEN and _POLYNOMIAL_TEXTS,
+# coefficients sympy keeps symbolic (pi, sqrt(2)), texts that are no
+# polynomial, and complex coefficients
+_PINNED_FLAGS = {
+    "---": [
+        ("z-0.5j", "disk", True), ("x*y", "disk", False), ("exp(x**2)", "disk", False),
+        ("-3*x + 2*y", "disk", False), ("x*y + 0.5*y", "disk", False),
+        ("-5.6*x + 2.4*y", "disk", False), ("(z - (0.25 + -0.5*I))**2", "disk", True),
+        ("2 + z1 - 1j*z2", "bidisk", True), ("0.5*x1*y2 - y1", "bidisk", False),
+        ("0.3*x1 + 2*y2**3", "bidisk", False), ("0.3*x1 + 0.2*y1", "bidisk", False),
+        ("0.5*x1 + -0.3*y1", "bidisk", False), ("-0.75*x1 + 0.25*y1", "bidisk", False),
+        ("0.3*x1 + 0.2*y2", "bidisk", False), ("0.3*x1 - 0.7*y1", "bidisk", False),
+        ("(0.75)*x1*y2", "bidisk", False), ("1e-3*x*y", "disk", False),
+        ("(x+y)**2", "disk", False), ("0.5*x + -0.25*y", "disk", False),
+        ("-0.5*x + 0.5*y", "disk", False), ("0.5*x1 + 0.5*y1", "bidisk", False),
+        ("-0.5*x1 + 0.25*y1", "bidisk", False), ("0.5*x1 + -0.25*y1", "bidisk", False),
+        ("-0.5*x1 + -0.5*y1", "bidisk", False), ("(z-0.5)**1.5", "disk", True),
+        ("exp(x1*x2 + y1*y2)", "bidisk", False),
+    ],
+    "--d": [
+        ("z1 - 1j*z2", "bidisk", True), ("(z1 - (0.5 + 0.25*I)*z2)**2", "bidisk", True),
+        ("0.5*x1*y2 - 0.5*x2*y1", "bidisk", False),
+        ("0.75*(x1*y2 - y1*x2)", "bidisk", False),
+        ("(0.75)*(x1*y2 - y1*x2)", "bidisk", False),
+        ("(z1 - 0.5j*z2)**2", "bidisk", True),
+    ],
+    "-r-": [
+        ("exp(x1**2 + y1**2)", "bidisk", False), ("0.5j*z**3", "disk", True),
+        ("(1+1j)*z", "disk", True), ("exp(x**2 + y**2)", "disk", False),
+        ("exp(x**2+y**2)", "disk", False),
+    ],
+    "c--": [
+        ("-4.0*x", "disk", False), ("-1.4*x", "disk", False), ("3.0*x", "disk", False),
+        ("z**2 - 1/4", "disk", True), ("-2*x + y**2", "disk", False),
+        ("z-0.5", "disk", True), ("x**2", "disk", False), ("-2.0*x", "disk", False),
+        ("-8.0*x", "disk", False), ("-3.0*x", "disk", False),
+        ("z - 0.25", "disk", True), ("z**2 - 0.6*z + 0.09", "disk", True),
+        ("(z-0.3)**2", "disk", True), ("-4*x", "disk", False),
+        ("-800*x", "disk", False), ("Lambda(x, x**2)(y)", "disk", False),
+        ("z - 0.4375", "disk", True),
+        ("(-1.25)*x*y**2 + (0.5)*(x**2 + y**2)", "disk", False),
+        ("(1.5)*x**3", "disk", False), ("-800*x1", "bidisk", False),
+        ("z1 - 1.5", "bidisk", True), ("z1 - 0.5", "bidisk", True),
+        ("z1 - 0.3125", "bidisk", True), ("1.5*x", "disk", False),
+        ("-6.0*x", "disk", False), ("-1.5*x*2.0", "disk", False),
+        ("2.0*x*3.0", "disk", False), ("1/2.5*x", "disk", False),
+        ("(0.5*x)**2", "disk", False), ("0.12345678901234567890*x", "disk", False),
+        ("x**2-y**2", "disk", False), ("1/4*x", "disk", False),
+        ("1e-400*x", "disk", False), ("(1+1j)*(1-1j)*x", "disk", False),
+        ("x/(2*1j)*1j", "disk", False), ("x/(1 + 2)", "disk", False),
+        ("-8.0*x + 0.0*y", "disk", False), ("sqrt(2)*x", "disk", False),
+        ("z - 0.5", "disk", True),
+    ],
+    "c-d": [
+        ("z1-z2", "bidisk", True), ("x1*x2 + y1*y2", "bidisk", False),
+        ("x1**2 + y1**2 + x1*x2 + y1*y2", "bidisk", False),
+        ("(z1-z2)**2", "bidisk", True), ("z1 - z2", "bidisk", True),
+        ("z1 - 0.3*z2", "bidisk", True), ("x1*x2+y1*y2", "bidisk", False),
+        ("(x1*x2 + y1*y2)**2 - (x1*y2 - x2*y1)**2", "bidisk", False),
+        ("pi*(x1*x2 + y1*y2)", "bidisk", False),
+    ],
+    "cr-": [
+        ("0", "disk", False), ("-0.0*x", "disk", False), ("z", "disk", True),
+        ("log(pi)", "disk", False), ("x**2+y**2", "disk", False),
+        ("x^2+y^2", "disk", False), ("3*x**0", "disk", False), ("2*z**2", "disk", True),
+        ("z*(z - 1) + z", "disk", True), ("(2*z)**3/8", "disk", True),
+        ("3", "disk", True), ("-z**4", "disk", True),
+    ],
+    "crd": [
+        ("0", "bidisk", False), ("-800*(x1**2+y1**2+x2**2+y2**2)", "bidisk", False),
+        ("x2**2+y2**2", "bidisk", False), ("0.0*x1", "bidisk", False),
+        ("(x1**2 + y1**2)*(x2**2 + y2**2)", "bidisk", False),
+    ],
+}
+_FLAGS_OF = {key: flags for flags, keys in _PINNED_FLAGS.items() for key in keys}
+
+
+def test_pinned_flags_cover_every_listed_text():
+    listed = set(_POLYNOMIAL) | {key for spec in _AS_WRITTEN for key in _texts_of(from_dict(spec))}
+    assert listed <= set(_FLAGS_OF)
+
+
+@pytest.mark.parametrize("text, domain, holomorphic", sorted(_FLAGS_OF))
+def test_flags_of_either_route_are_pinned(text, domain, holomorphic):
+    # the shape the text compiles into, and the one sympy compiles it into
+    shape_text, literals, _ = weights._shape_text(text)
+    for shape in (weights._parse(text, domain, holomorphic)[0],
+                  _sympy_shape(shape_text, len(literals), domain, holomorphic)):
+        flags = (shape.conjugation_symmetric, shape.radial, shape.diagonal_invariant)
+        assert "".join(c if f else "-" for c, f in zip("crd", flags)) == \
+            _FLAGS_OF[text, domain, holomorphic]
 
 
 def _check_lifted_parse(monkeypatch, spec, check):
