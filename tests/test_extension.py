@@ -242,7 +242,7 @@ def test_cross_v_integral_matches_node_sum(weight):
         assert part == pytest.approx(ref, rel=1e-12)
 
 
-def test_cross_rhs_divergence_guard(flat_bidisk):
+def test_cross_rhs_finite_for_compatible_data(flat_bidisk):
     # h0 interpolates a0 at the node, so (f - h0)(0) = 0 for compatible data
     # and the |z|^{-2} integrand is removable
     good = CrossData((1.0, 1.0), (1.0,))

@@ -221,8 +221,8 @@ def test_holder_continuity_in_gamma():
 
 
 def _branch_node_sum(u, weight, gamma, variant, conic_k, rule):
-    """The branch integral (before the power 1+gamma) as a sum over the
-    rule's nodes (DiskRule.integrate)."""
+    """The branch integral (before the power 1+gamma) as one dot product of
+    the rule's flattened weights with f on all its nodes at once."""
     w_exp = 1.0 / (1.0 + gamma) if variant == "theorem" else 1.0
 
     def f(z):
@@ -232,7 +232,7 @@ def _branch_node_sum(u, weight, gamma, variant, conic_k, rule):
             * np.exp(-w_exp * np.asarray(weight.evaluate(z), float))
         return vals * a ** (-2.0 * (1.0 - 1.0 / conic_k)) if conic_k else vals
 
-    return rule.integrate(f).real
+    return complex(np.dot(rule.weights, f(rule.nodes))).real
 
 
 _BRANCH_WEIGHTS = {
